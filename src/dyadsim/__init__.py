@@ -48,7 +48,6 @@ from dyadsim.stats import (
 from dyadsim.sweep import (
     InvalidSweepError,
     SweepConfig,
-    SweepRecord,
     SweepTable,
     derive_run_seed,
     enumerate_contexts,
@@ -78,7 +77,6 @@ __all__ = [
     "NoiseSource",
     "NonFiniteStateError",
     "SweepConfig",
-    "SweepRecord",
     "SweepTable",
     "Trajectory",
     "UndefinedCorrelationError",

@@ -295,21 +295,12 @@ def main(argv=None) -> int:
         return handler(args)
     except InvalidSweepError as exc:
         return _error("input", str(exc), EXIT_INPUT)
-    except dynamics.NonFiniteStateError as exc:
+    except (report_mod.AnalysisError, dynamics.NonFiniteStateError) as exc:
         return _error("analysis", str(exc), EXIT_ANALYSIS)
     except ValueError as exc:
-        # flag-range and statistical errors; flag ranges are validated first
-        category = "validation" if not _work_started(exc) else "analysis"
-        code = EXIT_USAGE if category == "validation" else EXIT_ANALYSIS
-        return _error(category, str(exc), code)
+        return _error("validation", str(exc), EXIT_USAGE)
     except OSError as exc:
         return _error("io", str(exc), EXIT_IO)
-
-
-def _work_started(exc: ValueError) -> bool:
-    """Statistical errors are tagged with their source by report.analyze."""
-    text = str(exc)
-    return "chi-square" in text or "fit" in text or "correlation" in text
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ can be regenerated exactly, and the vectorized batch path produces bitwise
 identical series to the scalar path.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,10 @@ class ModelParams:
     turns: int = 500
 
     def __post_init__(self):
+        for name in ("alpha", "influence", "noise_half_width"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha!r}")
         if self.influence < 0.0:

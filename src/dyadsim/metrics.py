@@ -6,7 +6,7 @@ overlap normalization, turn-taking lag distributions based on above-mean
 reentrant; series are 1-D float arrays (or anything ``np.asarray`` accepts).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,13 +194,10 @@ class LagSpec:
     the series' own mean (fixed rule)."""
 
     max_lag: int = 20
-    threshold_rule: str = field(default="series mean")
 
     def __post_init__(self):
         if int(self.max_lag) < 1:
             raise ValueError("max_lag must be >= 1")
-        if self.threshold_rule != "series mean":
-            raise ValueError("only the 'series mean' threshold rule is supported")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ same table and config is byte-identical.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from dyadsim import dynamics, metrics, stats, sweep as sweep_mod
 
 __all__ = [
     "DEFAULT_FIGURE_CONTEXTS",
+    "AnalysisError",
     "AnalysisReport",
     "analyze",
     "figure_data",
@@ -42,6 +43,10 @@ DEFAULT_FIGURE_CONTEXTS = (
 PANEL_NAMES = ("r_histogram", "ccf_panel", "lag_panel", "trajectory_panel")
 
 UNIFORM_NEGATIVE_PROB = 65.0 / 81.0  # contexts with at least one -1 entry
+
+
+class AnalysisError(ValueError):
+    """A statistic could not be computed from otherwise valid input."""
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ def _with_context(label: str, func, *args):
     try:
         return func(*args)
     except ValueError as exc:
-        raise ValueError(f"{label}: {exc}") from exc
+        raise AnalysisError(f"{label}: {exc}") from exc
 
 
 def analyze(table: sweep_mod.SweepTable) -> AnalysisReport:
@@ -97,7 +102,7 @@ def analyze(table: sweep_mod.SweepTable) -> AnalysisReport:
     test of the complementary tail's inhibition count against the 65/81
     share of inhibition-containing contexts (an even-split variant is
     included for comparison), the two-proportion test across tails, and the
-    five regression fits with an AIC/BIC selection note.
+    five regression fits (model 3 reuses model 2's) with an AIC/BIC note.
     """
     counts = sweep_mod.tail_counts(table)
     n_total = len(table)
@@ -108,7 +113,7 @@ def analyze(table: sweep_mod.SweepTable) -> AnalysisReport:
     neg_comp = counts.with_negative["complementary"]
     neg_sync = counts.with_negative["synchronous"]
     if n_comp == 0 or n_sync == 0:
-        raise ValueError("tail statistics: a tail is empty; sweep too small")
+        raise AnalysisError("tail statistics: a tail is empty; sweep too small")
 
     gof_uniform = _with_context(
         "complementary-vs-uniform chi-square",
@@ -132,18 +137,20 @@ def analyze(table: sweep_mod.SweepTable) -> AnalysisReport:
     )
 
     fits = []
+    fitted = {}  # column set -> FitResult
     for model_id in stats.MODEL_IDS:
         spec = stats.model_spec(model_id)
-        design = stats.build_design(table, spec)
-        fit = _with_context(
-            f"model {model_id} fit",
-            stats.fit_least_squares,
-            design.X,
-            design.y,
-            design.columns,
-            spec.k_nominal,
-        )
-        fits.append((spec, fit))
+        if spec.columns not in fitted:
+            design = stats.build_design(table, spec)
+            fitted[spec.columns] = _with_context(
+                f"model {model_id} fit",
+                stats.fit_least_squares,
+                design.X,
+                design.y,
+                design.columns,
+                spec.k_nominal,
+            )
+        fits.append((spec, replace(fitted[spec.columns], k_nominal=spec.k_nominal)))
 
     best_aic = min(fit.aic for _, fit in fits)
     best_bic = min(fit.bic for _, fit in fits)
@@ -256,8 +263,7 @@ def figure_data(
     if which == "r_histogram":
         if table is None:
             raise ValueError("r_histogram needs a sweep table")
-        r_finite = np.array([rec.r for rec in table.finite_records()])
-        hist = metrics.histogram(r_finite, bins, -1.0, 1.0)
+        hist = metrics.histogram(table.r[table.finite], bins, -1.0, 1.0)
         return {"fig3_hist.csv": metrics.histogram_csv_text(hist)}
 
     if config is None:
@@ -282,7 +288,10 @@ def figure_data(
                 for i in range(len(finite))
                 if finite[i]
             ]
-            agg = metrics.aggregate_ccf(results)
+            try:
+                agg = metrics.aggregate_ccf(results)
+            except ValueError as exc:
+                raise AnalysisError(str(exc)) from exc
             payloads[f"fig6_ccf_{code}.csv"] = metrics.ccf_csv_text(agg)
         else:  # lag_panel
             spec = metrics.LagSpec(max_lag=max_lag)

@@ -10,7 +10,7 @@ parameter products:
   cross-parameter products (pair products counted once; an ordered count
   would give 48, which is what ``k_nominal`` records);
 * model 3 -- the overall model, the union of models 1 and 2 (identical
-  column set to model 2, kept as a separate row for comparison);
+  column set to model 2, so it is fitted once and reported twice);
 * model 4 -- initiator-focused: Person 1's influence mains (s1, o2) plus
   all interactions;
 * model 5 -- self-influence: both self mains (s1, s2) plus all
@@ -26,6 +26,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from dyadsim.dynamics import ContextMatrix
+from dyadsim.sweep import enumerate_contexts
 
 __all__ = [
     "DummyEncoding",
@@ -134,6 +135,10 @@ def _term_column(term: str, indicators: np.ndarray) -> np.ndarray:
     return indicators[:, INDICATOR_NAMES.index(term)]
 
 
+# (81, 8) indicators, one row per context in enumeration order
+_CONTEXT_INDICATORS = np.vstack([encode_dummies(ctx).as_array() for ctx in enumerate_contexts()])
+
+
 @dataclass(frozen=True)
 class Design:
     """Regression design: predictor matrix, response, names, exclusions."""
@@ -150,14 +155,13 @@ def build_design(table, spec: ModelSpec) -> Design:
     Rows with an undefined correlation are excluded and counted.  Predictor
     columns follow ``spec.columns``; the intercept is added at fit time.
     """
-    records = table.finite_records()
-    n_excluded = len(table) - len(records)
-    if not records:
+    finite = table.finite
+    n_excluded = len(table) - int(finite.sum())
+    if n_excluded == len(table):
         raise ValueError("no finite records to regress on")
-    indicators = np.vstack([encode_dummies(rec.context).as_array() for rec in records])
-    y = np.array([rec.r for rec in records])
+    indicators = _CONTEXT_INDICATORS[table.context_index[finite]]
     X = np.column_stack([_term_column(term, indicators) for term in spec.columns])
-    return Design(X=X, y=y, columns=spec.columns, n_excluded=n_excluded)
+    return Design(X=X, y=table.r[finite], columns=spec.columns, n_excluded=n_excluded)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from dyadsim.metrics import pearson_rows
 
 __all__ = [
     "SweepConfig",
-    "SweepRecord",
     "SweepTable",
     "TailCounts",
     "InvalidSweepError",
@@ -36,6 +35,9 @@ __all__ = [
 TAIL_LABELS = ("complementary", "neutral", "synchronous", "undefined")
 
 SWEEP_CSV_HEADER = "context_index,s1,o1,o2,s2,run_index,run_seed,r,finite,tail"
+
+# the CSV's finite flag and tail label, indexed by tail code
+_ROW_SUFFIXES = ("true,complementary", "true,neutral", "true,synchronous", "false,undefined")
 
 _MASK64 = (1 << 64) - 1
 
@@ -61,33 +63,28 @@ class SweepConfig:
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    """One simulated run: where it came from and how it correlated."""
-
-    context_index: int
-    context: ContextMatrix
-    run_index: int
-    run_seed: int
-    r: float  # nan marks an undefined correlation
-    finite: bool
-    tail: str
-
-
-@dataclass(frozen=True)
 class SweepTable:
-    """All sweep records in canonical order plus the generating config."""
+    """All sweep runs in canonical order as parallel columns, plus the config.
 
-    records: list[SweepRecord]
+    ``context_index`` indexes :func:`enumerate_contexts`; ``r`` is nan where
+    the correlation is undefined, and the finite flag and tail follow from it.
+    """
+
     config: SweepConfig
+    context_index: np.ndarray
+    run_index: np.ndarray
+    run_seed: np.ndarray
+    r: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.r)
 
     def r_array(self) -> np.ndarray:
-        return np.array([rec.r for rec in self.records])
+        return self.r
 
-    def finite_records(self) -> list[SweepRecord]:
-        return [rec for rec in self.records if rec.finite]
+    @property
+    def finite(self) -> np.ndarray:
+        return ~np.isnan(self.r)
 
 
 def enumerate_contexts() -> list[ContextMatrix]:
@@ -129,8 +126,27 @@ def classify_tail(r: float, threshold: float) -> str:
     return "neutral"
 
 
-def _context_batch(config: SweepConfig, context_index: int, context: ContextMatrix) -> list[SweepRecord]:
-    """Simulate and classify all runs of one context."""
+def _tail_codes(r: np.ndarray, threshold: float) -> np.ndarray:
+    """Index into ``TAIL_LABELS`` per row; agrees with :func:`classify_tail`."""
+    codes = np.where(r < -threshold, 0, np.where(r > threshold, 2, 1))
+    codes[np.isnan(r)] = 3
+    return codes
+
+
+def _table(config: SweepConfig, run_seed: list[int], r) -> SweepTable:
+    """Table over the canonical (context, run) grid."""
+    runs = config.runs_per_context
+    return SweepTable(
+        config=config,
+        context_index=np.repeat(np.arange(81), runs),
+        run_index=np.tile(np.arange(runs), 81),
+        run_seed=np.array(run_seed, dtype=np.uint64),
+        r=np.asarray(r, dtype=float),
+    )
+
+
+def _context_batch(config: SweepConfig, context_index: int, context: ContextMatrix):
+    """Seeds and correlations (nan where undefined) of one context's runs."""
     seeds = [
         derive_run_seed(config.master_seed, context_index, j)
         for j in range(config.runs_per_context)
@@ -140,21 +156,7 @@ def _context_batch(config: SweepConfig, context_index: int, context: ContextMatr
     r = np.full(len(seeds), np.nan)
     if finite.any():
         r[finite] = pearson_rows(B1[finite], B2[finite])
-    records = []
-    for j, seed in enumerate(seeds):
-        r_j = float(r[j])
-        records.append(
-            SweepRecord(
-                context_index=context_index,
-                context=context,
-                run_index=j,
-                run_seed=seed,
-                r=r_j,
-                finite=bool(finite[j]) and not isnan(r_j),
-                tail=classify_tail(r_j, config.tail_threshold),
-            )
-        )
-    return records
+    return seeds, r
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepTable:
@@ -177,8 +179,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepTable:
                     enumerate(contexts),
                 )
             )
-    records = [rec for batch in batches for rec in batch]
-    return SweepTable(records=records, config=config)
+    seeds = [seed for batch_seeds, _ in batches for seed in batch_seeds]
+    return _table(config, seeds, np.concatenate([r for _, r in batches]))
 
 
 @dataclass(frozen=True)
@@ -188,36 +190,36 @@ class TailCounts:
     counts: dict
     with_negative: dict
 
-    def proportion_negative(self, tail: str) -> float:
-        n = self.counts.get(tail, 0)
-        if n == 0:
-            raise ValueError(f"no records in tail {tail!r}")
-        return self.with_negative.get(tail, 0) / n
-
 
 def tail_counts(table: SweepTable) -> TailCounts:
     """Exact per-tail counts and per-tail counts of contexts with a -1."""
     if len(table) == 0:
         raise ValueError("empty sweep table")
-    counts = {label: 0 for label in TAIL_LABELS}
-    with_negative = {label: 0 for label in TAIL_LABELS}
-    for rec in table.records:
-        counts[rec.tail] += 1
-        if rec.context.has_inhibition:
-            with_negative[rec.tail] += 1
-    return TailCounts(counts=counts, with_negative=with_negative)
+    codes = _tail_codes(table.r, table.config.tail_threshold)
+    has_inhibition = np.array([ctx.has_inhibition for ctx in enumerate_contexts()])
+    negative = codes[has_inhibition[table.context_index]]
+    return TailCounts(
+        counts=dict(zip(TAIL_LABELS, np.bincount(codes, minlength=4).tolist())),
+        with_negative=dict(zip(TAIL_LABELS, np.bincount(negative, minlength=4).tolist())),
+    )
 
 
 def sweep_csv_text(table: SweepTable) -> str:
     """Sweep table as canonical CSV (float fields round-trip-safe)."""
+    prefixes = [
+        f"{ci},{ctx.s1},{ctx.o1},{ctx.o2},{ctx.s2},"
+        for ci, ctx in enumerate(enumerate_contexts())
+    ]
+    codes = _tail_codes(table.r, table.config.tail_threshold)
     lines = [SWEEP_CSV_HEADER]
-    for rec in table.records:
-        ctx = rec.context
-        finite = "true" if rec.finite else "false"
-        lines.append(
-            f"{rec.context_index},{ctx.s1},{ctx.o1},{ctx.o2},{ctx.s2},"
-            f"{rec.run_index},{rec.run_seed},{rec.r!r},{finite},{rec.tail}"
-        )
+    for ci, run_index, run_seed, r, code in zip(
+        table.context_index.tolist(),
+        table.run_index.tolist(),
+        table.run_seed.tolist(),
+        table.r.tolist(),
+        codes.tolist(),
+    ):
+        lines.append(f"{prefixes[ci]}{run_index},{run_seed},{r!r},{_ROW_SUFFIXES[code]}")
     return "\n".join(lines) + "\n"
 
 
@@ -252,7 +254,7 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
             f"expected {expected} records (81 x {config.runs_per_context}), "
             f"found {len(lines) - 1}"
         )
-    records = []
+    run_seeds, rs = [], []
     for row, line in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) != 10:
@@ -268,8 +270,7 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
         expected_ci, expected_run = divmod(row, config.runs_per_context)
         if ci != expected_ci or run_index != expected_run:
             _fail(row, f"canonical order violated: ({ci}, {run_index})")
-        context = contexts[ci]
-        if entries != context.as_tuple():
+        if entries != contexts[ci].as_tuple():
             _fail(row, f"context {entries} does not match enumeration index {ci}")
         if run_seed != derive_run_seed(config.master_seed, ci, run_index):
             _fail(row, "run_seed does not match the master seed derivation")
@@ -281,15 +282,6 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
             _fail(row, "finite flag inconsistent with r")
         if tail != classify_tail(r, config.tail_threshold):
             _fail(row, f"tail label {tail!r} inconsistent with r={r!r}")
-        records.append(
-            SweepRecord(
-                context_index=ci,
-                context=context,
-                run_index=run_index,
-                run_seed=run_seed,
-                r=r,
-                finite=finite,
-                tail=tail,
-            )
-        )
-    return SweepTable(records=records, config=config)
+        run_seeds.append(run_seed)
+        rs.append(r)
+    return _table(config, run_seeds, rs)

@@ -2,17 +2,26 @@ import os
 import subprocess
 import sys
 
+from pathlib import Path
+
 import pytest
 
+import dyadsim
 from dyadsim.cli import main, parse_context
 
 SMALL = ["--runs", "2", "--turns", "60"]
+
+# absolute, so the child finds the package whatever its working directory
+PACKAGE_ROOT = str(Path(dyadsim.__file__).resolve().parent.parent)
 
 
 def run_cli(args, cwd, env_extra=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")])
+    )
     return subprocess.run(
         [sys.executable, "-m", "dyadsim.cli", *args],
         cwd=cwd,
@@ -131,6 +140,24 @@ class TestPanelCommands:
         ]
 
 
+class TestErrorCategories:
+    @pytest.mark.parametrize("command", ["xcorr", "figures"])
+    def test_all_runs_diverging_is_analysis_error(self, tmp_path, capsys, command):
+        # every run of this context leaves double range, so no CCF can be averaged
+        args = [command, "--influence", "1.0", "--turns", "2000", "--runs", "3",
+                "--context", "1,1;1,1", "--out", str(tmp_path)]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err == (
+            "dyadsim: error: analysis: aggregate_ccf needs at least 2 results\n"
+        )
+
+    def test_flag_error_found_before_work_is_usage_error(self, tmp_path, capsys):
+        assert main(["xcorr", "--turns", "30", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dyadsim: error: validation: need length > 42")
+
+
 class TestFlagHandling:
     def test_unknown_flag_rejected(self, tmp_path):
         result = run_cli(["sweep", "--bogus", "1"], cwd=tmp_path)
@@ -153,6 +180,15 @@ class TestFlagHandling:
         c = tmp_path / "c.csv"
         assert main(["sweep", "--config", str(config), "--seed", "6", "--out", str(c)]) == 0
         assert c.read_bytes() != a.read_bytes()
+
+    @pytest.mark.parametrize("flag,value", [("--noise", "inf"), ("--influence", "nan")])
+    def test_non_finite_dynamics_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        code = main(["sweep", *SMALL, flag, value, "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dyadsim: error: validation:")
+        assert "must be finite" in err and flag[2:] in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "run.conf"

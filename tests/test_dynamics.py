@@ -61,6 +61,12 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["alpha", "influence", "noise_half_width"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelParams(**{name: value})
+
 
 class TestStep:
     def test_zero_coupling_decay_only(self):

@@ -81,11 +81,7 @@ class TestBuildDesign:
 
     def test_zero_context_rows_all_zero(self, default_table):
         design = build_design(default_table, model_spec(3))
-        rows = [
-            i
-            for i, rec in enumerate(default_table.finite_records())
-            if rec.context_index == 40
-        ]
+        rows = np.flatnonzero(default_table.context_index[default_table.finite] == 40)
         assert np.all(design.X[rows] == 0.0)
 
     def test_interaction_columns_are_products(self, default_table):

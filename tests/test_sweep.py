@@ -1,14 +1,18 @@
 import math
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyadsim.dynamics import ContextMatrix, ModelParams, simulate
 from dyadsim.metrics import pearson_r
 from dyadsim.sweep import (
+    TAIL_LABELS,
     InvalidSweepError,
     SweepConfig,
-    SweepRecord,
     SweepTable,
     classify_tail,
     derive_run_seed,
@@ -90,23 +94,26 @@ class TestRunSweep:
         config = SweepConfig(master_seed=3, runs_per_context=1, params=ModelParams(turns=40))
         table = run_sweep(config)
         assert len(table) == 81
-        assert [rec.context_index for rec in table.records] == list(range(81))
-        assert [rec.run_index for rec in table.records] == [0] * 81
+        assert table.context_index.tolist() == list(range(81))
+        assert table.run_index.tolist() == [0] * 81
 
     def test_canonical_order_and_no_duplicates(self):
         table = run_sweep(SMALL)
-        keys = [(rec.context_index, rec.run_index) for rec in table.records]
+        keys = list(zip(table.context_index.tolist(), table.run_index.tolist()))
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys) == 162
 
     def test_records_match_scalar_recomputation(self):
         table = run_sweep(SMALL)
         contexts = enumerate_contexts()
-        for rec in table.records[::17]:
-            assert rec.run_seed == derive_run_seed(SMALL.master_seed, rec.context_index, rec.run_index)
-            traj = simulate(contexts[rec.context_index], SMALL.params, rec.run_seed)
-            assert rec.r == pearson_r(traj.b1, traj.b2)
-            assert rec.tail == classify_tail(rec.r, SMALL.tail_threshold)
+        csv_rows = sweep_csv_text(table).split("\n")[1:]
+        for i in range(0, len(table), 17):
+            ci, run_index = int(table.context_index[i]), int(table.run_index[i])
+            run_seed, r = int(table.run_seed[i]), float(table.r[i])
+            assert run_seed == derive_run_seed(SMALL.master_seed, ci, run_index)
+            traj = simulate(contexts[ci], SMALL.params, run_seed)
+            assert r == pearson_r(traj.b1, traj.b2)
+            assert csv_rows[i].split(",")[9] == classify_tail(r, SMALL.tail_threshold)
 
     def test_schedule_independence(self):
         serial = run_sweep(SMALL, workers=1)
@@ -114,13 +121,13 @@ class TestRunSweep:
         assert sweep_csv_text(serial) == sweep_csv_text(threaded)
 
     def test_null_context_runs_are_uncorrelated(self, default_table):
-        rows = [rec.r for rec in default_table.records if rec.context_index == 40]
+        rows = default_table.r[default_table.context_index == 40]
         assert len(rows) == 100
         assert abs(np.mean(rows)) < 0.05
 
     def test_tails_partition_finite_records(self, default_table):
         counts = tail_counts(default_table)
-        finite = sum(1 for rec in default_table.records if rec.finite)
+        finite = int(default_table.finite.sum())
         tail_sum = sum(
             counts.counts[label] for label in ("complementary", "neutral", "synchronous")
         )
@@ -134,22 +141,16 @@ class TestRunSweep:
 
 class TestTailCounts:
     def _table(self, r_values):
-        contexts = enumerate_contexts()
-        records = []
-        for i, r in enumerate(r_values):
-            ctx = contexts[i % 81]
-            records.append(
-                SweepRecord(
-                    context_index=i % 81,
-                    context=ctx,
-                    run_index=i // 81,
-                    run_seed=derive_run_seed(1, i % 81, i // 81),
-                    r=r,
-                    finite=not math.isnan(r),
-                    tail=classify_tail(r, 0.25),
-                )
-            )
-        return SweepTable(records=records, config=SweepConfig(master_seed=1))
+        rows = np.arange(len(r_values))
+        return SweepTable(
+            config=SweepConfig(master_seed=1),
+            context_index=rows % 81,
+            run_index=rows // 81,
+            run_seed=np.array(
+                [derive_run_seed(1, i % 81, i // 81) for i in rows], dtype=np.uint64
+            ),
+            r=np.array(r_values, dtype=float),
+        )
 
     def test_all_zero_r_has_empty_tails(self):
         counts = tail_counts(self._table([0.0] * 81))
@@ -165,7 +166,7 @@ class TestTailCounts:
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            tail_counts(SweepTable(records=[], config=SweepConfig(master_seed=1)))
+            tail_counts(self._table([]))
 
 
 class TestSweepCsv:
@@ -174,7 +175,8 @@ class TestSweepCsv:
         path = tmp_path / "sweep.csv"
         write_sweep_csv(table, path)
         loaded = read_sweep_csv(path, SMALL)
-        assert loaded.records == table.records
+        for column in ("context_index", "run_index", "run_seed", "r"):
+            assert getattr(loaded, column).tobytes() == getattr(table, column).tobytes()
 
     def test_header_format(self):
         text = sweep_csv_text(run_sweep(SMALL))
@@ -214,3 +216,65 @@ class TestSweepCsv:
         path.write_text("nonsense\n")
         with pytest.raises(InvalidSweepError, match="header"):
             read_sweep_csv(path, SMALL)
+
+
+@st.composite
+def sweep_tables(draw):
+    """Tables on the canonical grid whose r column mixes random values with
+    nan, exactly +-threshold, +-1 and -0.0."""
+    runs = draw(st.integers(min_value=1, max_value=3))
+    threshold = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    config = SweepConfig(
+        master_seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+        runs_per_context=runs,
+        tail_threshold=threshold,
+    )
+    special = st.sampled_from([math.nan, threshold, -threshold, 1.0, -1.0, -0.0])
+    r = draw(
+        st.lists(
+            st.one_of(special, st.floats(min_value=-1.0, max_value=1.0)),
+            min_size=81 * runs,
+            max_size=81 * runs,
+        )
+    )
+    context_index = np.repeat(np.arange(81), runs)
+    run_index = np.tile(np.arange(runs), 81)
+    seeds = [
+        derive_run_seed(config.master_seed, ci, j)
+        for ci, j in zip(context_index.tolist(), run_index.tolist())
+    ]
+    return SweepTable(
+        config=config,
+        context_index=context_index,
+        run_index=run_index,
+        run_seed=np.array(seeds, dtype=np.uint64),
+        r=np.array(r, dtype=float),
+    )
+
+
+class TestSweepProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(sweep_tables())
+    def test_csv_round_trip_is_bitwise(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sweep.csv"
+            write_sweep_csv(table, path)
+            loaded = read_sweep_csv(path, table.config)
+            written = path.read_text()
+        for column in ("context_index", "run_index", "run_seed", "r"):
+            assert getattr(loaded, column).tobytes() == getattr(table, column).tobytes()
+        assert sweep_csv_text(loaded) == written
+
+    @settings(deadline=None, max_examples=60)
+    @given(sweep_tables())
+    def test_tail_counts_match_per_row_classification(self, table):
+        contexts = enumerate_contexts()
+        counts, with_negative = Counter(), Counter()
+        for ci, r in zip(table.context_index.tolist(), table.r.tolist()):
+            tail = classify_tail(r, table.config.tail_threshold)
+            counts[tail] += 1
+            if contexts[ci].has_inhibition:
+                with_negative[tail] += 1
+        result = tail_counts(table)
+        assert result.counts == {label: counts[label] for label in TAIL_LABELS}
+        assert result.with_negative == {label: with_negative[label] for label in TAIL_LABELS}
