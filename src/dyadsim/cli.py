@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("sweep", help="run the 81-context sweep and write the CSV")
     _add_common_flags(p)
-    p.add_argument("--workers", type=int, default=None, help="parallel workers (default 1)")
+    p.add_argument("--workers", type=int, default=None, help="accepted, no effect (default 1)")
 
     p = commands.add_parser("analyze", help="analyze a sweep CSV into report.json + table1.csv")
     _add_common_flags(p)
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context", type=_context_arg, action="append", help="repeatable")
     p.add_argument("--max-lag", type=int, default=None, help="largest lag (default 20)")
     p.add_argument("--bins", type=int, default=None, help="histogram bins (default 40)")
-    p.add_argument("--workers", type=int, default=None, help="parallel workers (default 1)")
+    p.add_argument("--workers", type=int, default=None, help="accepted, no effect (default 1)")
 
     return parser
 
@@ -175,7 +175,9 @@ def _resolve(args, file_values: dict, key: str, cast):
     return DEFAULTS[key]
 
 
-def _build_config(args) -> SweepConfig:
+def _build_config(args) -> tuple[SweepConfig, dict]:
+    """Sweep config from flags over config-file values over defaults, plus
+    the file values for resolving the command's other keys."""
     file_values = _read_config_file(args.config) if args.config else {}
     params = ModelParams(
         alpha=_resolve(args, file_values, "alpha", float),
@@ -183,12 +185,13 @@ def _build_config(args) -> SweepConfig:
         noise_half_width=_resolve(args, file_values, "noise", float),
         turns=_resolve(args, file_values, "turns", int),
     )
-    return SweepConfig(
+    config = SweepConfig(
         master_seed=_resolve(args, file_values, "seed", int),
         runs_per_context=_resolve(args, file_values, "runs", int),
         params=params,
         tail_threshold=_resolve(args, file_values, "threshold", float),
     )
+    return config, file_values
 
 
 def _out_dir(args) -> Path:
@@ -204,10 +207,8 @@ def _error(category: str, message: str, code: int) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _build_config(args)
-    workers = _resolve(args, {}, "workers", int)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    config, file_values = _build_config(args)
+    workers = _resolve(args, file_values, "workers", int)
     table = sweep_mod.run_sweep(config, workers=workers)
     out = args.out if args.out is not None else _out_dir(args) / "sweep.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -217,7 +218,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    config = _build_config(args)
+    config, _ = _build_config(args)
     table = sweep_mod.read_sweep_csv(args.input, config)
     result = report_mod.analyze(table)
     written = report_mod.write_report(result, _out_dir(args))
@@ -227,7 +228,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _build_config(args)
+    config, _ = _build_config(args)
     trajectory = dynamics.simulate(args.context, config.params, config.master_seed)
     out = args.out if args.out is not None else _out_dir(args) / "trajectory.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -237,9 +238,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _panel_command(args, panel: str, rename_from: str, rename_to: str) -> int:
-    config = _build_config(args)
+    config, file_values = _build_config(args)
     contexts = args.context if args.context else None
-    max_lag = _resolve(args, {}, "max_lag", int)
+    max_lag = _resolve(args, file_values, "max_lag", int)
     payloads = report_mod.figure_data(
         panel, config=config, contexts=contexts, max_lag=max_lag
     )
@@ -253,15 +254,15 @@ def _panel_command(args, panel: str, rename_from: str, rename_to: str) -> int:
 
 
 def _cmd_figures(args) -> int:
-    config = _build_config(args)
+    config, file_values = _build_config(args)
     if args.input is not None:
         table = sweep_mod.read_sweep_csv(args.input, config)
     else:
-        workers = _resolve(args, {}, "workers", int)
+        workers = _resolve(args, file_values, "workers", int)
         table = sweep_mod.run_sweep(config, workers=workers)
     contexts = args.context if args.context else None
-    max_lag = _resolve(args, {}, "max_lag", int)
-    bins = _resolve(args, {}, "bins", int)
+    max_lag = _resolve(args, file_values, "max_lag", int)
+    bins = _resolve(args, file_values, "bins", int)
     payloads = {}
     payloads.update(report_mod.figure_data("r_histogram", table=table, bins=bins))
     for panel in ("ccf_panel", "lag_panel", "trajectory_panel"):

@@ -210,13 +210,6 @@ class Trajectory:
     def turns(self) -> int:
         return len(self.b1) - 1
 
-    def state(self, t: int) -> BehaviorState:
-        return BehaviorState(self.b1[t], self.b2[t])
-
-    @property
-    def states(self) -> list[BehaviorState]:
-        return [BehaviorState(x, y) for x, y in zip(self.b1, self.b2)]
-
 
 def simulate(context: ContextMatrix, params: ModelParams, seed: int) -> Trajectory:
     """Run one seeded interaction of ``params.turns`` turns.

@@ -98,7 +98,8 @@ class CcfResult:
     Sign convention: at positive lag k the value is the correlation of
     x[0:n-k] with y[k:n], i.e. Person 2's series lags Person 1's (Person 1
     leads).  ``values[max_lag]`` (k = 0) equals the plain Pearson r of the
-    aligned series.  Undefined lags are nan.
+    aligned series.  Undefined lags are nan.  A stacked result holds one CCF
+    per row, and ``value`` reads a single series' CCF only.
     """
 
     max_lag: int
@@ -115,7 +116,7 @@ class CcfResult:
 
 
 def cross_correlation(x, y, max_lag: int) -> CcfResult:
-    """Lagged Pearson cross-correlation of two series.
+    """Lagged Pearson cross-correlation of two series, or of stacked pairs.
 
     Each lag's value is a true Pearson coefficient of the overlapping
     segments, normalized by the means and variances of those segments
@@ -124,7 +125,9 @@ def cross_correlation(x, y, max_lag: int) -> CcfResult:
     Parameters
     ----------
     x, y : array-like
-        Equal-length series with ``len > 2 * max_lag + 2``.
+        Equal-length series with ``len > 2 * max_lag + 2``, or (m, n)
+        stacks of such series; ``values`` is then (m, 2 * max_lag + 1), and
+        row i is bitwise the CCF of ``x[i]`` and ``y[i]``.
     max_lag : int
         Largest lag magnitude, >= 1.
     """
@@ -133,19 +136,22 @@ def cross_correlation(x, y, max_lag: int) -> CcfResult:
     max_lag = int(max_lag)
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
-    n = len(x)
-    if len(y) != n:
+    if x.ndim not in (1, 2):
+        raise ValueError("cross_correlation needs 1-D series or (m, n) stacks")
+    if y.shape != x.shape:
         raise ValueError("series lengths differ")
+    n = x.shape[-1]
     if n <= 2 * max_lag + 2:
         raise ValueError(f"need length > {2 * max_lag + 2}, got {n}")
-    values = np.empty(2 * max_lag + 1)
+    rows_x, rows_y = np.atleast_2d(x), np.atleast_2d(y)
+    values = np.empty((len(rows_x), 2 * max_lag + 1))
     for k in range(-max_lag, max_lag + 1):
         if k >= 0:
-            seg_x, seg_y = x[: n - k], y[k:]
+            seg_x, seg_y = rows_x[:, : n - k], rows_y[:, k:]
         else:
-            seg_x, seg_y = x[-k:], y[: n + k]
-        values[k + max_lag] = pearson_rows(seg_x[None, :], seg_y[None, :])[0]
-    return CcfResult(max_lag=max_lag, values=values)
+            seg_x, seg_y = rows_x[:, -k:], rows_y[:, : n + k]
+        values[:, k + max_lag] = pearson_rows(seg_x, seg_y)
+    return CcfResult(max_lag=max_lag, values=values[0] if x.ndim == 1 else values)
 
 
 @dataclass(frozen=True)
@@ -165,16 +171,18 @@ class CcfAggregate:
 def aggregate_ccf(results: list[CcfResult]) -> CcfAggregate:
     """Per-lag arithmetic mean and sample SD over defined CCF values.
 
-    All results must share ``max_lag``; at least two are required.  Lags
-    where fewer than one (mean) or two (SD) values are defined come out nan,
-    and the count of undefined entries is reported per lag.
+    All results must share ``max_lag``.  A result holds one CCF or a stack
+    of them, and at least two CCFs are required in all.  Lags where fewer
+    than one (mean) or two (SD) values are defined come out nan, and the
+    count of defined entries is reported per lag.
     """
-    if len(results) < 2:
+    blocks = [np.atleast_2d(res.values) for res in results]
+    if sum(len(block) for block in blocks) < 2:
         raise ValueError("aggregate_ccf needs at least 2 results")
     max_lag = results[0].max_lag
     if any(res.max_lag != max_lag for res in results):
         raise ValueError("aggregate_ccf: mixed max_lag values")
-    stack = np.vstack([res.values for res in results])
+    stack = np.vstack(blocks)
     defined = np.isfinite(stack)
     n_def = defined.sum(axis=0)
     mean = np.full(stack.shape[1], np.nan)

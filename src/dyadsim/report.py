@@ -228,19 +228,6 @@ def table1_csv_text(report: AnalysisReport) -> str:
     return stats.fit_summary_csv_text(report.fits)
 
 
-def _panel_batch(config: sweep_mod.SweepConfig, context: dynamics.ContextMatrix):
-    """Seeded batch for one figure context, reusing the sweep's seed grid."""
-    contexts = sweep_mod.enumerate_contexts()
-    context_index = contexts.index(context)
-    seeds = [
-        sweep_mod.derive_run_seed(config.master_seed, context_index, j)
-        for j in range(config.runs_per_context)
-    ]
-    B1, B2 = dynamics.simulate_batch(context, config.params, seeds)
-    finite = np.isfinite(B1).all(axis=1) & np.isfinite(B2).all(axis=1)
-    return B1, B2, finite, seeds
-
-
 def figure_data(
     which: str,
     *,
@@ -271,25 +258,21 @@ def figure_data(
     if contexts is None:
         contexts = DEFAULT_FIGURE_CONTEXTS
 
+    all_contexts = sweep_mod.enumerate_contexts()
     payloads = {}
     for context in contexts:
         code = context.code()
+        context_index = all_contexts.index(context)
         if which == "trajectory_panel":
-            seed = sweep_mod.derive_run_seed(
-                config.master_seed, sweep_mod.enumerate_contexts().index(context), 0
-            )
+            seed = sweep_mod.derive_run_seed(config.master_seed, context_index, 0)
             trajectory = dynamics.simulate(context, config.params, seed)
             payloads[f"fig2_traj_{code}.csv"] = dynamics.trajectory_csv_text(trajectory)
             continue
-        B1, B2, finite, _ = _panel_batch(config, context)
+        _, B1, B2, finite = sweep_mod.context_batch(config, context_index)
         if which == "ccf_panel":
-            results = [
-                metrics.cross_correlation(B1[i], B2[i], max_lag)
-                for i in range(len(finite))
-                if finite[i]
-            ]
+            result = metrics.cross_correlation(B1[finite], B2[finite], max_lag)
             try:
-                agg = metrics.aggregate_ccf(results)
+                agg = metrics.aggregate_ccf([result])
             except ValueError as exc:
                 raise AnalysisError(str(exc)) from exc
             payloads[f"fig6_ccf_{code}.csv"] = metrics.ccf_csv_text(agg)
@@ -297,10 +280,8 @@ def figure_data(
             spec = metrics.LagSpec(max_lag=max_lag)
             counts = np.zeros(2 * max_lag + 1, dtype=int)
             total = 0
-            for i in range(len(finite)):
-                if not finite[i]:
-                    continue
-                dist = metrics.turn_lags(B1[i], B2[i], spec)
+            for b1, b2 in zip(B1[finite], B2[finite]):
+                dist = metrics.turn_lags(b1, b2, spec)
                 counts += dist.counts
                 total += dist.total_events
             merged = metrics.LagDistribution(

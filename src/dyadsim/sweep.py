@@ -3,12 +3,10 @@
 All 3^4 = 81 context matrices are enumerated in a canonical lexicographic
 order; each gets ``runs_per_context`` seeded simulations.  Per-run seeds are
 derived from the master seed with a splitmix64-style mixing chain, so the
-whole 8,100-run batch is reproducible bit for bit on any platform and at any
-worker count.
+whole 8,100-run batch is reproducible bit for bit on any platform.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import isnan
 
@@ -25,6 +23,7 @@ __all__ = [
     "enumerate_contexts",
     "derive_run_seed",
     "classify_tail",
+    "context_batch",
     "run_sweep",
     "tail_counts",
     "sweep_csv_text",
@@ -40,6 +39,8 @@ SWEEP_CSV_HEADER = "context_index,s1,o1,o2,s2,run_index,run_seed,r,finite,tail"
 _ROW_SUFFIXES = ("true,complementary", "true,neutral", "true,synchronous", "false,undefined")
 
 _MASK64 = (1 << 64) - 1
+
+_CONTEXTS = tuple(ContextMatrix(*combo) for combo in itertools.product((-1, 0, 1), repeat=4))
 
 
 class InvalidSweepError(ValueError):
@@ -89,10 +90,7 @@ class SweepTable:
 
 def enumerate_contexts() -> list[ContextMatrix]:
     """All 81 ternary contexts, lexicographic over (s1, o1, o2, s2)."""
-    return [
-        ContextMatrix(*combo)
-        for combo in itertools.product((-1, 0, 1), repeat=4)
-    ]
+    return list(_CONTEXTS)
 
 
 def _mix64(z: int) -> int:
@@ -145,42 +143,39 @@ def _table(config: SweepConfig, run_seed: list[int], r) -> SweepTable:
     )
 
 
-def _context_batch(config: SweepConfig, context_index: int, context: ContextMatrix):
-    """Seeds and correlations (nan where undefined) of one context's runs."""
+def context_batch(config: SweepConfig, context_index: int):
+    """Seeded runs of one context, on the sweep's seed grid.
+
+    Returns ``(seeds, B1, B2, finite)``: the per-run seeds, the
+    (runs, turns + 1) series of both agents, and the mask of runs whose
+    series stay finite throughout.
+    """
     seeds = [
         derive_run_seed(config.master_seed, context_index, j)
         for j in range(config.runs_per_context)
     ]
-    B1, B2 = simulate_batch(context, config.params, seeds)
+    B1, B2 = simulate_batch(_CONTEXTS[context_index], config.params, seeds)
     finite = np.isfinite(B1).all(axis=1) & np.isfinite(B2).all(axis=1)
-    r = np.full(len(seeds), np.nan)
-    if finite.any():
-        r[finite] = pearson_rows(B1[finite], B2[finite])
-    return seeds, r
+    return seeds, B1, B2, finite
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepTable:
-    """Run the full 81-context sweep.
+    """Run the full 81-context sweep, one :func:`context_batch` per context.
 
-    Contexts are independent work items; with ``workers > 1`` they are
-    simulated concurrently.  Output is assembled in canonical order and is
-    byte-identical for any worker count.
+    ``workers`` must be >= 1 and changes nothing: the contexts always run
+    serially, so the output is the same for every value.
     """
-    contexts = enumerate_contexts()
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if workers == 1:
-        batches = [_context_batch(config, i, ctx) for i, ctx in enumerate(contexts)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(
-                pool.map(
-                    lambda pair: _context_batch(config, pair[0], pair[1]),
-                    enumerate(contexts),
-                )
-            )
-    seeds = [seed for batch_seeds, _ in batches for seed in batch_seeds]
-    return _table(config, seeds, np.concatenate([r for _, r in batches]))
+    seeds, rs = [], []
+    for context_index in range(81):
+        batch_seeds, B1, B2, finite = context_batch(config, context_index)
+        r = np.full(len(batch_seeds), np.nan)
+        if finite.any():
+            r[finite] = pearson_rows(B1[finite], B2[finite])
+        seeds.extend(batch_seeds)
+        rs.append(r)
+    return _table(config, seeds, np.concatenate(rs))
 
 
 @dataclass(frozen=True)
@@ -237,9 +232,10 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
 
     Checks structure (header, cardinality, canonical order), that contexts
     match the canonical enumeration, that run seeds match
-    :func:`derive_run_seed` under ``config.master_seed``, and that the
-    finite flag and tail label are consistent with the stored r.  Raises
-    :class:`InvalidSweepError` on the first violation.
+    :func:`derive_run_seed` under ``config.master_seed``, that a defined r
+    lies in [-1, 1], and that the finite flag and tail label are consistent
+    with the stored r.  Raises :class:`InvalidSweepError` on the first
+    violation.
     """
     with open(path, "r", newline="") as fh:
         lines = fh.read().split("\n")
@@ -280,6 +276,8 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
         finite = finite_str == "true"
         if finite == isnan(r):
             _fail(row, "finite flag inconsistent with r")
+        if abs(r) > 1.0:
+            _fail(row, f"r={r!r} outside [-1, 1]")
         if tail != classify_tail(r, config.tail_threshold):
             _fail(row, f"tail label {tail!r} inconsistent with r={r!r}")
         run_seeds.append(run_seed)

@@ -157,6 +157,28 @@ class TestErrorCategories:
         err = capsys.readouterr().err
         assert err.startswith("dyadsim: error: validation: need length > 42")
 
+    def test_impossible_correlation_is_input_error(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        assert main(["sweep", *SMALL, "--seed", "9", "--out", str(csv)]) == 0
+        lines = csv.read_text().split("\n")
+        lines[1] = ",".join(lines[1].split(",")[:7] + ["2.0", "true", "synchronous"])
+        csv.write_text("\n".join(lines))
+        capsys.readouterr()
+        code = main(["analyze", *SMALL, "--seed", "9", "--input", str(csv),
+                     "--out", str(tmp_path / "rep")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "dyadsim: error: input: sweep CSV row 0: r=2.0 outside [-1, 1]\n"
+        )
+        assert not (tmp_path / "rep").exists()
+
+    def test_zero_workers_is_usage_error(self, tmp_path, capsys):
+        code = main(["sweep", *SMALL, "--workers", "0", "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "dyadsim: error: validation: workers must be >= 1\n"
+        )
+
 
 class TestFlagHandling:
     def test_unknown_flag_rejected(self, tmp_path):
@@ -189,6 +211,37 @@ class TestFlagHandling:
         assert err.startswith("dyadsim: error: validation:")
         assert "must be finite" in err and flag[2:] in err
         assert not (tmp_path / "s.csv").exists()
+
+    def test_config_file_max_lag_matches_flag(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("max_lag = 5\n")
+        xcorr = ["xcorr", *SMALL, "--context", "1,0;0,1"]
+        assert main([*xcorr, "--config", str(config), "--out", str(tmp_path / "file")]) == 0
+        assert main([*xcorr, "--max-lag", "5", "--out", str(tmp_path / "flag")]) == 0
+        from_file = (tmp_path / "file" / "ccf_+100+1.csv").read_bytes()
+        assert from_file == (tmp_path / "flag" / "ccf_+100+1.csv").read_bytes()
+        assert len(from_file.splitlines()) == 1 + 11
+
+    def test_config_file_bins_and_flag_override(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("max_lag = 5\nbins = 4\n")
+        figures = ["figures", *SMALL, "--context", "0,0;0,0", "--config", str(config)]
+        assert main([*figures, "--out", str(tmp_path / "file")]) == 0
+        assert len((tmp_path / "file" / "fig3_hist.csv").read_text().splitlines()) == 1 + 4
+        assert len((tmp_path / "file" / "fig6_ccf_0000.csv").read_text().splitlines()) == 1 + 11
+        # flags override the file values
+        assert main([*figures, "--max-lag", "3", "--bins", "6",
+                     "--out", str(tmp_path / "flag")]) == 0
+        assert len((tmp_path / "flag" / "fig3_hist.csv").read_text().splitlines()) == 1 + 6
+        assert len((tmp_path / "flag" / "fig6_ccf_0000.csv").read_text().splitlines()) == 1 + 7
+
+    def test_config_file_workers_validated(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("workers = 0\n")
+        code = main(["sweep", *SMALL, "--config", str(config),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "run.conf"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dyadsim.dynamics import (
     BehaviorState,
@@ -200,6 +201,42 @@ class TestSimulateBatch:
         params = ModelParams(influence=1.0, turns=1300)
         B1, B2 = simulate_batch(ContextMatrix(1, 1, 1, 1), params, [3])
         assert not np.isfinite(B1[0]).all()
+
+
+class TestSimulateBatchProperties:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        context=st.sampled_from(enumerate_contexts()),
+        params=st.builds(
+            ModelParams,
+            alpha=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            influence=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+            noise_half_width=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)),
+            turns=st.one_of(
+                st.integers(min_value=1, max_value=200),
+                st.integers(min_value=1100, max_value=1500),
+            ),
+        ),
+        seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=4),
+    )
+    @example(  # gain 1.9: leaves double range near turn 1106
+        context=ContextMatrix(1, 1, 1, 1), params=ModelParams(influence=1.0, turns=1300),
+        seeds=[3, 4],
+    )
+    @example(
+        context=ContextMatrix(1, 0, 1, -1), params=ModelParams(noise_half_width=0.0, turns=50),
+        seeds=[0],
+    )
+    def test_batch_equals_scalar(self, context, params, seeds):
+        B1, B2 = simulate_batch(context, params, seeds)
+        for i, seed in enumerate(seeds):
+            try:
+                traj = simulate(context, params, seed)
+            except NonFiniteStateError:
+                assert not (np.isfinite(B1[i]).all() and np.isfinite(B2[i]).all())
+                continue
+            assert B1[i].tobytes() == traj.b1.tobytes()
+            assert B2[i].tobytes() == traj.b2.tobytes()
 
 
 class TestRelabelingSymmetry:

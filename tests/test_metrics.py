@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from dyadsim.metrics import (
@@ -163,6 +164,14 @@ class TestCrossCorrelation:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="length"):
             cross_correlation(np.arange(10.0), np.arange(10.0), 4)
+        with pytest.raises(ValueError, match="length > 10, got 10"):
+            cross_correlation(np.zeros((3, 10)), np.zeros((3, 10)), 4)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            cross_correlation(np.zeros(20), np.zeros(21), 2)
+        with pytest.raises(ValueError, match="lengths differ"):
+            cross_correlation(np.zeros((2, 20)), np.zeros((3, 20)), 2)
 
 
 class TestAggregateCcf:
@@ -194,6 +203,49 @@ class TestAggregateCcf:
             aggregate_ccf([res])
         with pytest.raises(ValueError):
             aggregate_ccf([res, CcfResult(max_lag=2, values=np.zeros(5))])
+
+
+@st.composite
+def stacked_series(draw):
+    """(m, n) series pairs, some rows constant or with a constant segment, so
+    that whole rows or single lags come out nan."""
+    max_lag = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=2 * max_lag + 3, max_value=60))
+    m = draw(st.integers(min_value=0, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x = rng.normal(size=(m, n)) * draw(st.sampled_from([1.0, 1e-3, 1e6]))
+    y = rng.normal(size=(m, n))
+    for i in range(m):
+        target = draw(st.sampled_from([x, y]))
+        kind = draw(st.sampled_from(["random", "constant", "head", "tail"]))
+        cut = draw(st.integers(min_value=1, max_value=n - 1))
+        if kind == "constant":
+            target[i] = 0.5
+        elif kind == "head":
+            target[i, :cut] = -2.0
+        elif kind == "tail":
+            target[i, cut:] = 3.0
+    return x, y, max_lag
+
+
+class TestStackedCcfProperties:
+    @settings(deadline=None, max_examples=150)
+    @given(stacked_series())
+    def test_stacked_equals_per_row_bitwise(self, case):
+        x, y, max_lag = case
+        stacked = cross_correlation(x, y, max_lag)
+        assert stacked.values.shape == (len(x), 2 * max_lag + 1)
+        per_row = [cross_correlation(x[i], y[i], max_lag) for i in range(len(x))]
+        for i, res in enumerate(per_row):
+            assert res.values.shape == (2 * max_lag + 1,)
+            assert stacked.values[i].tobytes() == res.values.tobytes()
+        if len(x) >= 2:
+            a, b = aggregate_ccf([stacked]), aggregate_ccf(per_row)
+            for field in ("mean", "sd", "n_defined"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        else:
+            with pytest.raises(ValueError, match="at least 2 results"):
+                aggregate_ccf([stacked])
 
 
 class TestTurnLags:

@@ -217,6 +217,18 @@ class TestSweepCsv:
         with pytest.raises(InvalidSweepError, match="header"):
             read_sweep_csv(path, SMALL)
 
+    @pytest.mark.parametrize("bad_r", ["2.0", "-1.5", "inf"])
+    def test_impossible_correlation_rejected(self, tmp_path, bad_r):
+        # finite flag and tail label agree with the bad r, so only the range fails
+        lines = sweep_csv_text(run_sweep(SMALL)).split("\n")
+        parts = lines[3].split(",")
+        parts[7:10] = [bad_r, "true", classify_tail(float(bad_r), SMALL.tail_threshold)]
+        lines[3] = ",".join(parts)
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(lines))
+        with pytest.raises(InvalidSweepError, match=rf"row 2: r={bad_r} outside \[-1, 1\]"):
+            read_sweep_csv(path, SMALL)
+
 
 @st.composite
 def sweep_tables(draw):
