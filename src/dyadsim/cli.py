@@ -147,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path: Path) -> dict:
+    """Config-file values as ``key -> (line number, raw text)``."""
     values = {}
     try:
         text = path.read_text()
@@ -162,17 +163,26 @@ def _read_config_file(path: Path) -> dict:
         key = key.replace("-", "_")
         if key not in DEFAULTS:
             raise InvalidSweepError(f"config file line {lineno}: unknown key {key!r}")
-        values[key] = value
+        values[key] = (lineno, value)
     return values
+
+
+_CAST_NAMES = {int: "an int", float: "a float"}
 
 
 def _resolve(args, file_values: dict, key: str, cast):
     cli_value = getattr(args, key, None)
     if cli_value is not None:
         return cli_value
-    if key in file_values:
-        return cast(file_values[key])
-    return DEFAULTS[key]
+    if key not in file_values:
+        return DEFAULTS[key]
+    lineno, text = file_values[key]
+    try:
+        return cast(text)
+    except ValueError:
+        raise InvalidSweepError(
+            f"config file line {lineno}: {key} = {text!r} is not {_CAST_NAMES[cast]}"
+        ) from None
 
 
 def _build_config(args) -> tuple[SweepConfig, dict]:
@@ -260,15 +270,17 @@ def _cmd_figures(args) -> int:
     else:
         workers = _resolve(args, file_values, "workers", int)
         table = sweep_mod.run_sweep(config, workers=workers)
-    contexts = args.context if args.context else None
+    contexts = args.context or report_mod.DEFAULT_FIGURE_CONTEXTS
     max_lag = _resolve(args, file_values, "max_lag", int)
     bins = _resolve(args, file_values, "bins", int)
     payloads = {}
     payloads.update(report_mod.figure_data("r_histogram", table=table, bins=bins))
-    for panel in ("ccf_panel", "lag_panel", "trajectory_panel"):
-        payloads.update(
-            report_mod.figure_data(panel, config=config, contexts=contexts, max_lag=max_lag)
-        )
+    for context in contexts:  # one seeded batch per context, alive for its panels only
+        batches = {}
+        for panel in ("ccf_panel", "lag_panel", "trajectory_panel"):
+            payloads.update(report_mod.figure_data(
+                panel, config=config, contexts=[context], max_lag=max_lag, batches=batches
+            ))
     written = report_mod.write_payloads(payloads, _out_dir(args))
     for path in written:
         print(f"wrote {path}")

@@ -34,6 +34,7 @@ __all__ = [
     "step",
     "simulate",
     "simulate_batch",
+    "batch_row_trajectory",
     "trajectory_csv_text",
     "trajectory_from_csv",
 ]
@@ -211,6 +212,10 @@ class Trajectory:
         return len(self.b1) - 1
 
 
+def _left_range(turn: int) -> NonFiniteStateError:
+    return NonFiniteStateError(f"behavior state left double-precision range at turn {turn}")
+
+
 def simulate(context: ContextMatrix, params: ModelParams, seed: int) -> Trajectory:
     """Run one seeded interaction of ``params.turns`` turns.
 
@@ -228,9 +233,7 @@ def simulate(context: ContextMatrix, params: ModelParams, seed: int) -> Trajecto
     b2[0] = y
     for t in range(1, turns + 1):
         if not (np.isfinite(x) and np.isfinite(y)):
-            raise NonFiniteStateError(
-                f"behavior state left double-precision range at turn {t - 1}"
-            )
+            raise _left_range(t - 1)
         n1 = float(noise[t - 1, 0])
         n2 = float(noise[t - 1, 1])
         x, y = a11 * x + a12 * y + n1, a21 * x + a22 * y + n2
@@ -271,6 +274,22 @@ def simulate_batch(
             B1[:, t] = x
             B2[:, t] = y
     return B1, B2
+
+
+def batch_row_trajectory(
+    context: ContextMatrix, seed: int, b1: np.ndarray, b2: np.ndarray
+) -> Trajectory:
+    """One :func:`simulate_batch` row as the :class:`Trajectory` that
+    :func:`simulate` returns for its seed.
+
+    Raises the :class:`NonFiniteStateError` that :func:`simulate` would:
+    a state before the final turn is non-finite.  A non-finite final state
+    alone does not raise.
+    """
+    finite = np.isfinite(b1[:-1]) & np.isfinite(b2[:-1])
+    if not finite.all():
+        raise _left_range(int(np.argmin(finite)))
+    return Trajectory(context=context, seed=int(seed), b1=b1, b2=b2)
 
 
 def trajectory_csv_text(trajectory: Trajectory) -> str:

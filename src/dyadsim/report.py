@@ -236,13 +236,18 @@ def figure_data(
     contexts=None,
     max_lag: int = 20,
     bins: int = 40,
+    batches: dict | None = None,
 ) -> dict:
     """CSV payloads for one figure panel, keyed by output filename.
 
     Panels: ``r_histogram`` (needs ``table``), ``ccf_panel``, ``lag_panel``
-    and ``trajectory_panel`` (need ``config``; fresh seeded batches are run
-    per requested context).  Context filenames carry the signed-digit code
-    of (s1, o1, o2, s2), e.g. ``fig6_ccf_+10+1-1.csv``.
+    and ``trajectory_panel`` (need ``config``; each requested context's
+    seeded :func:`sweep.context_batch` is cut into the panel, and the
+    trajectory is its run 0).  ``batches``, if given, is a caller-owned
+    mapping from ``(config, context)`` to that batch: missing entries are
+    filled, present ones reused, so panels sharing it simulate each context
+    once.  Context filenames carry the signed-digit code of (s1, o1, o2, s2),
+    e.g. ``fig6_ccf_+10+1-1.csv``.
     """
     if which not in PANEL_NAMES:
         raise ValueError(f"unknown figure panel {which!r}; expected one of {PANEL_NAMES}")
@@ -262,14 +267,16 @@ def figure_data(
     payloads = {}
     for context in contexts:
         code = context.code()
-        context_index = all_contexts.index(context)
+        shared = {} if batches is None else batches  # unshared: no batch outlives its context
+        if (config, context) not in shared:
+            shared[config, context] = sweep_mod.context_batch(
+                config, all_contexts.index(context)
+            )
+        seeds, B1, B2, finite = shared[config, context]
         if which == "trajectory_panel":
-            seed = sweep_mod.derive_run_seed(config.master_seed, context_index, 0)
-            trajectory = dynamics.simulate(context, config.params, seed)
+            trajectory = dynamics.batch_row_trajectory(context, seeds[0], B1[0], B2[0])
             payloads[f"fig2_traj_{code}.csv"] = dynamics.trajectory_csv_text(trajectory)
-            continue
-        _, B1, B2, finite = sweep_mod.context_batch(config, context_index)
-        if which == "ccf_panel":
+        elif which == "ccf_panel":
             result = metrics.cross_correlation(B1[finite], B2[finite], max_lag)
             try:
                 agg = metrics.aggregate_ccf([result])

@@ -23,7 +23,6 @@ parameter products:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from dyadsim.dynamics import ContextMatrix
 from dyadsim.sweep import enumerate_contexts
@@ -278,6 +277,9 @@ def chi2_upper_tail(x: float, df: int) -> float:
         raise ValueError("chi-square statistic must be >= 0")
     if int(df) < 1:
         raise ValueError("df must be >= 1")
+    # imported here, its only use, so that importing dyadsim does not load scipy
+    from scipy.special import gammaincc
+
     return float(gammaincc(df / 2.0, x / 2.0))
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import dyadsim
+from dyadsim import dynamics, sweep as sweep_mod
 from dyadsim.cli import main, parse_context
 
 SMALL = ["--runs", "2", "--turns", "60"]
@@ -15,7 +16,7 @@ SMALL = ["--runs", "2", "--turns", "60"]
 PACKAGE_ROOT = str(Path(dyadsim.__file__).resolve().parent.parent)
 
 
-def run_cli(args, cwd, env_extra=None):
+def run_python(args, cwd, env_extra=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -23,12 +24,16 @@ def run_cli(args, cwd, env_extra=None):
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, "-m", "dyadsim.cli", *args],
+        [sys.executable, *args],
         cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
     )
+
+
+def run_cli(args, cwd, env_extra=None):
+    return run_python(["-m", "dyadsim.cli", *args], cwd, env_extra)
 
 
 class TestParseContext:
@@ -139,6 +144,27 @@ class TestPanelCommands:
             "fig7_lags_0000.csv",
         ]
 
+    def test_figures_simulates_each_context_once(self, tmp_path, monkeypatch):
+        csv = tmp_path / "s.csv"
+        assert main(["sweep", *SMALL, "--out", str(csv)]) == 0
+        batch_calls = []
+        simulate_batch = sweep_mod.simulate_batch
+
+        def counted(context, params, seeds):
+            batch_calls.append(context.code())
+            return simulate_batch(context, params, seeds)
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("figures ran the scalar simulate")
+
+        monkeypatch.setattr(sweep_mod, "simulate_batch", counted)
+        monkeypatch.setattr(dynamics, "simulate", scalar)
+        code = main(["figures", *SMALL, "--input", str(csv), "--context", "1,0;1,-1",
+                     "--context", "0,0;0,0", "--out", str(tmp_path / "figs")])
+        assert code == 0
+        assert batch_calls == ["+10+1-1", "0000"]
+        assert len(list((tmp_path / "figs").iterdir())) == 1 + 3 * 2
+
 
 class TestErrorCategories:
     @pytest.mark.parametrize("command", ["xcorr", "figures"])
@@ -243,6 +269,25 @@ class TestFlagHandling:
         assert code == 2
         assert "workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,kind", [
+        ("seed", "x", "an int"), ("turns", "2.5", "an int"), ("alpha", "fast", "a float"),
+    ])
+    def test_config_file_bad_value_is_input_error(self, tmp_path, capsys, key, value, kind):
+        config = tmp_path / "run.conf"
+        config.write_text(f"# small\nruns = 2\n{key} = {value}\n")
+        code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "s.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"dyadsim: error: input: config file line 3: {key} = {value!r} is not {kind}\n"
+        )
+
+    def test_config_file_range_error_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("alpha = 1.5\n")
+        code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "validation: alpha must be in [0, 1)" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("sed = 5\n")
@@ -259,6 +304,13 @@ class TestFlagHandling:
         )
         assert result.returncode == 0
         assert (out_dir / "sweep.csv").exists()
+
+    def test_cli_import_does_not_load_scipy(self, tmp_path):
+        code = ("import sys, dyadsim.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        result = run_python(["-c", code], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
 
     def test_version_flag(self, tmp_path):
         result = run_cli(["--version"], cwd=tmp_path)

@@ -1,9 +1,17 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dyadsim.dynamics import ContextMatrix, ModelParams, trajectory_from_csv
+from dyadsim.dynamics import (
+    ContextMatrix,
+    ModelParams,
+    NonFiniteStateError,
+    simulate,
+    trajectory_csv_text,
+    trajectory_from_csv,
+)
 from dyadsim.report import (
     DEFAULT_FIGURE_CONTEXTS,
     analyze,
@@ -13,7 +21,14 @@ from dyadsim.report import (
     write_payloads,
     write_report,
 )
-from dyadsim.sweep import SweepConfig, read_sweep_csv, run_sweep, write_sweep_csv
+from dyadsim.sweep import (
+    SweepConfig,
+    derive_run_seed,
+    enumerate_contexts,
+    read_sweep_csv,
+    run_sweep,
+    write_sweep_csv,
+)
 
 PANEL_CONFIG = SweepConfig(master_seed=42, runs_per_context=40, params=ModelParams(turns=200))
 
@@ -143,6 +158,46 @@ class TestFigureData:
         assert len(payload) == len(DEFAULT_FIGURE_CONTEXTS)
         for context in DEFAULT_FIGURE_CONTEXTS:
             assert f"fig2_traj_{context.code()}.csv" in payload
+
+    @staticmethod
+    def _scalar_run_zero(config, context):
+        seed = derive_run_seed(config.master_seed, enumerate_contexts().index(context), 0)
+        return simulate(context, config.params, seed)
+
+    def test_trajectory_panel_raises_as_scalar_run_on_divergence(self):
+        config = SweepConfig(
+            master_seed=42, runs_per_context=3, params=ModelParams(influence=1.0, turns=2000)
+        )
+        context = ContextMatrix(1, 1, 1, 1)
+        with pytest.raises(NonFiniteStateError) as scalar:
+            self._scalar_run_zero(config, context)
+        with pytest.raises(NonFiniteStateError) as panel:
+            figure_data("trajectory_panel", config=config, contexts=[context])
+        assert str(panel.value) == str(scalar.value)
+
+    def test_trajectory_panel_non_finite_final_state_as_scalar_run(self):
+        # end the run on the turn where the diverging state first overflows
+        context = ContextMatrix(1, 1, 1, 1)
+        config = SweepConfig(
+            master_seed=42, runs_per_context=3, params=ModelParams(influence=1.0, turns=2000)
+        )
+        with pytest.raises(NonFiniteStateError, match=r"at turn (\d+)$") as exc:
+            self._scalar_run_zero(config, context)
+        turns = int(str(exc.value).rsplit(" ", 1)[1])
+        config = replace(config, params=replace(config.params, turns=turns))
+        trajectory = self._scalar_run_zero(config, context)
+        assert not np.isfinite([trajectory.b1[-1], trajectory.b2[-1]]).all()
+        payload = figure_data("trajectory_panel", config=config, contexts=[context])
+        assert payload["fig2_traj_+1+1+1+1.csv"] == trajectory_csv_text(trajectory)
+
+    def test_trajectory_panel_is_scalar_run_zero(self):
+        config = SweepConfig(
+            master_seed=7, runs_per_context=3, params=ModelParams(influence=0.9, turns=60)
+        )
+        payload = figure_data("trajectory_panel", config=config)
+        for context in DEFAULT_FIGURE_CONTEXTS:
+            expected = trajectory_csv_text(self._scalar_run_zero(config, context))
+            assert payload[f"fig2_traj_{context.code()}.csv"] == expected
 
     def test_deterministic_payloads(self):
         a = figure_data("ccf_panel", config=PANEL_CONFIG, contexts=[ContextMatrix(1, 0, 1, 0)])
