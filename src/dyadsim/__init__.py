@@ -18,6 +18,7 @@ from dyadsim.dynamics import (
     Trajectory,
     simulate,
     simulate_batch,
+    simulate_rows,
     step,
 )
 from dyadsim.metrics import (
@@ -99,6 +100,7 @@ __all__ = [
     "run_sweep",
     "simulate",
     "simulate_batch",
+    "simulate_rows",
     "step",
     "tail_counts",
     "turn_lags",

@@ -77,27 +77,22 @@ def _context_arg(text: str) -> ContextMatrix:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+_COMMON_FLAGS = (  # flag, type, help
+    ("--seed", int, "master seed (default 42)"),
+    ("--runs", int, "runs per context (default 100)"),
+    ("--turns", int, "turns per run (default 500)"),
+    ("--alpha", float, "decay fraction (default 0.1)"),
+    ("--influence", float, "transmission gain per context entry (default 0.5)"),
+    ("--noise", float, "noise half-width (default 0.5)"),
+    ("--threshold", float, "tail threshold on r (default 0.25)"),
+    ("--config", Path, "key = value file mirroring the flags"),
+    ("--out", Path, "output file or directory"),
+)
+
+
 def _add_common_flags(parser):
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default 42)")
-    parser.add_argument("--runs", type=int, default=None, help="runs per context (default 100)")
-    parser.add_argument("--turns", type=int, default=None, help="turns per run (default 500)")
-    parser.add_argument("--alpha", type=float, default=None, help="decay fraction (default 0.1)")
-    parser.add_argument(
-        "--influence",
-        type=float,
-        default=None,
-        help="transmission gain per context entry (default 0.5)",
-    )
-    parser.add_argument(
-        "--noise", type=float, default=None, help="noise half-width (default 0.5)"
-    )
-    parser.add_argument(
-        "--threshold", type=float, default=None, help="tail threshold on r (default 0.25)"
-    )
-    parser.add_argument(
-        "--config", type=Path, default=None, help="key = value file mirroring the flags"
-    )
-    parser.add_argument("--out", type=Path, default=None, help="output file or directory")
+    for flag, kind, text in _COMMON_FLAGS:
+        parser.add_argument(flag, type=kind, default=None, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,8 +226,7 @@ def _cmd_analyze(args) -> int:
     config, _ = _build_config(args)
     table = sweep_mod.read_sweep_csv(args.input, config)
     result = report_mod.analyze(table)
-    written = report_mod.write_report(result, _out_dir(args))
-    for path in written:
+    for path in report_mod.write_report(result, _out_dir(args)):
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -257,8 +251,7 @@ def _panel_command(args, panel: str, rename_from: str, rename_to: str) -> int:
     renamed = {
         name.replace(rename_from, rename_to, 1): text for name, text in payloads.items()
     }
-    written = report_mod.write_payloads(renamed, _out_dir(args))
-    for path in written:
+    for path in report_mod.write_payloads(renamed, _out_dir(args)):
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -281,8 +274,7 @@ def _cmd_figures(args) -> int:
             payloads.update(report_mod.figure_data(
                 panel, config=config, contexts=[context], max_lag=max_lag, batches=batches
             ))
-    written = report_mod.write_payloads(payloads, _out_dir(args))
-    for path in written:
+    for path in report_mod.write_payloads(payloads, _out_dir(args)):
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -301,11 +293,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        try:
-            handler = _COMMANDS[args.command]
-        except KeyError:  # pragma: no cover - argparse enforces the choices
-            return _error("usage", f"unknown command {args.command!r}", EXIT_USAGE)
-        return handler(args)
+        return _COMMANDS[args.command](args)  # argparse enforces the choices
     except InvalidSweepError as exc:
         return _error("input", str(exc), EXIT_INPUT)
     except (report_mod.AnalysisError, dynamics.NonFiniteStateError) as exc:

@@ -15,8 +15,12 @@ matrix multiply to the last bit.
 Reproducibility contract: a trajectory is a pure function of
 (context, params, seed).  The seeded stream is consumed in a fixed order --
 initial b1, initial b2, then one (n1, n2) pair per turn -- so trajectories
-can be regenerated exactly, and the vectorized batch path produces bitwise
-identical series to the scalar path.
+can be regenerated exactly, and the row-stacked kernel :func:`simulate_rows`
+produces bitwise identical series to the scalar path.  The kernel takes a
+run's 2 + 2*turns doubles u in one ``Generator.random`` call and maps each
+onto its range as ``low + (high - low) * u``; ``Generator.uniform`` is that
+same map over the same stream of doubles, so this equals the scalar path's
+two ``uniform`` calls bit for bit.
 """
 
 import math
@@ -33,6 +37,7 @@ __all__ = [
     "Trajectory",
     "step",
     "simulate",
+    "simulate_rows",
     "simulate_batch",
     "batch_row_trajectory",
     "trajectory_csv_text",
@@ -162,6 +167,10 @@ class NoiseSource:
         """(turns, 2) array of per-turn per-agent draws on [-h, +h]."""
         return self._rng.uniform(-half_width, half_width, (int(turns), 2))
 
+    def fill_unit(self, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with draws on [0, 1) in draw order, in one call."""
+        return self._rng.random(out=out)
+
 
 def draw_run_inputs(params: ModelParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Initial state (2,) and noise block (turns, 2) for one seeded run."""
@@ -242,38 +251,39 @@ def simulate(context: ContextMatrix, params: ModelParams, seed: int) -> Trajecto
     return Trajectory(context=context, seed=int(seed), b1=b1, b2=b2)
 
 
-def simulate_batch(
-    context: ContextMatrix, params: ModelParams, seeds: list[int]
+def simulate_rows(
+    coefficients, params: ModelParams, seeds: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate many seeded runs of one context in lockstep.
+    """Simulate one seeded run per row, each with its own (a11, a12, a21, a22).
 
-    Returns (B1, B2), each of shape (len(seeds), turns + 1).  Every row is
-    bitwise identical to the corresponding :func:`simulate` output; runs
-    that diverge are carried through as inf/nan rather than raised, so the
-    caller can flag them.
+    Returns C-contiguous (B1, B2), each (len(seeds), turns + 1).  Row i is
+    bitwise the :func:`simulate` output for ``seeds[i]`` under coefficients
+    ``coefficients[i]`` (from :meth:`ModelParams.coefficients`), whatever the
+    other rows; diverging runs are carried through as inf/nan, not raised.
     """
-    runs = len(seeds)
-    turns = params.turns
-    init = np.empty((runs, 2))
-    noise = np.empty((runs, turns, 2))
+    m = len(seeds)
+    B = np.empty((2, m, params.turns + 1))  # B1, B2; draws first, then states
+    draws = np.empty((params.turns + 1, 2))
     for i, seed in enumerate(seeds):
-        init[i], noise[i] = draw_run_inputs(params, seed)
-    a11, a12, a21, a22 = params.coefficients(context)
-    B1 = np.empty((runs, turns + 1))
-    B2 = np.empty((runs, turns + 1))
-    x = init[:, 0].copy()
-    y = init[:, 1].copy()
-    B1[:, 0] = x
-    B2[:, 0] = y
+        B[:, i] = NoiseSource(seed).fill_unit(draws).T
+    for part, h in ((B[:, :, :1], 0.5), (B[:, :, 1:], params.noise_half_width)):
+        part *= h - -h  # uniform(-h, h) is -h + (h - -h) * u
+        part += -h
+    # A[i, j] holds a_ij per row, so products[i, j] = a_ij * b_j each turn
+    A = np.asarray(coefficients, dtype=float).reshape(m, 2, 2).transpose(1, 2, 0).copy()
+    products, coupled = np.empty((2, 2, m)), np.empty((2, m))
+    columns = B.transpose(2, 0, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, turns + 1):
-            x, y = (
-                a11 * x + a12 * y + noise[:, t - 1, 0],
-                a21 * x + a22 * y + noise[:, t - 1, 1],
-            )
-            B1[:, t] = x
-            B2[:, t] = y
-    return B1, B2
+        for prev, state in zip(columns[:-1], columns[1:]):
+            np.multiply(A, prev, out=products)
+            np.add(products[:, 0], products[:, 1], out=coupled)
+            state += coupled
+    return B[0], B[1]
+
+
+def simulate_batch(context: ContextMatrix, params: ModelParams, seeds: list[int]):
+    """:func:`simulate_rows` for seeded runs of one context."""
+    return simulate_rows([params.coefficients(context)] * len(seeds), params, seeds)
 
 
 def batch_row_trajectory(

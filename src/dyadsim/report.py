@@ -9,6 +9,7 @@ same table and config is byte-identical.
 
 import json
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +45,9 @@ PANEL_NAMES = ("r_histogram", "ccf_panel", "lag_panel", "trajectory_panel")
 
 UNIFORM_NEGATIVE_PROB = 65.0 / 81.0  # contexts with at least one -1 entry
 
+# FitResult fields reported per model in report.json
+_FIT_KEYS = ("k_nominal", "k_effective", "r2", "adj_r2", "aic", "bic", "rss", "n")
+
 
 class AnalysisError(ValueError):
     """A statistic could not be computed from otherwise valid input."""
@@ -61,19 +65,10 @@ class AnalysisReport:
     provenance: dict
 
     def to_dict(self) -> dict:
-        fits = {}
-        for spec, fit in self.fits:
-            fits[str(spec.model_id)] = {
-                "name": spec.name,
-                "k_nominal": fit.k_nominal,
-                "k_effective": fit.k_effective,
-                "r2": fit.r2,
-                "adj_r2": fit.adj_r2,
-                "aic": fit.aic,
-                "bic": fit.bic,
-                "rss": fit.rss,
-                "n": fit.n,
-            }
+        fits = {
+            str(spec.model_id): {"name": spec.name, **{key: getattr(fit, key) for key in _FIT_KEYS}}
+            for spec, fit in self.fits
+        }
         return {
             "sweep": self.sweep_summary,
             "tails": self.tails,
@@ -298,33 +293,24 @@ def figure_data(
     return payloads
 
 
-def write_report(report: AnalysisReport, out_dir) -> list:
-    """Write report.json, table1.csv and coefficients.csv; returns paths."""
-    from pathlib import Path
-
+def _write_files(items, out_dir) -> list:
+    """Write (filename, text) pairs into a directory, in order; returns paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, text in (
+    for name, text in items:
+        (out / name).write_text(text)
+    return [out / name for name, _ in items]
+
+
+def write_report(report: AnalysisReport, out_dir) -> list:
+    """Write report.json, table1.csv and coefficients.csv; returns paths."""
+    return _write_files([
         ("report.json", report_json_text(report)),
         ("table1.csv", table1_csv_text(report)),
         ("coefficients.csv", stats.coefficients_csv_text(report.fits)),
-    ):
-        path = out / name
-        path.write_text(text)
-        written.append(path)
-    return written
+    ], out_dir)
 
 
 def write_payloads(payloads: dict, out_dir) -> list:
     """Write figure payloads (filename -> text) into a directory."""
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, text in sorted(payloads.items()):
-        path = out / name
-        path.write_text(text)
-        written.append(path)
-    return written
+    return _write_files(sorted(payloads.items()), out_dir)

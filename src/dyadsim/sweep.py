@@ -12,7 +12,7 @@ from math import isnan
 
 import numpy as np
 
-from dyadsim.dynamics import ContextMatrix, ModelParams, simulate_batch
+from dyadsim.dynamics import ContextMatrix, ModelParams, simulate_batch, simulate_rows
 from dyadsim.metrics import pearson_rows
 
 __all__ = [
@@ -39,6 +39,11 @@ SWEEP_CSV_HEADER = "context_index,s1,o1,o2,s2,run_index,run_seed,r,finite,tail"
 _ROW_SUFFIXES = ("true,complementary", "true,neutral", "true,synchronous", "false,undefined")
 
 _MASK64 = (1 << 64) - 1
+
+# most cells (rows x (turns + 1)) per simulate_rows and per pearson_rows
+# call of run_sweep: bounds its buffers (16 B a cell) and temporaries
+_CELL_BUDGET = 1 << 18
+_PEARSON_CELLS = 1 << 15
 
 _CONTEXTS = tuple(ContextMatrix(*combo) for combo in itertools.product((-1, 0, 1), repeat=4))
 
@@ -160,22 +165,29 @@ def context_batch(config: SweepConfig, context_index: int):
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepTable:
-    """Run the full 81-context sweep, one :func:`context_batch` per context.
+    """Run the full 81-context sweep as blocks of :func:`simulate_rows` rows.
 
-    ``workers`` must be >= 1 and changes nothing: the contexts always run
-    serially, so the output is the same for every value.
+    A block holds at most ``_CELL_BUDGET`` cells (rows x (turns + 1)) and may
+    span several contexts or part of one.  A row's result does not depend on
+    the other rows, so the output does not depend on where blocks fall.
+    ``workers`` must be >= 1 and changes nothing.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    seeds, rs = [], []
-    for context_index in range(81):
-        batch_seeds, B1, B2, finite = context_batch(config, context_index)
-        r = np.full(len(batch_seeds), np.nan)
-        if finite.any():
-            r[finite] = pearson_rows(B1[finite], B2[finite])
-        seeds.extend(batch_seeds)
-        rs.append(r)
-    return _table(config, seeds, np.concatenate(rs))
+    runs, params = config.runs_per_context, config.params
+    seeds = [derive_run_seed(config.master_seed, ci, j) for ci in range(81) for j in range(runs)]
+    coefficients = np.repeat([params.coefficients(ctx) for ctx in _CONTEXTS], runs, axis=0)
+    block = max(1, _CELL_BUDGET // (params.turns + 1))
+    chunk = max(1, _PEARSON_CELLS // (params.turns + 1))
+    r = np.full(len(seeds), np.nan)
+    for lo in range(0, len(seeds), block):
+        B1, B2 = simulate_rows(coefficients[lo:lo + block], params, seeds[lo:lo + block])
+        finite = np.isfinite(B1).all(axis=1) & np.isfinite(B2).all(axis=1)
+        for c in range(0, len(B1), chunk):  # C-contiguous copies of finite rows
+            rows = c + np.flatnonzero(finite[c:c + chunk])
+            r[lo + rows] = pearson_rows(B1[rows], B2[rows])
+        del B1, B2  # free this block before the next one is allocated
+    return _table(config, seeds, r)
 
 
 @dataclass(frozen=True)

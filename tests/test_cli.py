@@ -178,6 +178,19 @@ class TestErrorCategories:
             "dyadsim: error: analysis: aggregate_ccf needs at least 2 results\n"
         )
 
+    @pytest.mark.parametrize("command", ["xcorr", "figures"])
+    def test_single_finite_run_ccf_is_analysis_error(self, tmp_path, capsys, command):
+        # one run gives a CCF mean but no SD: the panel exits 4, writing nothing
+        out = tmp_path / "out"
+        args = [command, "--runs", "1", "--turns", "100", "--context", "1,0;0,1",
+                "--out", str(out)]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err == (
+            "dyadsim: error: analysis: aggregate_ccf needs at least 2 results\n"
+        )
+        assert not out.exists()
+
     def test_flag_error_found_before_work_is_usage_error(self, tmp_path, capsys):
         assert main(["xcorr", "--turns", "30", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err

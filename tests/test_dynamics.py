@@ -11,6 +11,7 @@ from dyadsim.dynamics import (
     draw_run_inputs,
     simulate,
     simulate_batch,
+    simulate_rows,
     step,
     trajectory_csv_text,
     trajectory_from_csv,
@@ -230,6 +231,53 @@ class TestSimulateBatchProperties:
     def test_batch_equals_scalar(self, context, params, seeds):
         B1, B2 = simulate_batch(context, params, seeds)
         for i, seed in enumerate(seeds):
+            try:
+                traj = simulate(context, params, seed)
+            except NonFiniteStateError:
+                assert not (np.isfinite(B1[i]).all() and np.isfinite(B2[i]).all())
+                continue
+            assert B1[i].tobytes() == traj.b1.tobytes()
+            assert B2[i].tobytes() == traj.b2.tobytes()
+
+
+class TestSimulateRowsProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(enumerate_contexts()),
+                st.integers(min_value=0, max_value=2**64 - 1),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        params=st.builds(
+            ModelParams,
+            alpha=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            influence=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+            noise_half_width=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)),
+            turns=st.one_of(
+                st.integers(min_value=1, max_value=200),
+                st.integers(min_value=1100, max_value=1500),
+            ),
+        ),
+    )
+    @example(  # one diverging row (gain 1.9) among rows that stay finite
+        rows=[(ContextMatrix(1, 1, 1, 1), 3), (ContextMatrix(0, 0, 0, 0), 4),
+              (ContextMatrix(-1, 1, 0, 1), 5)],
+        params=ModelParams(influence=1.0, turns=1300),
+    )
+    @example(
+        rows=[(ContextMatrix(1, 0, 1, -1), 0), (ContextMatrix(0, 1, -1, 0), 0)],
+        params=ModelParams(noise_half_width=0.0, turns=50),
+    )
+    def test_mixed_context_rows_equal_scalar(self, rows, params):
+        B1, B2 = simulate_rows(
+            [params.coefficients(context) for context, _ in rows], params,
+            [seed for _, seed in rows],
+        )
+        assert B1.flags.c_contiguous and B2.flags.c_contiguous
+        for i, (context, seed) in enumerate(rows):
             try:
                 traj = simulate(context, params, seed)
             except NonFiniteStateError:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyadsim.dynamics import ContextMatrix, ModelParams, simulate
+from dyadsim.dynamics import ContextMatrix, ModelParams, simulate, simulate_rows
+from dyadsim import sweep
 from dyadsim.metrics import pearson_r
 from dyadsim.sweep import (
     TAIL_LABELS,
@@ -137,6 +138,43 @@ class TestRunSweep:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             run_sweep(SMALL, workers=0)
+
+
+class TestRowBlocks:
+    # unit gain over 1,200 turns: the strongly coupled contexts diverge, so
+    # blocks mix finite and non-finite rows
+    CONFIG = SweepConfig(
+        master_seed=5, runs_per_context=3, params=ModelParams(influence=1.0, turns=1200)
+    )
+    ROWS, CELLS_PER_ROW = 81 * 3, 1201
+
+    def _run(self, monkeypatch, budget):
+        calls = []
+
+        def counted(coefficients, params, seeds):
+            calls.append(len(seeds))
+            return simulate_rows(coefficients, params, seeds)
+
+        def no_batch(*args):
+            raise AssertionError("run_sweep called simulate_batch")
+
+        monkeypatch.setattr(sweep, "_CELL_BUDGET", budget)
+        monkeypatch.setattr(sweep, "simulate_rows", counted)
+        monkeypatch.setattr(sweep, "simulate_batch", no_batch)
+        table = run_sweep(self.CONFIG)
+        assert sum(calls) == self.ROWS
+        assert len(calls) <= math.ceil(self.ROWS * self.CELLS_PER_ROW / budget)
+        return table
+
+    def test_output_does_not_depend_on_block_size(self, monkeypatch):
+        reference = run_sweep(self.CONFIG)
+        assert np.isnan(reference.r).any() and not np.isnan(reference.r).all()
+        # one row per block; 2 rows, so blocks split contexts and span two;
+        # the whole sweep in one block
+        for budget in (1, 2 * self.CELLS_PER_ROW, self.ROWS * self.CELLS_PER_ROW):
+            table = self._run(monkeypatch, budget)
+            assert table.r.tobytes() == reference.r.tobytes()
+            assert table.run_seed.tobytes() == reference.run_seed.tobytes()
 
 
 class TestTailCounts:
