@@ -20,10 +20,15 @@ produces bitwise identical series to the scalar path.  The kernel takes a
 run's 2 + 2*turns doubles u in one ``Generator.random`` call and maps each
 onto its range as ``low + (high - low) * u``; ``Generator.uniform`` is that
 same map over the same stream of doubles, so this equals the scalar path's
-two ``uniform`` calls bit for bit.
+two ``uniform`` calls bit for bit.  The kernel does not construct one
+``PCG64(seed)`` per run: it computes numpy's ``SeedSequence`` seeding of every
+row's PCG64 ``(state, inc)`` on uint32 arrays at once, and reseeds one
+reused generator per row, so each row reads numpy's own PCG64 stream for its
+seed.  :class:`NoiseSource` keeps numpy's constructor as the reference.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +50,13 @@ __all__ = [
 ]
 
 TERNARY = (-1, 0, 1)
+
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# numpy's SeedSequence hash constants and the PCG64 LCG multiplier
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class NonFiniteStateError(ValueError):
@@ -167,10 +179,6 @@ class NoiseSource:
         """(turns, 2) array of per-turn per-agent draws on [-h, +h]."""
         return self._rng.uniform(-half_width, half_width, (int(turns), 2))
 
-    def fill_unit(self, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with draws on [0, 1) in draw order, in one call."""
-        return self._rng.random(out=out)
-
 
 def draw_run_inputs(params: ModelParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Initial state (2,) and noise block (turns, 2) for one seeded run."""
@@ -251,6 +259,47 @@ def simulate(context: ContextMatrix, params: ModelParams, seed: int) -> Trajecto
     return Trajectory(context=context, seed=int(seed), b1=b1, b2=b2)
 
 
+def _pcg64_states(seeds: list[int]) -> Iterator[tuple[int, int]]:
+    """``(state, inc)`` of ``np.random.PCG64(seed)`` for each seed in [0, 2**64).
+
+    The seed's two 32-bit words go through ``SeedSequence``'s 4-word pool
+    hashing and ``generate_state(4, np.uint64)``, as uint32 arithmetic over
+    all seeds at once; only PCG64's 128-bit seeding step runs per seed.
+    """
+    words = np.array(seeds, dtype=np.uint64)
+    zero = np.zeros(len(words), dtype=np.uint32)
+    entropy = [(words & _MASK32).astype(np.uint32), (words >> 32).astype(np.uint32), zero, zero]
+    hash_const = _HASH_INIT_A  # runs on through every hashmix call, pool and mixing alike
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    out = np.empty((len(words), 8), dtype="<u4")
+    hash_const = _HASH_INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _HASH_MULT_B & _MASK32
+        value = value * hash_const
+        out[:, i] = value ^ value >> 16
+    # generate_state(4, np.uint64) reads the 8 words as 4 little-endian uint64
+    for w0, w1, w2, w3 in zip(*out.view("<u8").T.tolist()):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        yield ((w0 << 64 | w1) + inc) * _PCG64_MULT + inc & _MASK128, inc
+
+
 def simulate_rows(
     coefficients, params: ModelParams, seeds: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -260,12 +309,21 @@ def simulate_rows(
     bitwise the :func:`simulate` output for ``seeds[i]`` under coefficients
     ``coefficients[i]`` (from :meth:`ModelParams.coefficients`), whatever the
     other rows; diverging runs are carried through as inf/nan, not raised.
+    Seeds must lie in [0, 2**64); any other seed raises ``ValueError``.
     """
+    seeds = [int(seed) for seed in seeds]
+    for seed in seeds:
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed {seed} outside [0, 2**64)")
     m = len(seeds)
     B = np.empty((2, m, params.turns + 1))  # B1, B2; draws first, then states
     draws = np.empty((params.turns + 1, 2))
-    for i, seed in enumerate(seeds):
-        B[:, i] = NoiseSource(seed).fill_unit(draws).T
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for i, (state, inc) in enumerate(_pcg64_states(seeds)):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        B[:, i] = rng.random(out=draws).T
     for part, h in ((B[:, :, :1], 0.5), (B[:, :, 1:], params.noise_half_width)):
         part *= h - -h  # uniform(-h, h) is -h + (h - -h) * u
         part += -h

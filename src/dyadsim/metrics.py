@@ -44,19 +44,20 @@ def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    xm = x - x.mean(axis=1, keepdims=True)
-    ym = y - y.mean(axis=1, keepdims=True)
-    xs = np.abs(xm).max(axis=1)
-    ys = np.abs(ym).max(axis=1)
-    with np.errstate(invalid="ignore"):
-        ok = (xs > 0) & (ys > 0)
     r = np.full(x.shape[0], np.nan)
-    if ok.any():
-        xn = xm[ok] / xs[ok, None]
-        yn = ym[ok] / ys[ok, None]
-        num = (xn * yn).sum(axis=1)
-        den = np.sqrt((xn * xn).sum(axis=1) * (yn * yn).sum(axis=1))
-        r[ok] = np.clip(num / den, -1.0, 1.0)
+    # huge or non-finite rows overflow or meet inf - inf here and end up nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        xm = x - x.mean(axis=1, keepdims=True)
+        ym = y - y.mean(axis=1, keepdims=True)
+        xs = np.abs(xm).max(axis=1)
+        ys = np.abs(ym).max(axis=1)
+        ok = (xs > 0) & (ys > 0)
+        if ok.any():
+            xn = xm[ok] / xs[ok, None]
+            yn = ym[ok] / ys[ok, None]
+            num = (xn * yn).sum(axis=1)
+            den = np.sqrt((xn * xn).sum(axis=1) * (yn * yn).sum(axis=1))
+            r[ok] = np.clip(num / den, -1.0, 1.0)
     return r
 
 
@@ -238,29 +239,36 @@ def turn_lags(x, y, spec: LagSpec = LagSpec()) -> LagDistribution:
     the on sample t' of ``y`` minimizing |t' - t|, with equidistant ties
     resolved toward positive lag.  Events whose nearest |lag| exceeds
     ``spec.max_lag`` are discarded.  If either series has no on-states the
-    distribution is empty (total_events = 0).
+    distribution is empty (total_events = 0).  ``x`` and ``y`` may also be
+    (m, n) stacks of series pairs; the result then merges the m pairs'
+    distributions (counts and events summed), and each row's mean is its
+    own series' mean.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(x) != len(y):
+    if x.ndim not in (1, 2):
+        raise ValueError("turn_lags needs 1-D series or (m, n) stacks")
+    if x.shape != y.shape:
         raise ValueError("series lengths differ")
     max_lag = int(spec.max_lag)
-    counts = np.zeros(2 * max_lag + 1, dtype=int)
-    on_x = np.flatnonzero(x > x.mean())
-    on_y = np.flatnonzero(y > y.mean())
-    if len(on_x) == 0 or len(on_y) == 0:
-        return LagDistribution(max_lag=max_lag, counts=counts, total_events=0)
+    rows_x, rows_y = np.atleast_2d(x), np.atleast_2d(y)
+    n = x.shape[-1]
+    # one time axis for all rows: row i's sample t sits at i * (2n + max_lag) + t,
+    # so an on-state of another row is farther than any of its own and than max_lag
+    on = np.zeros((2, len(rows_x), 2 * n + max_lag), dtype=bool)
+    on[0, :, :n] = rows_x > rows_x.mean(axis=1, keepdims=True)
+    on[1, :, :n] = rows_y > rows_y.mean(axis=1, keepdims=True)
+    on_x = np.flatnonzero(on[0])
+    # end sentinels farther than max_lag from every event give each event an
+    # on-state of y on both sides
+    on_y = np.concatenate(([-max_lag - 1], np.flatnonzero(on[1]), [on[1].size]))
     pos = np.searchsorted(on_y, on_x)
-    right = on_y[np.minimum(pos, len(on_y) - 1)]
-    left = on_y[np.maximum(pos - 1, 0)]
-    d_right = np.where(pos < len(on_y), np.abs(right - on_x), np.iinfo(np.int64).max)
-    d_left = np.where(pos > 0, np.abs(left - on_x), np.iinfo(np.int64).max)
-    # ties go to the right candidate, which has t' >= t (positive lag)
-    nearest = np.where(d_right <= d_left, right, left)
-    lag = nearest - on_x
-    keep = np.abs(lag) <= max_lag
-    np.add.at(counts, lag[keep] + max_lag, 1)
-    return LagDistribution(max_lag=max_lag, counts=counts, total_events=int(keep.sum()))
+    ahead, behind = on_y[pos] - on_x, on_x - on_y[pos - 1]
+    # ties go to the on-state ahead (positive lag)
+    lag = np.where(ahead <= behind, ahead, -behind)
+    lag = lag[np.abs(lag) <= max_lag]
+    counts = np.bincount(lag + max_lag, minlength=2 * max_lag + 1)
+    return LagDistribution(max_lag=max_lag, counts=counts, total_events=len(lag))
 
 
 @dataclass(frozen=True)

@@ -279,17 +279,8 @@ def figure_data(
                 raise AnalysisError(str(exc)) from exc
             payloads[f"fig6_ccf_{code}.csv"] = metrics.ccf_csv_text(agg)
         else:  # lag_panel
-            spec = metrics.LagSpec(max_lag=max_lag)
-            counts = np.zeros(2 * max_lag + 1, dtype=int)
-            total = 0
-            for b1, b2 in zip(B1[finite], B2[finite]):
-                dist = metrics.turn_lags(b1, b2, spec)
-                counts += dist.counts
-                total += dist.total_events
-            merged = metrics.LagDistribution(
-                max_lag=max_lag, counts=counts, total_events=total
-            )
-            payloads[f"fig7_lags_{code}.csv"] = metrics.lag_csv_text(merged)
+            dist = metrics.turn_lags(B1[finite], B2[finite], metrics.LagSpec(max_lag=max_lag))
+            payloads[f"fig7_lags_{code}.csv"] = metrics.lag_csv_text(dist)
     return payloads
 
 

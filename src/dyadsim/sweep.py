@@ -118,6 +118,14 @@ def derive_run_seed(master_seed: int, context_index: int, run_index: int) -> int
     return z
 
 
+def _run_seeds(master_seed: int, context_indices, runs: int) -> np.ndarray:
+    """:func:`derive_run_seed` over runs 0..runs-1 of each context, as one
+    flat uint64 array in canonical (context, run) order."""
+    z = _mix64(int(master_seed) & _MASK64)
+    z = _mix64(z ^ np.asarray(context_indices, dtype=np.uint64))
+    return _mix64(z[:, None] ^ np.arange(runs, dtype=np.uint64)).ravel()
+
+
 def classify_tail(r: float, threshold: float) -> str:
     """Tail label for a correlation value (nan -> ``undefined``)."""
     if isnan(r):
@@ -155,10 +163,7 @@ def context_batch(config: SweepConfig, context_index: int):
     (runs, turns + 1) series of both agents, and the mask of runs whose
     series stay finite throughout.
     """
-    seeds = [
-        derive_run_seed(config.master_seed, context_index, j)
-        for j in range(config.runs_per_context)
-    ]
+    seeds = _run_seeds(config.master_seed, [context_index], config.runs_per_context).tolist()
     B1, B2 = simulate_batch(_CONTEXTS[context_index], config.params, seeds)
     finite = np.isfinite(B1).all(axis=1) & np.isfinite(B2).all(axis=1)
     return seeds, B1, B2, finite
@@ -175,7 +180,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepTable:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     runs, params = config.runs_per_context, config.params
-    seeds = [derive_run_seed(config.master_seed, ci, j) for ci in range(81) for j in range(runs)]
+    seeds = _run_seeds(config.master_seed, range(81), runs)
     coefficients = np.repeat([params.coefficients(ctx) for ctx in _CONTEXTS], runs, axis=0)
     block = max(1, _CELL_BUDGET // (params.turns + 1))
     chunk = max(1, _PEARSON_CELLS // (params.turns + 1))
@@ -262,7 +267,8 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
             f"expected {expected} records (81 x {config.runs_per_context}), "
             f"found {len(lines) - 1}"
         )
-    run_seeds, rs = [], []
+    expected_seeds = _run_seeds(config.master_seed, range(81), config.runs_per_context).tolist()
+    rs = []
     for row, line in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) != 10:
@@ -280,7 +286,7 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
             _fail(row, f"canonical order violated: ({ci}, {run_index})")
         if entries != contexts[ci].as_tuple():
             _fail(row, f"context {entries} does not match enumeration index {ci}")
-        if run_seed != derive_run_seed(config.master_seed, ci, run_index):
+        if run_seed != expected_seeds[row]:
             _fail(row, "run_seed does not match the master seed derivation")
         finite_str, tail = parts[8], parts[9]
         if finite_str not in ("true", "false"):
@@ -292,6 +298,5 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
             _fail(row, f"r={r!r} outside [-1, 1]")
         if tail != classify_tail(r, config.tail_threshold):
             _fail(row, f"tail label {tail!r} inconsistent with r={r!r}")
-        run_seeds.append(run_seed)
         rs.append(r)
-    return _table(config, run_seeds, rs)
+    return _table(config, expected_seeds, rs)

@@ -8,6 +8,7 @@ from dyadsim.dynamics import (
     ModelParams,
     NoiseSource,
     NonFiniteStateError,
+    _pcg64_states,
     draw_run_inputs,
     simulate,
     simulate_batch,
@@ -285,6 +286,29 @@ class TestSimulateRowsProperties:
                 continue
             assert B1[i].tobytes() == traj.b1.tobytes()
             assert B2[i].tobytes() == traj.b2.tobytes()
+
+
+class TestBulkSeeder:
+    @staticmethod
+    def assert_numpy_state(seeds):
+        for seed, (state, inc) in zip(seeds, _pcg64_states(seeds), strict=True):
+            reference = np.random.PCG64(seed).state["state"]
+            assert (state, inc) == (reference["state"], reference["inc"]), seed
+
+    def test_edge_seeds_match_numpy(self):
+        self.assert_numpy_state([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=8))
+    def test_random_seeds_match_numpy(self, seeds):
+        self.assert_numpy_state(seeds)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_simulate_rows_rejects_out_of_range_seed(self, seed):
+        params = ModelParams(turns=5)
+        coefficients = [params.coefficients(ContextMatrix(1, 0, 0, 1))] * 2
+        with pytest.raises(ValueError, match=f"seed {seed} outside"):
+            simulate_rows(coefficients, params, [3, seed])
 
 
 class TestRelabelingSymmetry:

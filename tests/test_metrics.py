@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
+from dyadsim.dynamics import ModelParams, simulate_rows
 from dyadsim.metrics import (
     CcfResult,
     LagDistribution,
@@ -15,8 +18,10 @@ from dyadsim.metrics import (
     histogram_csv_text,
     lag_csv_text,
     pearson_r,
+    pearson_rows,
     turn_lags,
 )
+from dyadsim.sweep import enumerate_contexts
 
 
 def brute_force_lags(x, y, max_lag):
@@ -89,6 +94,22 @@ class TestPearson:
         x = np.exp(0.9 * t)
         y = 0.5 * x
         assert pearson_r(x, y) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPearsonRowsNonFinite:
+    def test_diverged_block_is_silent_and_equals_masked_call(self):
+        params = ModelParams(influence=1.0, turns=1200)
+        B1, B2 = simulate_rows(
+            [params.coefficients(c) for c in enumerate_contexts()], params, range(81)
+        )
+        finite = np.isfinite(B1).all(axis=1) & np.isfinite(B2).all(axis=1)
+        assert 0 < finite.sum() < len(finite)
+        masked = np.full(len(B1), np.nan)
+        masked[finite] = pearson_rows(B1[finite], B2[finite])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            whole = pearson_rows(B1, B2)
+        assert whole.tobytes() == masked.tobytes()
 
 
 class TestCrossCorrelation:
@@ -311,6 +332,39 @@ class TestTurnLags:
         assert dist.counts.sum() == dist.total_events
         if dist.total_events:
             assert dist.rel_freq.sum() == pytest.approx(1.0)
+
+
+class TestStackedTurnLags:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        # few distinct values: constant rows (no on-states) and equidistant ties
+        pairs=st.integers(min_value=1, max_value=30).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.lists(st.sampled_from([0.0, 0.0, 1.0]), min_size=n,
+                                     max_size=n)] * 2),
+                max_size=5,
+            ).map(lambda rows: (n, rows))
+        ),
+        max_lag=st.integers(min_value=1, max_value=40),
+    )
+    def test_stacked_counts_equal_sum_of_rows(self, pairs, max_lag):
+        n, rows = pairs
+        x = np.array([row_x for row_x, _ in rows]).reshape(len(rows), n)
+        y = np.array([row_y for _, row_y in rows]).reshape(len(rows), n)
+        spec = LagSpec(max_lag=max_lag)
+        stacked = turn_lags(x, y, spec)
+        counts = np.zeros(2 * max_lag + 1, dtype=int)
+        total = 0
+        for row_x, row_y in zip(x, y):
+            dist = turn_lags(row_x, row_y, spec)
+            counts += dist.counts
+            total += dist.total_events
+        assert np.array_equal(stacked.counts, counts)
+        assert stacked.total_events == total
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            turn_lags(np.zeros((2, 5)), np.zeros((2, 6)))
 
 
 class TestHistogram:

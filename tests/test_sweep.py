@@ -1,5 +1,6 @@
 import math
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -72,6 +73,17 @@ class TestDeriveRunSeed:
     def test_64_bit_range(self):
         s = derive_run_seed(-1, 80, 99)
         assert 0 <= s < 2**64
+
+    @pytest.mark.parametrize("master_seed", [-1, 0, 42, 2**64 + 5])
+    @pytest.mark.parametrize("runs", [1, 400])
+    def test_array_chain_equals_scalar(self, master_seed, runs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seeds = sweep._run_seeds(master_seed, range(81), runs)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [
+            derive_run_seed(master_seed, ci, j) for ci in range(81) for j in range(runs)
+        ]
 
 
 class TestClassifyTail:
@@ -237,6 +249,17 @@ class TestSweepCsv:
         )
         with pytest.raises(InvalidSweepError, match="run_seed"):
             read_sweep_csv(path, other)
+
+    def test_first_wrong_run_seed_names_its_row(self, tmp_path):
+        lines = sweep_csv_text(run_sweep(SMALL)).split("\n")
+        for row in (101, 7):
+            parts = lines[row + 1].split(",")
+            parts[6] = str(int(parts[6]) ^ 1)
+            lines[row + 1] = ",".join(parts)
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(lines))
+        with pytest.raises(InvalidSweepError, match="^sweep CSV row 7: run_seed does not match"):
+            read_sweep_csv(path, SMALL)
 
     def test_corrupted_tail_rejected(self, tmp_path):
         table = run_sweep(SMALL)
