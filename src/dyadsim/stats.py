@@ -158,8 +158,10 @@ def build_design(table, spec: ModelSpec) -> Design:
     n_excluded = len(table) - int(finite.sum())
     if n_excluded == len(table):
         raise ValueError("no finite records to regress on")
-    indicators = _CONTEXT_INDICATORS[table.context_index[finite]]
-    X = np.column_stack([_term_column(term, indicators) for term in spec.columns])
+    # the (81, k) term table gathered by context: products of 0/1 values
+    # are exact, so X equals the per-row products bit for bit
+    cells = np.column_stack([_term_column(term, _CONTEXT_INDICATORS) for term in spec.columns])
+    X = cells[table.context_index[finite]]
     return Design(X=X, y=table.r[finite], columns=spec.columns, n_excluded=n_excluded)
 
 
@@ -179,14 +181,41 @@ class FitResult:
     bic: float
 
 
+def _independent_columns(A) -> list:
+    """Indices of the columns of ``A`` that the rank-revealing pass of
+    :func:`fit_least_squares` keeps.
+
+    ``|R_jj|`` equals column j's residual against the columns before it
+    only while those are all kept: a redundant column still takes a row of
+    R and hides part of the later residuals.  So each redundant column found
+    is removed and the QR repeated.
+    """
+    norms = np.linalg.norm(A, axis=0)
+    kept = np.flatnonzero(norms > 0.0)
+    while kept.size:
+        # A itself while every column is kept: a copy would add n x k floats
+        B = A if kept.size == A.shape[1] else A[:, kept]
+        diag = np.abs(np.diagonal(np.linalg.qr(B, mode="r")))
+        redundant = np.flatnonzero(diag <= 1e-10 * norms[kept[: len(diag)]])
+        if not redundant.size:
+            # R has min(n, columns) rows: once n kept columns span all n
+            # rows, every later column is redundant
+            return kept[: len(diag)].tolist()
+        kept = np.delete(kept, redundant[0])
+    return []
+
+
 def fit_least_squares(X, y, columns=None, k_nominal=None) -> FitResult:
     """Least-squares fit of ``y`` on an intercept plus the columns of ``X``.
 
-    Columns are scanned in order; a column whose residual against the span
-    of the previously retained columns falls below 1e-10 of its own norm is
-    redundant and reported as dropped (this is the rank-revealing pass; the
-    retained set is then solved exactly, which equals the minimum-norm
-    solution restricted to those columns).
+    The rank-revealing pass is an unpivoted Householder QR of the design
+    (intercept first): column j is redundant, and reported as dropped, when
+    it is all zero or ``|R_jj| <= 1e-10 * ||column j||``, where ``|R_jj|``
+    is the norm of its residual against the retained columns before it.
+    Each redundant column found is removed and the QR repeated, so a
+    full-rank design takes one QR.  The retained set is then solved
+    exactly, which equals the minimum-norm solution restricted to those
+    columns.
 
     Returns r2 = 1 - rss/tss, adjusted r2, and Gaussian profile-form
     information criteria aic = n*ln(rss/n) + 2*(k_effective + 1) and
@@ -210,20 +239,7 @@ def fit_least_squares(X, y, columns=None, k_nominal=None) -> FitResult:
     names = ("intercept",) + columns
     A = np.column_stack([np.ones(n), X]) if k else np.ones((n, 1))
 
-    tol = 1e-10
-    Q = np.empty((n, 0))
-    retained = []
-    for j in range(A.shape[1]):
-        col = A[:, j]
-        norm0 = np.linalg.norm(col)
-        if norm0 == 0.0:
-            continue
-        resid = col - Q @ (Q.T @ col)
-        resid -= Q @ (Q.T @ resid)  # re-orthogonalize for stability
-        norm_r = np.linalg.norm(resid)
-        if norm_r > tol * norm0:
-            retained.append(j)
-            Q = np.column_stack([Q, resid / norm_r])
+    retained = _independent_columns(A)
     if not retained:
         raise ValueError("rank-0 design: nothing to estimate")
     if n < len(retained) + 1:

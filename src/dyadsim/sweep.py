@@ -47,6 +47,11 @@ _PEARSON_CELLS = 1 << 15
 
 _CONTEXTS = tuple(ContextMatrix(*combo) for combo in itertools.product((-1, 0, 1), repeat=4))
 
+# a CSV row's canonical first five fields, "context_index,s1,o1,o2,s2,"
+_CONTEXT_PREFIXES = tuple(
+    f"{ci},{ctx.s1},{ctx.o1},{ctx.o2},{ctx.s2}," for ci, ctx in enumerate(_CONTEXTS)
+)
+
 
 class InvalidSweepError(ValueError):
     """A sweep CSV failed structural or consistency validation."""
@@ -218,10 +223,6 @@ def tail_counts(table: SweepTable) -> TailCounts:
 
 def sweep_csv_text(table: SweepTable) -> str:
     """Sweep table as canonical CSV (float fields round-trip-safe)."""
-    prefixes = [
-        f"{ci},{ctx.s1},{ctx.o1},{ctx.o2},{ctx.s2},"
-        for ci, ctx in enumerate(enumerate_contexts())
-    ]
     codes = _tail_codes(table.r, table.config.tail_threshold)
     lines = [SWEEP_CSV_HEADER]
     for ci, run_index, run_seed, r, code in zip(
@@ -231,7 +232,7 @@ def sweep_csv_text(table: SweepTable) -> str:
         table.r.tolist(),
         codes.tolist(),
     ):
-        lines.append(f"{prefixes[ci]}{run_index},{run_seed},{r!r},{_ROW_SUFFIXES[code]}")
+        lines.append(f"{_CONTEXT_PREFIXES[ci]}{run_index},{run_seed},{r!r},{_ROW_SUFFIXES[code]}")
     return "\n".join(lines) + "\n"
 
 
@@ -253,6 +254,12 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
     lies in [-1, 1], and that the finite flag and tail label are consistent
     with the stored r.  Raises :class:`InvalidSweepError` on the first
     violation.
+
+    A row that starts with its canonical spelling of the first seven fields
+    (as :func:`sweep_csv_text` writes them) has those fields proven valid,
+    so only r, the finite flag and the tail are parsed; any other row has
+    each field parsed and checked, which accepts equal spellings such as
+    ``+1`` or ``01``.
     """
     with open(path, "r", newline="") as fh:
         lines = fh.read().split("\n")
@@ -260,34 +267,39 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
         lines.pop()
     if not lines or lines[0] != SWEEP_CSV_HEADER:
         raise InvalidSweepError("bad or missing sweep CSV header")
-    contexts = enumerate_contexts()
     expected = 81 * config.runs_per_context
     if len(lines) - 1 != expected:
         raise InvalidSweepError(
             f"expected {expected} records (81 x {config.runs_per_context}), "
             f"found {len(lines) - 1}"
         )
-    expected_seeds = _run_seeds(config.master_seed, range(81), config.runs_per_context).tolist()
+    seeds = _run_seeds(config.master_seed, range(81), config.runs_per_context)
+    expected_seeds = seeds.tolist()
     rs = []
     for row, line in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) != 10:
             _fail(row, f"expected 10 fields, found {len(parts)}")
+        expected_ci, expected_run = divmod(row, config.runs_per_context)
+        canonical = line.startswith(
+            f"{_CONTEXT_PREFIXES[expected_ci]}{expected_run},{expected_seeds[row]},"
+        )
         try:
-            ci = int(parts[0])
-            entries = tuple(int(p) for p in parts[1:5])
-            run_index = int(parts[5])
-            run_seed = int(parts[6])
+            if not canonical:
+                ci = int(parts[0])
+                entries = tuple(int(p) for p in parts[1:5])
+                run_index = int(parts[5])
+                run_seed = int(parts[6])
             r = float(parts[7])
         except ValueError:
             _fail(row, f"unparseable field in {line!r}")
-        expected_ci, expected_run = divmod(row, config.runs_per_context)
-        if ci != expected_ci or run_index != expected_run:
-            _fail(row, f"canonical order violated: ({ci}, {run_index})")
-        if entries != contexts[ci].as_tuple():
-            _fail(row, f"context {entries} does not match enumeration index {ci}")
-        if run_seed != expected_seeds[row]:
-            _fail(row, "run_seed does not match the master seed derivation")
+        if not canonical:
+            if ci != expected_ci or run_index != expected_run:
+                _fail(row, f"canonical order violated: ({ci}, {run_index})")
+            if entries != _CONTEXTS[ci].as_tuple():
+                _fail(row, f"context {entries} does not match enumeration index {ci}")
+            if run_seed != expected_seeds[row]:
+                _fail(row, "run_seed does not match the master seed derivation")
         finite_str, tail = parts[8], parts[9]
         if finite_str not in ("true", "false"):
             _fail(row, f"bad finite flag {finite_str!r}")
@@ -299,4 +311,4 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
         if tail != classify_tail(r, config.tail_threshold):
             _fail(row, f"tail label {tail!r} inconsistent with r={r!r}")
         rs.append(r)
-    return _table(config, expected_seeds, rs)
+    return _table(config, seeds, rs)

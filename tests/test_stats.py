@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyadsim.dynamics import ContextMatrix
 from dyadsim.stats import (
@@ -16,7 +17,65 @@ from dyadsim.stats import (
     fit_summary_csv_text,
     model_spec,
 )
-from dyadsim.sweep import enumerate_contexts
+from dyadsim.sweep import SweepConfig, SweepTable, derive_run_seed, enumerate_contexts
+
+ALL_TERMS = INDICATOR_NAMES + INTERACTION_NAMES
+
+
+def _per_row_columns(context_index, columns):
+    """Reference design: each context row dummy-coded, then every term as a
+    per-row product, stacked column by column."""
+    contexts = enumerate_contexts()
+    indicators = np.array([encode_dummies(contexts[ci]).as_array() for ci in context_index])
+    cols = []
+    for term in columns:
+        names = term.split(":")
+        col = indicators[:, INDICATOR_NAMES.index(names[0])]
+        if len(names) == 2:
+            col = col * indicators[:, INDICATOR_NAMES.index(names[1])]
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+def _gram_schmidt_retained(A, tol=1e-10):
+    """Reference rank pass: scan the columns in order and keep one when its
+    Gram-Schmidt residual (re-orthogonalized once) against the kept ones
+    exceeds tol times its norm."""
+    Q = np.empty((A.shape[0], 0))
+    retained = []
+    for j in range(A.shape[1]):
+        col = A[:, j]
+        norm0 = np.linalg.norm(col)
+        if norm0 == 0.0:
+            continue
+        resid = col - Q @ (Q.T @ col)
+        resid -= Q @ (Q.T @ resid)
+        norm_r = np.linalg.norm(resid)
+        if norm_r > tol * norm0:
+            retained.append(j)
+            Q = np.column_stack([Q, resid / norm_r])
+    return retained
+
+
+@st.composite
+def cell_designs(draw):
+    """Designs whose rows repeat 0/1 term values of random contexts, with
+    all-zero, duplicated and sum-of-columns columns mixed in."""
+    cells = draw(st.lists(st.integers(0, 80), min_size=1, max_size=81, unique=True))
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(cells), max_size=len(cells)))
+    terms = draw(st.lists(st.sampled_from(ALL_TERMS), min_size=1, max_size=16, unique=True))
+    cols = list(_per_row_columns(np.repeat(cells, counts), terms).T)
+    names = list(terms)
+    for step in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "sum"]))
+        i, j = (draw(st.integers(0, len(cols) - 1)) for _ in range(2))
+        col = {"zero": np.zeros_like(cols[0]), "duplicate": cols[i], "sum": cols[i] + cols[j]}
+        at = draw(st.integers(0, len(cols)))
+        cols.insert(at, col[kind])
+        names.insert(at, f"{kind}{step}")
+    y_seed = draw(st.integers(0, 2**32 - 1))
+    X = np.column_stack(cols)
+    return X, np.random.default_rng(y_seed).normal(size=len(X)), tuple(names)
 
 
 class TestEncodeDummies:
@@ -95,6 +154,34 @@ class TestBuildDesign:
         design = build_design(default_table, model_spec(1))
         assert set(np.unique(design.X)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("model_id", [1, 2, 4, 5])
+    def test_gathered_design_equals_per_row_products(self, model_id):
+        # runs of an undefined correlation (nan r) are scattered over the contexts
+        runs = 3
+        config = SweepConfig(master_seed=5, runs_per_context=runs)
+        r = np.random.default_rng(model_id).uniform(-1.0, 1.0, size=81 * runs)
+        r[::7] = np.nan
+        context_index = np.repeat(np.arange(81), runs)
+        run_index = np.tile(np.arange(runs), 81)
+        table = SweepTable(
+            config=config,
+            context_index=context_index,
+            run_index=run_index,
+            run_seed=np.array(
+                [derive_run_seed(5, c, j) for c, j in zip(context_index, run_index)],
+                dtype=np.uint64,
+            ),
+            r=r,
+        )
+        spec = model_spec(model_id)
+        design = build_design(table, spec)
+        expected = _per_row_columns(context_index[~np.isnan(r)], spec.columns)
+        assert design.n_excluded == int(np.isnan(r).sum())
+        assert design.X.dtype == expected.dtype == np.float64
+        assert design.X.shape == expected.shape
+        assert design.X.tobytes() == expected.tobytes()
+        assert design.X.flags.c_contiguous
+
 
 class TestFitLeastSquares:
     def test_exact_fit(self):
@@ -164,6 +251,37 @@ class TestFitLeastSquares:
         b = fit_least_squares(X[perm], y[perm])
         assert a.r2 == pytest.approx(b.r2, abs=1e-12)
         assert a.rss == pytest.approx(b.rss, rel=1e-12)
+
+    @pytest.mark.parametrize("model_id", [1, 2, 4, 5])
+    def test_rank_pass_matches_gram_schmidt_on_sweep(self, default_table, model_id):
+        design = build_design(default_table, model_spec(model_id))
+        fit = fit_least_squares(design.X, design.y, design.columns)
+        A = np.column_stack([np.ones(len(design.y)), design.X])
+        names = ("intercept",) + design.columns
+        retained = _gram_schmidt_retained(A)
+        assert fit.dropped == tuple(names[j] for j in range(A.shape[1]) if j not in retained)
+        assert fit.k_effective == len(retained) - 1
+
+    @settings(deadline=None, max_examples=150)
+    @given(cell_designs())
+    def test_rank_pass_matches_gram_schmidt(self, design):
+        X, y, columns = design
+        A = np.column_stack([np.ones(len(y)), X])
+        retained = _gram_schmidt_retained(A)
+        if len(y) < len(retained) + 1:
+            with pytest.raises(ValueError, match=r"need at least rank \+ 1"):
+                fit_least_squares(X, y, columns)
+            return
+        fit = fit_least_squares(X, y, columns)
+        names = ("intercept",) + columns
+        assert fit.dropped == tuple(names[j] for j in range(A.shape[1]) if j not in retained)
+        assert fit.k_effective == len(retained) - 1
+
+    def test_fewer_rows_than_rank_plus_one_rejected(self):
+        X = np.random.default_rng(29).normal(size=(3, 5))
+        with pytest.raises(ValueError) as caught:
+            fit_least_squares(X, np.array([0.1, 0.5, -0.2]))
+        assert str(caught.value) == "need at least rank + 1 = 4 rows, got 3"
 
     def test_constant_response_rejected(self):
         X = np.random.default_rng(27).normal(size=(20, 2))

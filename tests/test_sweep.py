@@ -290,6 +290,55 @@ class TestSweepCsv:
         with pytest.raises(InvalidSweepError, match=rf"row 2: r={bad_r} outside \[-1, 1\]"):
             read_sweep_csv(path, SMALL)
 
+    # row 5 of SMALL is context 2, (-1, -1, -1, 1), run 1, with a finite r
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({10: "x"}, "expected 10 fields, found 11"),
+            ({5: "a"}, "unparseable field in {line!r}"),
+            ({7: "abc"}, "unparseable field in {line!r}"),
+            ({5: "0", 7: "abc"}, "unparseable field in {line!r}"),
+            ({5: "0"}, "canonical order violated: (2, 0)"),
+            ({0: "3"}, "canonical order violated: (3, 1)"),
+            ({1: "0"}, "context (0, -1, -1, 1) does not match enumeration index 2"),
+            ({8: "yes"}, "bad finite flag 'yes'"),
+            ({7: "0.5", 8: "false", 9: "synchronous"}, "finite flag inconsistent with r"),
+            ({7: "nan", 9: "undefined"}, "finite flag inconsistent with r"),
+        ],
+    )
+    def test_first_violation_message(self, tmp_path, edits, message):
+        lines = sweep_csv_text(run_sweep(SMALL)).split("\n")
+        parts = lines[6].split(",")
+        for field, value in edits.items():
+            if field < len(parts):
+                parts[field] = value
+            else:
+                parts.append(value)
+        line = lines[6] = ",".join(parts)
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(lines))
+        with pytest.raises(InvalidSweepError) as caught:
+            read_sweep_csv(path, SMALL)
+        assert str(caught.value) == "sweep CSV row 5: " + message.format(line=line)
+
+    def test_equal_non_canonical_spellings_accepted(self, tmp_path):
+        text = sweep_csv_text(run_sweep(SMALL))
+        canonical_path = tmp_path / "canonical.csv"
+        canonical_path.write_text(text)
+        lines = text.split("\n")
+        for row, field, value in ((108, 1, "+1"), (1, 5, "01"), (3, 0, "+01")):
+            parts = lines[row + 1].split(",")
+            assert int(parts[field]) == int(value)
+            parts[field] = value
+            lines[row + 1] = ",".join(parts)
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(lines))
+        canonical = read_sweep_csv(canonical_path, SMALL)
+        loaded = read_sweep_csv(path, SMALL)
+        for column in ("context_index", "run_index", "run_seed", "r"):
+            assert getattr(loaded, column).tobytes() == getattr(canonical, column).tobytes()
+        assert sweep_csv_text(loaded) == text
+
 
 @st.composite
 def sweep_tables(draw):
