@@ -25,6 +25,17 @@ two ``uniform`` calls bit for bit.  The kernel does not construct one
 row's PCG64 ``(state, inc)`` on uint32 arrays at once, and reseeds one
 reused generator per row, so each row reads numpy's own PCG64 stream for its
 seed.  :class:`NoiseSource` keeps numpy's constructor as the reference.
+
+The kernel draws into a row-major (2, rows, turns + 1) buffer and steps the
+recurrence on time-major windows: turns [t0, t1) of every row are copied
+into a small (t1 - t0, 2, rows) scratch, stepped there on contiguous
+columns, and copied back, the last state carried into the next window.
+Each turn is then three ufunc calls over contiguous (2, rows) data instead
+of over columns one row-length apart.  Blocks too wide for a window of
+``_MIN_WINDOW_TURNS`` turns are stepped in place: their strided calls
+already carry enough rows to amortize the dispatch, and the copies would
+cost more than they save.  Either way every element sees the same
+operations in the same order, so the bytes do not depend on the window.
 """
 
 import math
@@ -57,6 +68,10 @@ _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# simulate_rows steps m rows on a time-major (turns, 2, m) scratch of at most
+# _WINDOW_CELLS cells when that leaves it at least _MIN_WINDOW_TURNS turns deep
+_WINDOW_CELLS = 1 << 16
+_MIN_WINDOW_TURNS = 32
 
 
 class NonFiniteStateError(ValueError):
@@ -155,6 +170,14 @@ class BehaviorState(tuple):
         return self[1]
 
 
+def _checked_seed(seed) -> int:
+    """``seed`` as an int, or ``ValueError`` naming it if outside [0, 2**64)."""
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} outside [0, 2**64)")
+    return seed
+
+
 class NoiseSource:
     """Seeded uniform noise stream with a pinned draw order.
 
@@ -162,12 +185,13 @@ class NoiseSource:
     and draw discipline so identical (seed, algorithm_id) pairs replay the
     same sequence on every platform.  Draw order: initial b1, initial b2,
     then one (n1, n2) pair per turn, drawn as a single (turns, 2) block.
+    Seeds must lie in [0, 2**64); any other seed raises ``ValueError``.
     """
 
     ALGORITHM_ID = "numpy-pcg64-uniform/1"
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = _checked_seed(seed)
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
 
     def initial_state(self) -> BehaviorState:
@@ -310,11 +334,12 @@ def simulate_rows(
     ``coefficients[i]`` (from :meth:`ModelParams.coefficients`), whatever the
     other rows; diverging runs are carried through as inf/nan, not raised.
     Seeds must lie in [0, 2**64); any other seed raises ``ValueError``.
+
+    The recurrence steps on a time-major window of at most ``_WINDOW_CELLS``
+    cells (see the module docstring), or in place when ``m`` rows leave it
+    under ``_MIN_WINDOW_TURNS`` turns deep; neither changes an output bit.
     """
-    seeds = [int(seed) for seed in seeds]
-    for seed in seeds:
-        if not 0 <= seed < 1 << 64:
-            raise ValueError(f"seed {seed} outside [0, 2**64)")
+    seeds = [_checked_seed(seed) for seed in seeds]
     m = len(seeds)
     B = np.empty((2, m, params.turns + 1))  # B1, B2; draws first, then states
     draws = np.empty((params.turns + 1, 2))
@@ -327,16 +352,44 @@ def simulate_rows(
     for part, h in ((B[:, :, :1], 0.5), (B[:, :, 1:], params.noise_half_width)):
         part *= h - -h  # uniform(-h, h) is -h + (h - -h) * u
         part += -h
-    # A[i, j] holds a_ij per row, so products[i, j] = a_ij * b_j each turn
-    A = np.asarray(coefficients, dtype=float).reshape(m, 2, 2).transpose(1, 2, 0).copy()
-    products, coupled = np.empty((2, 2, m)), np.empty((2, m))
-    columns = B.transpose(2, 0, 1)
+    # A[j, i] holds a_ij per row
+    A = np.asarray(coefficients, dtype=float).reshape(m, 2, 2).transpose(2, 1, 0).copy()
+    columns = B.transpose(2, 0, 1)  # time-major view: columns[t] is (2, m)
+    depth = _WINDOW_CELLS // (2 * max(m, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for prev, state in zip(columns[:-1], columns[1:]):
-            np.multiply(A, prev, out=products)
-            np.add(products[:, 0], products[:, 1], out=coupled)
-            state += coupled
+        if depth < _MIN_WINDOW_TURNS:
+            _step_columns(A, columns)
+        else:
+            depth = min(depth, params.turns + 1)
+            window = np.empty((depth, 2, m))
+            for t0 in range(0, params.turns, depth - 1):  # windows share one turn
+                t1 = min(t0 + depth, params.turns + 1)
+                steps = window[: t1 - t0]
+                steps[...] = columns[t0:t1]
+                _step_columns(A, steps)
+                columns[t0 + 1:t1] = steps[1:]
     return B[0], B[1]
+
+
+def _step_columns(A: np.ndarray, columns: np.ndarray) -> None:
+    """Step the recurrence in place over time-major ``columns`` (turns, 2, m).
+
+    ``columns[0]`` holds the starting states and ``columns[t]`` for t > 0
+    the noise of turn t, which becomes its state.  A[j, i] holds a_ij per
+    row, so products[j, i] = a_ij * b_j and each state is noise + (a_i1 * b1
+    + a_i2 * b2), as in :func:`simulate`.  Every view is made once, outside
+    the loop: a state viewed as (2, 1, m) broadcasts against A over i and
+    lines up with the (2, 1, m) halves of products, so each turn is three
+    ufunc calls and nothing else.
+    """
+    products, coupled = np.empty(A.shape), np.empty((2, 1, A.shape[2]))
+    first, second = products[0][:, None], products[1][:, None]
+    multiply, add = np.multiply, np.add
+    states = list(columns[:, :, None])
+    for prev, state in zip(states, states[1:]):
+        multiply(A, prev, products)
+        add(first, second, coupled)
+        add(state, coupled, state)
 
 
 def simulate_batch(context: ContextMatrix, params: ModelParams, seeds: list[int]):

@@ -49,15 +49,21 @@ def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         xm = x - x.mean(axis=1, keepdims=True)
         ym = y - y.mean(axis=1, keepdims=True)
-        xs = np.abs(xm).max(axis=1)
-        ys = np.abs(ym).max(axis=1)
+        # max |deviation| without an abs temporary: negation is exact
+        xs = np.maximum(xm.max(axis=1), -xm.min(axis=1))
+        ys = np.maximum(ym.max(axis=1), -ym.min(axis=1))
         ok = (xs > 0) & (ys > 0)
-        if ok.any():
-            xn = xm[ok] / xs[ok, None]
-            yn = ym[ok] / ys[ok, None]
-            num = (xn * yn).sum(axis=1)
-            den = np.sqrt((xn * xn).sum(axis=1) * (yn * yn).sum(axis=1))
-            r[ok] = np.clip(num / den, -1.0, 1.0)
+        if not ok.all():
+            xm, ym, xs, ys = xm[ok], ym[ok], xs[ok], ys[ok]
+        xm /= xs[:, None]
+        ym /= ys[:, None]
+        # one C-contiguous product buffer for the three row sums: the
+        # pairwise sum over a contiguous row gives the same bits every time
+        products = xm * ym
+        num = products.sum(axis=1)
+        sxx = np.multiply(xm, xm, out=products).sum(axis=1)
+        den = np.sqrt(sxx * np.multiply(ym, ym, out=products).sum(axis=1))
+        r[ok] = np.clip(num / den, -1.0, 1.0)
     return r
 
 

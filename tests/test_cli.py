@@ -91,6 +91,18 @@ class TestSimulateCommand:
         assert result.returncode == 2
         assert "outside {-1, 0, 1}" in result.stderr
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_out_of_range_seed_is_usage_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "t.csv"
+        args = ["simulate", "--context", "1,0;1,-1", "--turns", "5", "--seed", seed]
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"dyadsim: error: validation: seed {seed} outside [0, 2**64)\n"
+        )
+        assert not out.exists()
+        # the largest seed the kernel takes is accepted here too
+        assert main([*args[:-1], str(2**64 - 1), "--out", str(out)]) == 0
+
 
 class TestAnalyzeCommand:
     def test_analyze_writes_report(self, tmp_path):

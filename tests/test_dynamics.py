@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dyadsim import dynamics
 from dyadsim.dynamics import (
     BehaviorState,
     ContextMatrix,
@@ -288,6 +291,88 @@ class TestSimulateRowsProperties:
             assert B2[i].tobytes() == traj.b2.tobytes()
 
 
+def _rows_with_window(rows, params, depth):
+    """simulate_rows over (context, seed) rows with a window ``depth`` turns
+    deep (0: the recurrence stepped in place, with no window)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_MIN_WINDOW_TURNS", 2)
+        patch.setattr(dynamics, "_WINDOW_CELLS", 2 * max(len(rows), 1) * depth)
+        return simulate_rows(
+            [params.coefficients(context) for context, _ in rows], params,
+            [seed for _, seed in rows],
+        )
+
+
+class TestWindowBoundaries:
+    """The default window is deeper than any row here, so windows of a few
+    turns are forced to put many boundaries inside every row."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(enumerate_contexts()),
+                st.integers(min_value=0, max_value=2**64 - 1),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        params=st.builds(
+            ModelParams,
+            alpha=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            influence=st.one_of(st.just(2.0), st.floats(min_value=0.0, max_value=1.0)),
+            noise_half_width=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)),
+            turns=st.one_of(st.just(1), st.integers(min_value=1, max_value=60),
+                            st.integers(min_value=600, max_value=700)),
+        ),
+        depth=st.one_of(st.just(0), st.integers(min_value=2, max_value=9)),
+    )
+    @example(  # first inf at turn 622, nan from 624: both cross boundaries
+        rows=[(ContextMatrix(1, 1, 1, 0), 3), (ContextMatrix(0, 0, 0, 0), 4)],
+        params=ModelParams(influence=2.0, turns=700), depth=3,
+    )
+    @example(  # the first inf state is the one carried into the second window
+        rows=[(ContextMatrix(1, 1, 1, 0), 3)], params=ModelParams(influence=2.0, turns=700),
+        depth=623,
+    )
+    @example(
+        rows=[(ContextMatrix(1, 0, 1, -1), 0), (ContextMatrix(0, 1, -1, 0), 9)],
+        params=ModelParams(noise_half_width=0.0, turns=50), depth=2,
+    )
+    @example(rows=[(ContextMatrix(-1, 1, 0, 1), 5)], params=ModelParams(turns=1), depth=2)
+    def test_windowed_rows_equal_scalar(self, rows, params, depth):
+        B1, B2 = _rows_with_window(rows, params, depth)
+        assert B1.flags.c_contiguous and B2.flags.c_contiguous
+        assert B1.shape == B2.shape == (len(rows), params.turns + 1)
+        for i, (context, seed) in enumerate(rows):
+            # the scalar path stops at the first non-finite state, so compare
+            # through it against a run cut there
+            finite = np.isfinite(B1[i]) & np.isfinite(B2[i])
+            stop = params.turns if finite.all() else int(np.argmin(finite))
+            traj = simulate(context, replace(params, turns=stop), seed)
+            assert B1[i, :stop + 1].tobytes() == traj.b1.tobytes()
+            assert B2[i, :stop + 1].tobytes() == traj.b2.tobytes()
+        # past it, inf and nan must match the recurrence stepped in place
+        P1, P2 = _rows_with_window(rows, params, 0)
+        assert B1.tobytes() == P1.tobytes() and B2.tobytes() == P2.tobytes()
+
+    def test_diverging_row_crosses_boundaries(self):
+        rows = [(ContextMatrix(1, 1, 1, 0), 3)]
+        B1, B2 = _rows_with_window(rows, ModelParams(influence=2.0, turns=700), 3)
+        assert np.isinf(B1[0, 622]) or np.isinf(B2[0, 622])
+        assert np.isnan(B1[0, -1]) and np.isnan(B2[0, -1])
+
+    @pytest.mark.parametrize("depth", [None, 0, 2, 5])
+    def test_zero_rows(self, depth):
+        params = ModelParams(turns=7)
+        if depth is None:
+            B1, B2 = simulate_rows([], params, [])
+        else:
+            B1, B2 = _rows_with_window([], params, depth)
+        assert B1.shape == B2.shape == (0, 8)
+        assert B1.flags.c_contiguous and B2.flags.c_contiguous
+
+
 class TestBulkSeeder:
     @staticmethod
     def assert_numpy_state(seeds):
@@ -309,6 +394,13 @@ class TestBulkSeeder:
         coefficients = [params.coefficients(ContextMatrix(1, 0, 0, 1))] * 2
         with pytest.raises(ValueError, match=f"seed {seed} outside"):
             simulate_rows(coefficients, params, [3, seed])
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_scalar_path_rejects_out_of_range_seed(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed {seed} outside \[0, 2\*\*64\)$"):
+            NoiseSource(seed)
+        with pytest.raises(ValueError, match=f"seed {seed} outside"):
+            simulate(ContextMatrix(1, 0, 0, 1), ModelParams(turns=5), seed)
 
 
 class TestRelabelingSymmetry:

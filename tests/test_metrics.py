@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from dyadsim.dynamics import ModelParams, simulate_rows
@@ -94,6 +94,76 @@ class TestPearson:
         x = np.exp(0.9 * t)
         y = 0.5 * x
         assert pearson_r(x, y) == pytest.approx(1.0, abs=1e-12)
+
+
+def _pearson_rows_reference(x, y):
+    """Reference row-wise Pearson r: abs temporaries and boolean-mask copies,
+    one fresh temporary per product sum."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r = np.full(x.shape[0], np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xm = x - x.mean(axis=1, keepdims=True)
+        ym = y - y.mean(axis=1, keepdims=True)
+        xs = np.abs(xm).max(axis=1)
+        ys = np.abs(ym).max(axis=1)
+        ok = (xs > 0) & (ys > 0)
+        if ok.any():
+            xn = xm[ok] / xs[ok, None]
+            yn = ym[ok] / ys[ok, None]
+            num = (xn * yn).sum(axis=1)
+            den = np.sqrt((xn * xn).sum(axis=1) * (yn * yn).sum(axis=1))
+            r[ok] = np.clip(num / den, -1.0, 1.0)
+    return r
+
+
+_ROW_KINDS = ("normal", "normal", "constant", "inf", "-inf", "nan", "huge", "tiny")
+
+
+@st.composite
+def pearson_stacks(draw):
+    """(m, n) pairs with m in 0..5, some rows constant or holding inf, nan or
+    +-1e300, as whole arrays or as CCF-style strided segment views."""
+    m = draw(st.integers(min_value=0, max_value=5))
+    n = draw(st.integers(min_value=2, max_value=40))
+    lag = draw(st.integers(min_value=0, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    wide = rng.normal(size=(2, m, n + lag)) * draw(st.sampled_from([1.0, 1e-3, 1e6]))
+    for a in range(2):
+        for i in range(m):
+            kind = draw(st.sampled_from(_ROW_KINDS))
+            at = draw(st.integers(min_value=0, max_value=n + lag - 1))
+            if kind == "constant":
+                wide[a, i] = 0.25
+            elif kind in ("inf", "-inf", "nan"):
+                wide[a, i, at] = float(kind)
+            elif kind == "huge":
+                wide[a, i, at:] *= 1e300
+                wide[a, i, :at] = -1e300
+            elif kind == "tiny":
+                wide[a, i] *= 1e-300
+    # like cross_correlation at lag k: x[:, :n - k] against y[:, k:]
+    return wide[0, :, :n], wide[1, :, lag:]
+
+
+class TestPearsonRowsReference:
+    @settings(deadline=None, max_examples=300)
+    @given(pearson_stacks())
+    @example((np.full((3, 5), 2.0), np.arange(15.0).reshape(3, 5)))  # every row undefined
+    @example((np.empty((0, 4)), np.empty((0, 4))))
+    @example((np.array([[0.0, 1.0]]), np.array([[5.0, -5.0]])))
+    @example((np.array([[1e300, -1e300, 1e300], [1.0, 2.0, 4.0]]),
+              np.array([[np.inf, 0.0, 1.0], [3.0, 1.0, 2.0]])))
+    def test_equals_reference_bitwise_and_leaves_inputs(self, case):
+        x, y = case
+        x_bytes, y_bytes = x.tobytes(), y.tobytes()
+        expected = _pearson_rows_reference(x, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = pearson_rows(x, y)
+        assert r.shape == (len(x),)
+        assert r.tobytes() == expected.tobytes()
+        assert x.tobytes() == x_bytes and y.tobytes() == y_bytes
 
 
 class TestPearsonRowsNonFinite:
