@@ -38,23 +38,20 @@ def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Returns an (m,) array with nan marking undefined rows (zero variance or
     non-finite input).  Each row is centered and rescaled by its max
     absolute deviation before the dot products, so series spanning hundreds
-    of orders of magnitude (diverging trajectories) stay in range.  Row
-    results do not depend on which other rows are present, which keeps
-    batched and one-at-a-time evaluation bitwise identical.
+    of orders of magnitude (diverging trajectories) stay in range.  Every
+    row goes through the same arithmetic, and an undefined row's r is then
+    set to nan.  Row results do not depend on which other rows are present,
+    which keeps batched and one-at-a-time evaluation bitwise identical.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    r = np.full(x.shape[0], np.nan)
-    # huge or non-finite rows overflow or meet inf - inf here and end up nan
-    with np.errstate(over="ignore", invalid="ignore"):
+    # huge, non-finite or constant rows overflow, meet inf - inf or 0 / 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xm = x - x.mean(axis=1, keepdims=True)
         ym = y - y.mean(axis=1, keepdims=True)
         # max |deviation| without an abs temporary: negation is exact
         xs = np.maximum(xm.max(axis=1), -xm.min(axis=1))
         ys = np.maximum(ym.max(axis=1), -ym.min(axis=1))
-        ok = (xs > 0) & (ys > 0)
-        if not ok.all():
-            xm, ym, xs, ys = xm[ok], ym[ok], xs[ok], ys[ok]
         xm /= xs[:, None]
         ym /= ys[:, None]
         # one C-contiguous product buffer for the three row sums: the
@@ -63,7 +60,8 @@ def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         num = products.sum(axis=1)
         sxx = np.multiply(xm, xm, out=products).sum(axis=1)
         den = np.sqrt(sxx * np.multiply(ym, ym, out=products).sum(axis=1))
-        r[ok] = np.clip(num / den, -1.0, 1.0)
+        r = np.clip(num / den, -1.0, 1.0)
+    r[~((xs > 0) & (ys > 0))] = np.nan
     return r
 
 
@@ -308,16 +306,12 @@ def histogram(values, bin_count: int, lo: float, hi: float) -> HistogramResult:
     if not lo < hi:
         raise ValueError("need lo < hi")
     values = np.asarray(values, dtype=float).ravel()
-    counts = np.zeros(bin_count, dtype=int)
-    if len(values) == 0:
-        return HistogramResult(lo=float(lo), hi=float(hi), counts=counts, overflow=0)
     with np.errstate(invalid="ignore"):
         inside = (values >= lo) & (values <= hi)
     overflow = int((~inside).sum())
     width = (hi - lo) / bin_count
     idx = np.floor((values[inside] - lo) / width).astype(int)
-    idx = np.clip(idx, 0, bin_count - 1)
-    np.add.at(counts, idx, 1)
+    counts = np.bincount(np.minimum(idx, bin_count - 1), minlength=bin_count)
     return HistogramResult(lo=float(lo), hi=float(hi), counts=counts, overflow=overflow)
 
 

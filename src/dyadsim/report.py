@@ -8,7 +8,7 @@ same table and config is byte-identical.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +45,8 @@ PANEL_NAMES = ("r_histogram", "ccf_panel", "lag_panel", "trajectory_panel")
 
 UNIFORM_NEGATIVE_PROB = 65.0 / 81.0  # contexts with at least one -1 entry
 
-# FitResult fields reported per model in report.json
-_FIT_KEYS = ("k_nominal", "k_effective", "r2", "adj_r2", "aic", "bic", "rss", "n")
+# FitResult fields reported per model in report.json; name and k_nominal are the ModelSpec's
+_FIT_KEYS = ("k_effective", "r2", "adj_r2", "aic", "bic", "rss", "n")
 
 
 class AnalysisError(ValueError):
@@ -66,7 +66,9 @@ class AnalysisReport:
 
     def to_dict(self) -> dict:
         fits = {
-            str(spec.model_id): {"name": spec.name, **{key: getattr(fit, key) for key in _FIT_KEYS}}
+            str(spec.model_id): dict(
+                name=spec.name, k_nominal=spec.k_nominal, **{k: getattr(fit, k) for k in _FIT_KEYS}
+            )
             for spec, fit in self.fits
         }
         return {
@@ -143,9 +145,8 @@ def analyze(table: sweep_mod.SweepTable) -> AnalysisReport:
                 design.X,
                 design.y,
                 design.columns,
-                spec.k_nominal,
             )
-        fits.append((spec, replace(fitted[spec.columns], k_nominal=spec.k_nominal)))
+        fits.append((spec, fitted[spec.columns]))
 
     best_aic = min(fit.aic for _, fit in fits)
     best_bic = min(fit.bic for _, fit in fits)

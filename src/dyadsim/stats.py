@@ -16,8 +16,8 @@ parameter products:
 * model 5 -- self-influence: both self mains (s1, s2) plus all
   interactions.
 
-``k_nominal`` reports the conventional parameter count for each model
-(8/48/56/28/28); ``k_effective`` is the rank actually estimated.
+``ModelSpec.k_nominal`` is the conventional parameter count of each model
+(8/48/56/28/28); ``FitResult.k_effective`` is the rank actually estimated.
 """
 
 from dataclasses import dataclass
@@ -124,18 +124,18 @@ def model_spec(model_id: int) -> ModelSpec:
     raise ValueError(f"unknown model id {model_id!r}")
 
 
-def _term_column(term: str, indicators: np.ndarray) -> np.ndarray:
-    """Column values for a main or product term from (n, 8) indicators."""
-    if ":" in term:
-        left, right = term.split(":")
-        return indicators[:, INDICATOR_NAMES.index(left)] * indicators[
-            :, INDICATOR_NAMES.index(right)
-        ]
-    return indicators[:, INDICATOR_NAMES.index(term)]
+def _cell_terms() -> dict:
+    """Each main and product term's (81,) column, one entry per context in
+    enumeration order."""
+    indicators = np.vstack([encode_dummies(ctx).as_array() for ctx in enumerate_contexts()])
+    terms = dict(zip(INDICATOR_NAMES, indicators.T))
+    for name in INTERACTION_NAMES:
+        left, right = name.split(":")
+        terms[name] = terms[left] * terms[right]
+    return terms
 
 
-# (81, 8) indicators, one row per context in enumeration order
-_CONTEXT_INDICATORS = np.vstack([encode_dummies(ctx).as_array() for ctx in enumerate_contexts()])
+_CELL_TERMS = _cell_terms()
 
 
 @dataclass(frozen=True)
@@ -160,20 +160,19 @@ def build_design(table, spec: ModelSpec) -> Design:
         raise ValueError("no finite records to regress on")
     # the (81, k) term table gathered by context: products of 0/1 values
     # are exact, so X equals the per-row products bit for bit
-    cells = np.column_stack([_term_column(term, _CONTEXT_INDICATORS) for term in spec.columns])
+    cells = np.column_stack([_CELL_TERMS[term] for term in spec.columns])
     X = cells[table.context_index[finite]]
     return Design(X=X, y=table.r[finite], columns=spec.columns, n_excluded=n_excluded)
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Least-squares fit summary with paper-style and effective counts."""
+    """Least-squares fit summary; the paper-style count is ``ModelSpec.k_nominal``."""
 
     coefficients: dict
     dropped: tuple
     rss: float
     n: int
-    k_nominal: int
     k_effective: int
     r2: float
     adj_r2: float
@@ -205,7 +204,7 @@ def _independent_columns(A) -> list:
     return []
 
 
-def fit_least_squares(X, y, columns=None, k_nominal=None) -> FitResult:
+def fit_least_squares(X, y, columns=None) -> FitResult:
     """Least-squares fit of ``y`` on an intercept plus the columns of ``X``.
 
     The rank-revealing pass is an unpivoted Householder QR of the design
@@ -233,8 +232,6 @@ def fit_least_squares(X, y, columns=None, k_nominal=None) -> FitResult:
     columns = tuple(columns)
     if len(columns) != k:
         raise ValueError("column name count does not match X")
-    if k_nominal is None:
-        k_nominal = k
 
     names = ("intercept",) + columns
     A = np.column_stack([np.ones(n), X]) if k else np.ones((n, 1))
@@ -271,7 +268,6 @@ def fit_least_squares(X, y, columns=None, k_nominal=None) -> FitResult:
         dropped=dropped,
         rss=rss,
         n=n,
-        k_nominal=int(k_nominal),
         k_effective=k_eff,
         r2=float(r2),
         adj_r2=float(adj_r2),
@@ -351,7 +347,7 @@ def fit_summary_csv_text(fits) -> str:
     lines = ["model_id,name,k_nominal,k_effective,r2,adj_r2,aic,bic"]
     for spec, fit in fits:
         lines.append(
-            f"{spec.model_id},{spec.name},{fit.k_nominal},{fit.k_effective},"
+            f"{spec.model_id},{spec.name},{spec.k_nominal},{fit.k_effective},"
             f"{fit.r2!r},{fit.adj_r2!r},{fit.aic!r},{fit.bic!r}"
         )
     return "\n".join(lines) + "\n"

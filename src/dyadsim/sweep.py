@@ -12,7 +12,9 @@ from math import isnan
 
 import numpy as np
 
-from dyadsim.dynamics import ContextMatrix, ModelParams, simulate_batch, simulate_rows
+from dyadsim.dynamics import (
+    ContextMatrix, ModelParams, _checked_seed, simulate_batch, simulate_rows,
+)
 from dyadsim.metrics import pearson_rows
 
 __all__ = [
@@ -59,7 +61,7 @@ class InvalidSweepError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep settings: master seed, batch size, dynamics, tail threshold."""
+    """Sweep settings: master seed in [0, 2**64), batch size, dynamics, tail threshold."""
 
     master_seed: int
     runs_per_context: int = 100
@@ -67,6 +69,7 @@ class SweepConfig:
     tail_threshold: float = 0.25
 
     def __post_init__(self):
+        _checked_seed(self.master_seed)
         if int(self.runs_per_context) < 1:
             raise ValueError("runs_per_context must be >= 1")
         if not 0.0 < self.tail_threshold < 1.0:
@@ -178,9 +181,11 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepTable:
     """Run the full 81-context sweep as blocks of :func:`simulate_rows` rows.
 
     A block holds at most ``_CELL_BUDGET`` cells (rows x (turns + 1)) and may
-    span several contexts or part of one.  A row's result does not depend on
-    the other rows, so the output does not depend on where blocks fall.
-    ``workers`` must be >= 1 and changes nothing.
+    span several contexts or part of one.  There is no finite pre-filter:
+    :func:`pearson_rows` takes contiguous row slices of each block and gives
+    a diverged row nan.  A row's result does not depend on the other rows,
+    so the output does not depend on where blocks fall.  ``workers`` must be
+    >= 1 and changes nothing.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -189,13 +194,12 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepTable:
     coefficients = np.repeat([params.coefficients(ctx) for ctx in _CONTEXTS], runs, axis=0)
     block = max(1, _CELL_BUDGET // (params.turns + 1))
     chunk = max(1, _PEARSON_CELLS // (params.turns + 1))
-    r = np.full(len(seeds), np.nan)
+    r = np.empty(len(seeds))
     for lo in range(0, len(seeds), block):
         B1, B2 = simulate_rows(coefficients[lo:lo + block], params, seeds[lo:lo + block])
-        finite = np.isfinite(B1).all(axis=1) & np.isfinite(B2).all(axis=1)
-        for c in range(0, len(B1), chunk):  # C-contiguous copies of finite rows
-            rows = c + np.flatnonzero(finite[c:c + chunk])
-            r[lo + rows] = pearson_rows(B1[rows], B2[rows])
+        block_r = r[lo:lo + block]  # a view: chunk slices stay inside the block
+        for c in range(0, len(B1), chunk):
+            block_r[c:c + chunk] = pearson_rows(B1[c:c + chunk], B2[c:c + chunk])
         del B1, B2  # free this block before the next one is allocated
     return _table(config, seeds, r)
 

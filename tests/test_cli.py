@@ -104,6 +104,28 @@ class TestSimulateCommand:
         assert main([*args[:-1], str(2**64 - 1), "--out", str(out)]) == 0
 
 
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    @pytest.mark.parametrize("command", ["sweep", "analyze", "xcorr", "lags", "figures"])
+    def test_out_of_range_seed_is_usage_error(self, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        args = [command, *SMALL, "--seed", seed, "--out", str(out)]
+        if command == "analyze":
+            args += ["--input", str(tmp_path / "s.csv")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"dyadsim: error: validation: seed {seed} outside [0, 2**64)\n"
+        )
+        assert not out.exists()
+
+    def test_largest_seed_runs_sweep_and_analyze(self, tmp_path):
+        csv, seed = tmp_path / "s.csv", str(2**64 - 1)
+        assert main(["sweep", *SMALL, "--seed", seed, "--out", str(csv)]) == 0
+        args = ["analyze", *SMALL, "--seed", seed, "--input", str(csv), "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert (tmp_path / "report.json").exists()
+
+
 class TestAnalyzeCommand:
     def test_analyze_writes_report(self, tmp_path):
         csv = tmp_path / "s.csv"

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyadsim.dynamics import ContextMatrix, ModelParams, simulate, simulate_rows
+from dyadsim.dynamics import (
+    ContextMatrix, ModelParams, NonFiniteStateError, simulate, simulate_rows,
+)
 from dyadsim import sweep
-from dyadsim.metrics import pearson_r
+from dyadsim.metrics import UndefinedCorrelationError, pearson_r
 from dyadsim.sweep import (
     TAIL_LABELS,
     InvalidSweepError,
@@ -27,6 +29,22 @@ from dyadsim.sweep import (
 )
 
 SMALL = SweepConfig(master_seed=7, runs_per_context=2, params=ModelParams(turns=60))
+
+# unit gain over 1,200 turns: the strongly coupled contexts diverge, so
+# blocks mix finite and non-finite rows
+DIVERGING = SweepConfig(
+    master_seed=5, runs_per_context=3, params=ModelParams(influence=1.0, turns=1200)
+)
+
+
+def _scalar_r(context, params, seed) -> float:
+    """r of one run through ``simulate`` and ``pearson_r``; nan where they
+    report divergence or an undefined correlation."""
+    try:
+        trajectory = simulate(context, params, seed)
+        return pearson_r(trajectory.b1, trajectory.b2)
+    except (NonFiniteStateError, UndefinedCorrelationError):
+        return math.nan
 
 
 class TestEnumerateContexts:
@@ -116,17 +134,18 @@ class TestRunSweep:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys) == 162
 
-    def test_records_match_scalar_recomputation(self):
-        table = run_sweep(SMALL)
+    # the diverging sweep's sampled rows 0 and 170 are nan, the others finite
+    @pytest.mark.parametrize("config", [SMALL, DIVERGING], ids=["small", "diverging"])
+    def test_records_match_scalar_recomputation(self, config):
+        table = run_sweep(config)
         contexts = enumerate_contexts()
         csv_rows = sweep_csv_text(table).split("\n")[1:]
         for i in range(0, len(table), 17):
             ci, run_index = int(table.context_index[i]), int(table.run_index[i])
             run_seed, r = int(table.run_seed[i]), float(table.r[i])
-            assert run_seed == derive_run_seed(SMALL.master_seed, ci, run_index)
-            traj = simulate(contexts[ci], SMALL.params, run_seed)
-            assert r == pearson_r(traj.b1, traj.b2)
-            assert csv_rows[i].split(",")[9] == classify_tail(r, SMALL.tail_threshold)
+            assert run_seed == derive_run_seed(config.master_seed, ci, run_index)
+            assert r.hex() == _scalar_r(contexts[ci], config.params, run_seed).hex()
+            assert csv_rows[i].split(",")[9] == classify_tail(r, config.tail_threshold)
 
     def test_schedule_independence(self):
         serial = run_sweep(SMALL, workers=1)
@@ -153,11 +172,7 @@ class TestRunSweep:
 
 
 class TestRowBlocks:
-    # unit gain over 1,200 turns: the strongly coupled contexts diverge, so
-    # blocks mix finite and non-finite rows
-    CONFIG = SweepConfig(
-        master_seed=5, runs_per_context=3, params=ModelParams(influence=1.0, turns=1200)
-    )
+    CONFIG = DIVERGING
     ROWS, CELLS_PER_ROW = 81 * 3, 1201
 
     def _run(self, monkeypatch, budget):
