@@ -118,22 +118,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("simulate", help="simulate one seeded run and write its trajectory")
     _add_common_flags(p)
-    p.add_argument("--context", type=_context_arg, required=True, help='e.g. "1,0;1,-1"')
+    p.add_argument("--context", type=_context_arg, required=True,
+                   help='e.g. "1,0;1,-1"; write --context=-1,0;1,-1 when s1 is -1')
 
     p = commands.add_parser("xcorr", help="write mean cross-correlation CSVs for context batches")
     _add_common_flags(p)
-    p.add_argument("--context", type=_context_arg, action="append", help="repeatable")
+    p.add_argument("--context", type=_context_arg, action="append",
+                   help="repeatable; write --context=-1,0;1,-1 when s1 is -1")
     p.add_argument("--max-lag", type=int, default=None, help="largest lag (default 20)")
 
     p = commands.add_parser("lags", help="write turn-taking lag CSVs for context batches")
     _add_common_flags(p)
-    p.add_argument("--context", type=_context_arg, action="append", help="repeatable")
+    p.add_argument("--context", type=_context_arg, action="append",
+                   help="repeatable; write --context=-1,0;1,-1 when s1 is -1")
     p.add_argument("--max-lag", type=int, default=None, help="largest lag (default 20)")
 
     p = commands.add_parser("figures", help="write all figure panel payloads")
     _add_common_flags(p)
     p.add_argument("--input", type=Path, default=None, help="existing sweep CSV for the histogram")
-    p.add_argument("--context", type=_context_arg, action="append", help="repeatable")
+    p.add_argument("--context", type=_context_arg, action="append",
+                   help="repeatable; write --context=-1,0;1,-1 when s1 is -1")
     p.add_argument("--max-lag", type=int, default=None, help="largest lag (default 20)")
     p.add_argument("--bins", type=int, default=None, help="histogram bins (default 40)")
     p.add_argument("--workers", type=int, default=None, help="accepted, no effect (default 1)")

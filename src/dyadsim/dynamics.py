@@ -31,11 +31,12 @@ recurrence on time-major windows: turns [t0, t1) of every row are copied
 into a small (t1 - t0, 2, rows) scratch, stepped there on contiguous
 columns, and copied back, the last state carried into the next window.
 Each turn is then three ufunc calls over contiguous (2, rows) data instead
-of over columns one row-length apart.  Blocks too wide for a window of
-``_MIN_WINDOW_TURNS`` turns are stepped in place: their strided calls
-already carry enough rows to amortize the dispatch, and the copies would
-cost more than they save.  Either way every element sees the same
-operations in the same order, so the bytes do not depend on the window.
+of over columns one row-length apart.  A window holds at most
+``_WINDOW_CELLS`` cells, but is never under ``_MIN_WINDOW_TURNS`` turns deep,
+so wide blocks still amortize each copy over several turns; being at most
+turns + 1 deep, it is never larger than the block's own buffer.  Every
+element sees the same operations in the same order, so the bytes do not
+depend on the window.
 """
 
 import math
@@ -69,7 +70,7 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # simulate_rows steps m rows on a time-major (turns, 2, m) scratch of at most
-# _WINDOW_CELLS cells when that leaves it at least _MIN_WINDOW_TURNS turns deep
+# _WINDOW_CELLS cells, or _MIN_WINDOW_TURNS turns deep when m is too wide for that
 _WINDOW_CELLS = 1 << 16
 _MIN_WINDOW_TURNS = 32
 
@@ -335,9 +336,9 @@ def simulate_rows(
     other rows; diverging runs are carried through as inf/nan, not raised.
     Seeds must lie in [0, 2**64); any other seed raises ``ValueError``.
 
-    The recurrence steps on a time-major window of at most ``_WINDOW_CELLS``
-    cells (see the module docstring), or in place when ``m`` rows leave it
-    under ``_MIN_WINDOW_TURNS`` turns deep; neither changes an output bit.
+    The recurrence steps on a time-major window (see the module docstring)
+    of at most ``_WINDOW_CELLS`` cells, but at least ``_MIN_WINDOW_TURNS``
+    and at most turns + 1 turns deep; its depth changes no output bit.
     """
     seeds = [_checked_seed(seed) for seed in seeds]
     m = len(seeds)
@@ -355,19 +356,15 @@ def simulate_rows(
     # A[j, i] holds a_ij per row
     A = np.asarray(coefficients, dtype=float).reshape(m, 2, 2).transpose(2, 1, 0).copy()
     columns = B.transpose(2, 0, 1)  # time-major view: columns[t] is (2, m)
-    depth = _WINDOW_CELLS // (2 * max(m, 1))
+    depth = min(max(_WINDOW_CELLS // (2 * max(m, 1)), _MIN_WINDOW_TURNS), params.turns + 1)
+    window = np.empty((depth, 2, m))
     with np.errstate(over="ignore", invalid="ignore"):
-        if depth < _MIN_WINDOW_TURNS:
-            _step_columns(A, columns)
-        else:
-            depth = min(depth, params.turns + 1)
-            window = np.empty((depth, 2, m))
-            for t0 in range(0, params.turns, depth - 1):  # windows share one turn
-                t1 = min(t0 + depth, params.turns + 1)
-                steps = window[: t1 - t0]
-                steps[...] = columns[t0:t1]
-                _step_columns(A, steps)
-                columns[t0 + 1:t1] = steps[1:]
+        for t0 in range(0, params.turns, depth - 1):  # windows share one turn
+            t1 = min(t0 + depth, params.turns + 1)
+            steps = window[: t1 - t0]
+            steps[...] = columns[t0:t1]
+            _step_columns(A, steps)
+            columns[t0 + 1:t1] = steps[1:]
     return B[0], B[1]
 
 

@@ -259,25 +259,21 @@ def figure_data(
     if contexts is None:
         contexts = DEFAULT_FIGURE_CONTEXTS
 
-    all_contexts = sweep_mod.enumerate_contexts()
     payloads = {}
     for context in contexts:
         code = context.code()
         shared = {} if batches is None else batches  # unshared: no batch outlives its context
         if (config, context) not in shared:
-            shared[config, context] = sweep_mod.context_batch(
-                config, all_contexts.index(context)
-            )
+            shared[config, context] = sweep_mod.context_batch(config, context)
         seeds, B1, B2, finite = shared[config, context]
         if which == "trajectory_panel":
             trajectory = dynamics.batch_row_trajectory(context, seeds[0], B1[0], B2[0])
             payloads[f"fig2_traj_{code}.csv"] = dynamics.trajectory_csv_text(trajectory)
         elif which == "ccf_panel":
             result = metrics.cross_correlation(B1[finite], B2[finite], max_lag)
-            try:
-                agg = metrics.aggregate_ccf([result])
-            except ValueError as exc:
-                raise AnalysisError(str(exc)) from exc
+            if np.count_nonzero(finite) < 2:
+                raise AnalysisError(f"ccf panel, context {code}: fewer than 2 finite runs")
+            agg = metrics.aggregate_ccf([result])
             payloads[f"fig6_ccf_{code}.csv"] = metrics.ccf_csv_text(agg)
         else:  # lag_panel
             dist = metrics.turn_lags(B1[finite], B2[finite], metrics.LagSpec(max_lag=max_lag))

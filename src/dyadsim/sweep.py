@@ -164,15 +164,16 @@ def _table(config: SweepConfig, run_seed: list[int], r) -> SweepTable:
     )
 
 
-def context_batch(config: SweepConfig, context_index: int):
+def context_batch(config: SweepConfig, context: ContextMatrix):
     """Seeded runs of one context, on the sweep's seed grid.
 
     Returns ``(seeds, B1, B2, finite)``: the per-run seeds, the
     (runs, turns + 1) series of both agents, and the mask of runs whose
     series stay finite throughout.
     """
+    context_index = _CONTEXTS.index(context)
     seeds = _run_seeds(config.master_seed, [context_index], config.runs_per_context).tolist()
-    B1, B2 = simulate_batch(_CONTEXTS[context_index], config.params, seeds)
+    B1, B2 = simulate_batch(context, config.params, seeds)
     finite = np.isfinite(B1).all(axis=1) & np.isfinite(B2).all(axis=1)
     return seeds, B1, B2, finite
 

@@ -209,8 +209,20 @@ class TestErrorCategories:
         assert main(args) == 4
         err = capsys.readouterr().err
         assert err == (
-            "dyadsim: error: analysis: aggregate_ccf needs at least 2 results\n"
+            "dyadsim: error: analysis: ccf panel, context +1+1+1+1: fewer than 2 finite runs\n"
         )
+
+    def test_ccf_error_names_the_failing_context(self, tmp_path, capsys):
+        # the first context's runs stay finite; the second's all diverge
+        out = tmp_path / "out"
+        args = ["xcorr", "--influence", "1.0", "--turns", "2000", "--runs", "3",
+                "--context", "1,0;0,1", "--context", "1,1;1,1", "--out", str(out)]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err == (
+            "dyadsim: error: analysis: ccf panel, context +1+1+1+1: fewer than 2 finite runs\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["xcorr", "figures"])
     def test_single_finite_run_ccf_is_analysis_error(self, tmp_path, capsys, command):
@@ -221,7 +233,7 @@ class TestErrorCategories:
         assert main(args) == 4
         err = capsys.readouterr().err
         assert err == (
-            "dyadsim: error: analysis: aggregate_ccf needs at least 2 results\n"
+            "dyadsim: error: analysis: ccf panel, context +100+1: fewer than 2 finite runs\n"
         )
         assert not out.exists()
 
@@ -254,6 +266,19 @@ class TestErrorCategories:
 
 
 class TestFlagHandling:
+    # a context whose s1 is -1 reads as a flag after a space; the = form passes it
+    @pytest.mark.parametrize("command, written", [
+        ("simulate", ["t.csv"]),
+        ("xcorr", ["ccf_-1+10+1.csv"]),
+        ("lags", ["lags_-1+10+1.csv"]),
+        ("figures", ["fig2_traj_-1+10+1.csv", "fig6_ccf_-1+10+1.csv", "fig7_lags_-1+10+1.csv"]),
+    ])
+    def test_context_with_leading_minus_in_equals_form(self, tmp_path, command, written):
+        out = tmp_path / "t.csv" if command == "simulate" else tmp_path
+        assert main([command, *SMALL, "--context=-1,1;0,1", "--out", str(out)]) == 0
+        for name in written:
+            assert (tmp_path / name).exists()
+
     def test_unknown_flag_rejected(self, tmp_path):
         result = run_cli(["sweep", "--bogus", "1"], cwd=tmp_path)
         assert result.returncode == 2

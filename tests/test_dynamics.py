@@ -293,10 +293,11 @@ class TestSimulateRowsProperties:
 
 def _rows_with_window(rows, params, depth):
     """simulate_rows over (context, seed) rows with a window ``depth`` turns
-    deep (0: the recurrence stepped in place, with no window)."""
+    deep (0: one window spanning every turn, with no boundary)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "_MIN_WINDOW_TURNS", 2)
-        patch.setattr(dynamics, "_WINDOW_CELLS", 2 * max(len(rows), 1) * depth)
+        patch.setattr(dynamics, "_WINDOW_CELLS",
+                      2 * max(len(rows), 1) * (depth or params.turns + 1))
         return simulate_rows(
             [params.coefficients(context) for context, _ in rows], params,
             [seed for _, seed in rows],
@@ -352,7 +353,7 @@ class TestWindowBoundaries:
             traj = simulate(context, replace(params, turns=stop), seed)
             assert B1[i, :stop + 1].tobytes() == traj.b1.tobytes()
             assert B2[i, :stop + 1].tobytes() == traj.b2.tobytes()
-        # past it, inf and nan must match the recurrence stepped in place
+        # past it, inf and nan must match one window with no boundary
         P1, P2 = _rows_with_window(rows, params, 0)
         assert B1.tobytes() == P1.tobytes() and B2.tobytes() == P2.tobytes()
 

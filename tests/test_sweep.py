@@ -203,6 +203,24 @@ class TestRowBlocks:
             assert table.r.tobytes() == reference.r.tobytes()
             assert table.run_seed.tobytes() == reference.run_seed.tobytes()
 
+    def test_wide_power_of_two_stride_blocks_match_scalar(self, monkeypatch):
+        # 63 turns: 4,096-row blocks whose row stride is 64 doubles
+        config = SweepConfig(master_seed=42, runs_per_context=400, params=ModelParams(turns=63))
+        calls = []
+
+        def counted(coefficients, params, seeds):
+            calls.append(len(seeds))
+            return simulate_rows(coefficients, params, seeds)
+
+        monkeypatch.setattr(sweep, "simulate_rows", counted)
+        table = run_sweep(config)
+        assert calls[0] == 4096 and sum(calls) == 81 * 400
+        contexts = enumerate_contexts()
+        for i in range(0, len(table), 400):
+            for row in (i, i + 399):
+                ci, seed = int(table.context_index[row]), int(table.run_seed[row])
+                assert table.r[row].hex() == _scalar_r(contexts[ci], config.params, seed).hex()
+
 
 class TestTailCounts:
     def _table(self, r_values):
