@@ -9,6 +9,8 @@ chi-square tests, cross-correlation functions, and turn-taking lag
 distributions.
 """
 
+__version__ = "0.1.0"  # set before the submodules, which read it
+
 from dyadsim.dynamics import (
     BehaviorState,
     ContextMatrix,
@@ -58,8 +60,6 @@ from dyadsim.sweep import (
     write_sweep_csv,
 )
 from dyadsim.report import AnalysisReport, analyze, figure_data
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",

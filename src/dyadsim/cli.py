@@ -13,6 +13,7 @@ from pathlib import Path
 
 from dyadsim import __version__, dynamics, report as report_mod, sweep as sweep_mod
 from dyadsim.dynamics import ContextMatrix, ModelParams
+from dyadsim.metrics import LagSpec
 from dyadsim.sweep import InvalidSweepError, SweepConfig
 
 __all__ = ["parse_context", "build_parser", "main"]
@@ -27,18 +28,23 @@ ENV_OUT_DIR = "DYADSIM_OUT_DIR"
 
 _TOKEN_NAMES = ("s1", "o1", "o2", "s2")
 
-DEFAULTS = {
-    "seed": 42,
-    "runs": 100,
-    "turns": 500,
-    "alpha": 0.1,
-    "influence": 0.5,
-    "noise": 0.5,
-    "threshold": 0.25,
-    "max_lag": 20,
-    "bins": 40,
-    "workers": 1,
+# key -> (type, default, help) of every setting; the flag is the key with "-"
+# for "_", and a --config file sets it as "key = value"
+_KEYS = {
+    "seed": (int, 42, "master seed"),
+    "runs": (int, SweepConfig.runs_per_context, "runs per context"),
+    "turns": (int, ModelParams.turns, "turns per run"),
+    "alpha": (float, ModelParams.alpha, "decay fraction"),
+    "influence": (float, ModelParams.influence, "transmission gain per context entry"),
+    "noise": (float, ModelParams.noise_half_width, "noise half-width"),
+    "threshold": (float, SweepConfig.tail_threshold, "tail threshold on r"),
+    "max_lag": (int, LagSpec.max_lag, "largest lag"),
+    "bins": (int, 40, "histogram bins"),
+    "workers": (int, 1, "accepted, no effect"),
 }
+_SWEEP_KEYS = tuple(_KEYS)[:7]  # the SweepConfig keys, taken by every command
+_CAST_NAMES = {int: "an int", float: "a float"}
+_CONTEXT_HELP = "write --context=-1,0;1,-1 when s1 is -1"
 
 
 def parse_context(text: str) -> ContextMatrix:
@@ -77,22 +83,11 @@ def _context_arg(text: str) -> ContextMatrix:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-_COMMON_FLAGS = (  # flag, type, help
-    ("--seed", int, "master seed (default 42)"),
-    ("--runs", int, "runs per context (default 100)"),
-    ("--turns", int, "turns per run (default 500)"),
-    ("--alpha", float, "decay fraction (default 0.1)"),
-    ("--influence", float, "transmission gain per context entry (default 0.5)"),
-    ("--noise", float, "noise half-width (default 0.5)"),
-    ("--threshold", float, "tail threshold on r (default 0.25)"),
-    ("--config", Path, "key = value file mirroring the flags"),
-    ("--out", Path, "output file or directory"),
-)
-
-
-def _add_common_flags(parser):
-    for flag, kind, text in _COMMON_FLAGS:
-        parser.add_argument(flag, type=kind, default=None, help=text)
+def _add_keys(parser, *keys):
+    for key in keys:
+        kind, default, text = _KEYS[key]
+        parser.add_argument("--" + key.replace("_", "-"), type=kind, default=None,
+                            help=f"{text} (default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,39 +103,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dyadsim {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("sweep", help="run the 81-context sweep and write the CSV")
-    _add_common_flags(p)
-    p.add_argument("--workers", type=int, default=None, help="accepted, no effect (default 1)")
+    def command(name, text):
+        p = commands.add_parser(name, help=text)
+        _add_keys(p, *_SWEEP_KEYS)
+        p.add_argument("--config", type=Path, default=None,
+                       help="key = value file mirroring the flags")
+        p.add_argument("--out", type=Path, default=None, help="output file or directory")
+        return p
 
-    p = commands.add_parser("analyze", help="analyze a sweep CSV into report.json + table1.csv")
-    _add_common_flags(p)
+    p = command("sweep", "run the 81-context sweep and write the CSV")
+    _add_keys(p, "workers")
+
+    p = command("analyze", "analyze a sweep CSV into report.json + table1.csv")
     p.add_argument("--input", type=Path, required=True, help="sweep CSV to analyze")
 
-    p = commands.add_parser("simulate", help="simulate one seeded run and write its trajectory")
-    _add_common_flags(p)
+    p = command("simulate", "simulate one seeded run and write its trajectory")
     p.add_argument("--context", type=_context_arg, required=True,
-                   help='e.g. "1,0;1,-1"; write --context=-1,0;1,-1 when s1 is -1')
+                   help=f'e.g. "1,0;1,-1"; {_CONTEXT_HELP}')
 
-    p = commands.add_parser("xcorr", help="write mean cross-correlation CSVs for context batches")
-    _add_common_flags(p)
-    p.add_argument("--context", type=_context_arg, action="append",
-                   help="repeatable; write --context=-1,0;1,-1 when s1 is -1")
-    p.add_argument("--max-lag", type=int, default=None, help="largest lag (default 20)")
+    for name, text in (("xcorr", "write mean cross-correlation CSVs for context batches"),
+                       ("lags", "write turn-taking lag CSVs for context batches")):
+        p = command(name, text)
+        p.add_argument("--context", type=_context_arg, action="append",
+                       help=f"repeatable; {_CONTEXT_HELP}")
+        _add_keys(p, "max_lag")
 
-    p = commands.add_parser("lags", help="write turn-taking lag CSVs for context batches")
-    _add_common_flags(p)
-    p.add_argument("--context", type=_context_arg, action="append",
-                   help="repeatable; write --context=-1,0;1,-1 when s1 is -1")
-    p.add_argument("--max-lag", type=int, default=None, help="largest lag (default 20)")
-
-    p = commands.add_parser("figures", help="write all figure panel payloads")
-    _add_common_flags(p)
+    p = command("figures", "write all figure panel payloads")
     p.add_argument("--input", type=Path, default=None, help="existing sweep CSV for the histogram")
     p.add_argument("--context", type=_context_arg, action="append",
-                   help="repeatable; write --context=-1,0;1,-1 when s1 is -1")
-    p.add_argument("--max-lag", type=int, default=None, help="largest lag (default 20)")
-    p.add_argument("--bins", type=int, default=None, help="histogram bins (default 40)")
-    p.add_argument("--workers", type=int, default=None, help="accepted, no effect (default 1)")
+                   help=f"repeatable; {_CONTEXT_HELP}")
+    _add_keys(p, "max_lag", "bins", "workers")
 
     return parser
 
@@ -160,47 +152,50 @@ def _read_config_file(path: Path) -> dict:
             raise InvalidSweepError(f"config file line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in DEFAULTS:
+        if key not in _KEYS:
             raise InvalidSweepError(f"config file line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise InvalidSweepError(
+                f"config file line {lineno}: duplicate key {key!r} "
+                f"(first on line {values[key][0]})"
+            )
         values[key] = (lineno, value)
     return values
 
 
-_CAST_NAMES = {int: "an int", float: "a float"}
-
-
-def _resolve(args, file_values: dict, key: str, cast):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    if key not in file_values:
-        return DEFAULTS[key]
-    lineno, text = file_values[key]
-    try:
-        return cast(text)
-    except ValueError:
-        raise InvalidSweepError(
-            f"config file line {lineno}: {key} = {text!r} is not {_CAST_NAMES[cast]}"
-        ) from None
-
-
-def _build_config(args) -> tuple[SweepConfig, dict]:
-    """Sweep config from flags over config-file values over defaults, plus
-    the file values for resolving the command's other keys."""
+def _settings(args) -> tuple[dict, SweepConfig]:
+    """Each key the command's parser defines, flag over config file over
+    default, and the sweep config they make."""
     file_values = _read_config_file(args.config) if args.config else {}
+    settings = {}
+    for key, (kind, default, _) in _KEYS.items():
+        if not hasattr(args, key):
+            continue
+        value = getattr(args, key)
+        if value is None and key in file_values:
+            lineno, text = file_values[key]
+            try:
+                value = kind(text)
+            except ValueError:
+                raise InvalidSweepError(
+                    f"config file line {lineno}: {key} = {text!r} is not {_CAST_NAMES[kind]}"
+                ) from None
+        settings[key] = default if value is None else value
     params = ModelParams(
-        alpha=_resolve(args, file_values, "alpha", float),
-        influence=_resolve(args, file_values, "influence", float),
-        noise_half_width=_resolve(args, file_values, "noise", float),
-        turns=_resolve(args, file_values, "turns", int),
+        alpha=settings["alpha"],
+        influence=settings["influence"],
+        noise_half_width=settings["noise"],
+        turns=settings["turns"],
     )
     config = SweepConfig(
-        master_seed=_resolve(args, file_values, "seed", int),
-        runs_per_context=_resolve(args, file_values, "runs", int),
+        master_seed=settings["seed"],
+        runs_per_context=settings["runs"],
         params=params,
-        tail_threshold=_resolve(args, file_values, "threshold", float),
+        tail_threshold=settings["threshold"],
     )
-    return config, file_values
+    if settings.get("workers", 1) < 1:
+        raise ValueError("workers must be >= 1")
+    return settings, config
 
 
 def _out_dir(args) -> Path:
@@ -215,19 +210,23 @@ def _error(category: str, message: str, code: int) -> int:
     return code
 
 
-def _cmd_sweep(args) -> int:
-    config, file_values = _build_config(args)
-    workers = _resolve(args, file_values, "workers", int)
-    table = sweep_mod.run_sweep(config, workers=workers)
-    out = args.out if args.out is not None else _out_dir(args) / "sweep.csv"
+def _out_file(args, name: str) -> Path:
+    """A one-file command's output path (its parent created): --out, else name
+    in the default output directory."""
+    out = args.out if args.out is not None else _out_dir(args) / name
     out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _cmd_sweep(args, settings, config) -> int:
+    table = sweep_mod.run_sweep(config, workers=settings["workers"])
+    out = _out_file(args, "sweep.csv")
     sweep_mod.write_sweep_csv(table, out)
     print(f"wrote {out} ({len(table)} records)")
     return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
-    config, _ = _build_config(args)
+def _cmd_analyze(args, settings, config) -> int:
     table = sweep_mod.read_sweep_csv(args.input, config)
     result = report_mod.analyze(table)
     for path in report_mod.write_report(result, _out_dir(args)):
@@ -235,22 +234,18 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    config, _ = _build_config(args)
+def _cmd_simulate(args, settings, config) -> int:
     trajectory = dynamics.simulate(args.context, config.params, config.master_seed)
-    out = args.out if args.out is not None else _out_dir(args) / "trajectory.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_file(args, "trajectory.csv")
     out.write_text(dynamics.trajectory_csv_text(trajectory))
     print(f"wrote {out} ({len(trajectory)} states)")
     return EXIT_OK
 
 
-def _panel_command(args, panel: str, rename_from: str, rename_to: str) -> int:
-    config, file_values = _build_config(args)
+def _panel_command(args, settings, config, panel: str, rename_from: str, rename_to: str) -> int:
     contexts = args.context if args.context else None
-    max_lag = _resolve(args, file_values, "max_lag", int)
     payloads = report_mod.figure_data(
-        panel, config=config, contexts=contexts, max_lag=max_lag
+        panel, config=config, contexts=contexts, max_lag=settings["max_lag"]
     )
     renamed = {
         name.replace(rename_from, rename_to, 1): text for name, text in payloads.items()
@@ -260,18 +255,15 @@ def _panel_command(args, panel: str, rename_from: str, rename_to: str) -> int:
     return EXIT_OK
 
 
-def _cmd_figures(args) -> int:
-    config, file_values = _build_config(args)
+def _cmd_figures(args, settings, config) -> int:
     if args.input is not None:
         table = sweep_mod.read_sweep_csv(args.input, config)
     else:
-        workers = _resolve(args, file_values, "workers", int)
-        table = sweep_mod.run_sweep(config, workers=workers)
+        table = sweep_mod.run_sweep(config, workers=settings["workers"])
     contexts = args.context or report_mod.DEFAULT_FIGURE_CONTEXTS
-    max_lag = _resolve(args, file_values, "max_lag", int)
-    bins = _resolve(args, file_values, "bins", int)
+    max_lag = settings["max_lag"]
     payloads = {}
-    payloads.update(report_mod.figure_data("r_histogram", table=table, bins=bins))
+    payloads.update(report_mod.figure_data("r_histogram", table=table, bins=settings["bins"]))
     for context in contexts:  # one seeded batch per context, alive for its panels only
         batches = {}
         for panel in ("ccf_panel", "lag_panel", "trajectory_panel"):
@@ -287,17 +279,17 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "analyze": _cmd_analyze,
     "simulate": _cmd_simulate,
-    "xcorr": lambda args: _panel_command(args, "ccf_panel", "fig6_ccf_", "ccf_"),
-    "lags": lambda args: _panel_command(args, "lag_panel", "fig7_lags_", "lags_"),
+    "xcorr": lambda *given: _panel_command(*given, "ccf_panel", "fig6_ccf_", "ccf_"),
+    "lags": lambda *given: _panel_command(*given, "lag_panel", "fig7_lags_", "lags_"),
     "figures": _cmd_figures,
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)  # argparse enforces the choices
+        settings, config = _settings(args)
+        return _COMMANDS[args.command](args, settings, config)  # argparse enforces the choices
     except InvalidSweepError as exc:
         return _error("input", str(exc), EXIT_INPUT)
     except (report_mod.AnalysisError, dynamics.NonFiniteStateError) as exc:

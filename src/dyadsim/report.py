@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dyadsim import dynamics, metrics, stats, sweep as sweep_mod
+from dyadsim import __version__, dynamics, metrics, stats, sweep as sweep_mod
 
 __all__ = [
     "DEFAULT_FIGURE_CONTEXTS",
@@ -165,7 +165,7 @@ def analyze(table: sweep_mod.SweepTable) -> AnalysisReport:
     params = config.params
     provenance = {
         "artifact": PACKAGE_NAME,
-        "artifact_version": _package_version(),
+        "artifact_version": __version__,
         "generator": dynamics.NoiseSource.ALGORITHM_ID,
         "numpy_version": np.__version__,
         "master_seed": config.master_seed,
@@ -208,12 +208,6 @@ def analyze(table: sweep_mod.SweepTable) -> AnalysisReport:
         provenance=provenance,
     )
     return report
-
-
-def _package_version() -> str:
-    from dyadsim import __version__
-
-    return __version__
 
 
 def report_json_text(report: AnalysisReport) -> str:
@@ -267,7 +261,12 @@ def figure_data(
             shared[config, context] = sweep_mod.context_batch(config, context)
         seeds, B1, B2, finite = shared[config, context]
         if which == "trajectory_panel":
-            trajectory = dynamics.batch_row_trajectory(context, seeds[0], B1[0], B2[0])
+            try:
+                trajectory = dynamics.batch_row_trajectory(context, seeds[0], B1[0], B2[0])
+            except dynamics.NonFiniteStateError as exc:
+                raise dynamics.NonFiniteStateError(
+                    f"trajectory panel, context {code}: {exc}"
+                ) from None
             payloads[f"fig2_traj_{code}.csv"] = dynamics.trajectory_csv_text(trajectory)
         elif which == "ccf_panel":
             result = metrics.cross_correlation(B1[finite], B2[finite], max_lag)

@@ -8,7 +8,8 @@ import pytest
 
 import dyadsim
 from dyadsim import dynamics, sweep as sweep_mod
-from dyadsim.cli import main, parse_context
+from dyadsim.cli import _settings, build_parser, main, parse_context
+from dyadsim.sweep import SweepConfig
 
 SMALL = ["--runs", "2", "--turns", "60"]
 
@@ -264,6 +265,23 @@ class TestErrorCategories:
             "dyadsim: error: validation: workers must be >= 1\n"
         )
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_zero_workers_with_input_is_usage_error(self, tmp_path, capsys, form):
+        # figures --input runs no sweep, but its workers setting is checked all the same
+        csv = tmp_path / "s.csv"
+        assert main(["sweep", *SMALL, "--out", str(csv)]) == 0
+        config = tmp_path / "run.conf"
+        config.write_text("workers = 0\n")
+        given = ["--workers", "0"] if form == "flag" else ["--config", str(config)]
+        capsys.readouterr()
+        out = tmp_path / "figs"
+        code = main(["figures", *SMALL, "--input", str(csv), *given, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "dyadsim: error: validation: workers must be >= 1\n"
+        )
+        assert not out.exists()
+
 
 class TestFlagHandling:
     # a context whose s1 is -1 reads as a flag after a space; the = form passes it
@@ -360,6 +378,21 @@ class TestFlagHandling:
         assert code == 2
         assert "validation: alpha must be in [0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("second", ["seed = 4", "max-lag = 4"])
+    def test_duplicate_config_key_is_input_error(self, tmp_path, capsys, second):
+        first = second.split(" ")[0].replace("-", "_") + " = 3"
+        config = tmp_path / "run.conf"
+        config.write_text(f"{first}\n{second}\n")
+        key = first.split(" ")[0]
+        out = tmp_path / "out"
+        code = main(["xcorr", *SMALL, "--config", str(config), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"dyadsim: error: input: config file line 2: duplicate key {key!r} "
+            "(first on line 1)\n"
+        )
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "run.conf"
         config.write_text("sed = 5\n")
@@ -388,3 +421,25 @@ class TestFlagHandling:
         result = run_cli(["--version"], cwd=tmp_path)
         assert result.returncode == 0
         assert "dyadsim" in result.stdout
+
+
+class TestSettings:
+    def test_bare_sweep_settings_are_the_library_defaults(self):
+        settings, config = _settings(build_parser().parse_args(["sweep"]))
+        assert config == SweepConfig(master_seed=42)
+        assert settings["workers"] == 1
+
+    def test_panel_settings_take_the_lag_default(self):
+        settings, _ = _settings(build_parser().parse_args(["xcorr"]))
+        assert settings["max_lag"] == dyadsim.LagSpec().max_lag
+        assert "bins" not in settings and "workers" not in settings
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--bins", "3"], ["analyze", "--input", "s.csv", "--workers", "2"],
+        ["simulate", "--context", "0,0;0,0", "--max-lag", "3"],
+    ])
+    def test_flag_outside_its_command_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -173,7 +173,7 @@ class TestFigureData:
             self._scalar_run_zero(config, context)
         with pytest.raises(NonFiniteStateError) as panel:
             figure_data("trajectory_panel", config=config, contexts=[context])
-        assert str(panel.value) == str(scalar.value)
+        assert str(panel.value) == "trajectory panel, context +1+1+1+1: " + str(scalar.value)
 
     def test_trajectory_panel_non_finite_final_state_as_scalar_run(self):
         # end the run on the turn where the diverging state first overflows
