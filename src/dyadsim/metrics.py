@@ -235,6 +235,24 @@ class LagDistribution:
         return int(self.lags[np.argmax(self.counts)])
 
 
+def _above_mean(rows) -> np.ndarray:
+    """Whether each sample of the (m, n) ``rows`` exceeds its row's mean.
+
+    A finite row whose sum overflows is compared after an exact rescale by
+    2**-e, where n < 2**e, which keeps its sum finite and leaves every
+    comparison as it would be without the overflow.
+    """
+    with np.errstate(over="ignore"):
+        mean = rows.mean(axis=1, keepdims=True)
+    above = rows > mean
+    big = np.isinf(mean[:, 0])
+    if big.any():
+        big &= np.isfinite(rows).all(axis=1)
+        scaled = np.ldexp(rows[big], -np.frexp(rows.shape[1])[1])
+        above[big] = scaled > scaled.mean(axis=1, keepdims=True)
+    return above
+
+
 def turn_lags(x, y, spec: LagSpec = LagSpec()) -> LagDistribution:
     """Distribution of lags from x's on-states to the nearest y on-state.
 
@@ -260,8 +278,8 @@ def turn_lags(x, y, spec: LagSpec = LagSpec()) -> LagDistribution:
     # one time axis for all rows: row i's sample t sits at i * (2n + max_lag) + t,
     # so an on-state of another row is farther than any of its own and than max_lag
     on = np.zeros((2, len(rows_x), 2 * n + max_lag), dtype=bool)
-    on[0, :, :n] = rows_x > rows_x.mean(axis=1, keepdims=True)
-    on[1, :, :n] = rows_y > rows_y.mean(axis=1, keepdims=True)
+    on[0, :, :n] = _above_mean(rows_x)
+    on[1, :, :n] = _above_mean(rows_y)
     on_x = np.flatnonzero(on[0])
     # end sentinels farther than max_lag from every event give each event an
     # on-state of y on both sides

@@ -180,6 +180,25 @@ class FitResult:
     bic: float
 
 
+def _distinct_rows(A):
+    """The distinct rows of ``A``, each scaled by the square root of its
+    count, or ``A`` itself when every row is distinct.
+
+    The scaled rows have the same Gram matrix ``A.T @ A``, so a QR of them
+    has the same ``|R_jj|`` and column norms up to rounding.  Rows are
+    grouped by the key ``A @ 2**-j``, exact and injective for 0/1 rows of
+    up to 53 columns; since other rows can share a key, the grouping is
+    checked and ``A`` returned when it does not hold.
+    """
+    key = A @ 2.0 ** -np.arange(A.shape[1])
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    if len(first) == len(A) or not (A[first][inverse] == A).all():
+        return A
+    return A[first] * np.sqrt(counts)[:, None]
+
+
 def _independent_columns(A) -> list:
     """Indices of the columns of ``A`` that the rank-revealing pass of
     :func:`fit_least_squares` keeps.
@@ -212,9 +231,11 @@ def fit_least_squares(X, y, columns=None) -> FitResult:
     it is all zero or ``|R_jj| <= 1e-10 * ||column j||``, where ``|R_jj|``
     is the norm of its residual against the retained columns before it.
     Each redundant column found is removed and the QR repeated, so a
-    full-rank design takes one QR.  The retained set is then solved
-    exactly, which equals the minimum-norm solution restricted to those
-    columns.
+    full-rank design takes one QR.  The QR runs on the design's distinct
+    rows, each weighted by the square root of its count, which have the
+    same Gram matrix as the full design: a sweep's design has at most 81.
+    The retained set is then solved exactly on every row, which equals the
+    minimum-norm solution restricted to those columns.
 
     Returns r2 = 1 - rss/tss, adjusted r2, and Gaussian profile-form
     information criteria aic = n*ln(rss/n) + 2*(k_effective + 1) and
@@ -234,9 +255,13 @@ def fit_least_squares(X, y, columns=None) -> FitResult:
         raise ValueError("column name count does not match X")
 
     names = ("intercept",) + columns
-    A = np.column_stack([np.ones(n), X]) if k else np.ones((n, 1))
+    # Fortran order, the layout of the A[:, retained] copy: the bits of
+    # lstsq's residual depend on it
+    A = np.empty((n, k + 1), order="F")
+    A[:, 0] = 1.0
+    A[:, 1:] = X
 
-    retained = _independent_columns(A)
+    retained = _independent_columns(_distinct_rows(A))
     if not retained:
         raise ValueError("rank-0 design: nothing to estimate")
     if n < len(retained) + 1:
@@ -244,7 +269,7 @@ def fit_least_squares(X, y, columns=None) -> FitResult:
             f"need at least rank + 1 = {len(retained) + 1} rows, got {n}"
         )
 
-    A_r = A[:, retained]
+    A_r = A if len(retained) == k + 1 else A[:, retained]
     beta, *_ = np.linalg.lstsq(A_r, y, rcond=None)
     residuals = y - A_r @ beta
     rss = float(residuals @ residuals)
@@ -287,7 +312,9 @@ def chi2_upper_tail(x: float, df: int) -> float:
     """Upper-tail probability of the chi-square law, Q(df/2, x/2)."""
     if x < 0:
         raise ValueError("chi-square statistic must be >= 0")
-    if int(df) < 1:
+    if not float(df).is_integer():
+        raise ValueError(f"df must be an integer, got {df!r}")
+    if df < 1:
         raise ValueError("df must be >= 1")
     # imported here, its only use, so that importing dyadsim does not load scipy
     from scipy.special import gammaincc

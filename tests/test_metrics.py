@@ -21,7 +21,7 @@ from dyadsim.metrics import (
     pearson_rows,
     turn_lags,
 )
-from dyadsim.sweep import enumerate_contexts
+from dyadsim.sweep import SweepConfig, context_batch, enumerate_contexts
 
 
 def brute_force_lags(x, y, max_lag):
@@ -435,6 +435,25 @@ class TestStackedTurnLags:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="lengths differ"):
             turn_lags(np.zeros((2, 5)), np.zeros((2, 6)))
+
+    def test_rows_whose_mean_overflows_count_as_rescaled(self):
+        # the finite runs of the diverging lag panel of `lags --influence 1.0
+        # --turns 1109 --runs 30 --context=1,1;1,1`: several sum past the
+        # double limit.  A power-of-two rescale moves no comparison with the
+        # mean, so the lags must equal those of the rows times 2**-600,
+        # whose means are finite; an overflow warning fails the test.
+        context = next(c for c in enumerate_contexts() if c.as_tuple() == (1, 1, 1, 1))
+        params = ModelParams(influence=1.0, turns=1109)
+        config = SweepConfig(master_seed=42, runs_per_context=30, params=params)
+        _, B1, B2, finite = context_batch(config, context)
+        x, y = B1[finite], B2[finite]
+        with np.errstate(over="ignore"):
+            assert np.isinf(x.mean(axis=1)).sum() >= 1
+        spec = LagSpec(max_lag=20)
+        got = turn_lags(x, y, spec)
+        want = turn_lags(x * 2.0**-600, y * 2.0**-600, spec)
+        assert np.array_equal(got.counts, want.counts)
+        assert got.total_events == want.total_events > 0
 
 
 class TestHistogram:

@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyadsim import analyze, stats
 from dyadsim.dynamics import ContextMatrix
 from dyadsim.stats import (
     INDICATOR_NAMES,
     INTERACTION_NAMES,
     MODEL_IDS,
+    _distinct_rows,
     build_design,
     chi2_gof,
     chi2_two_proportion,
@@ -306,6 +310,70 @@ class TestFitLeastSquares:
         assert fits[3].r2 >= fits[1].r2 - 1e-12
 
 
+def _fit_bits(fit):
+    """A FitResult as bytes: floats compared bit for bit."""
+    floats = [fit.rss, fit.r2, fit.adj_r2, fit.aic, fit.bic, *fit.coefficients.values()]
+    return (tuple(fit.coefficients), fit.dropped, fit.n, fit.k_effective,
+            np.array(floats).tobytes())
+
+
+class TestDistinctRows:
+    def test_rank_pass_sees_at_most_81_rows(self, default_table, monkeypatch):
+        # a key that silently fell back to the full design would pass every
+        # output check, so count the rows the rank pass is given
+        seen = []
+        rank_pass = stats._independent_columns
+
+        def spy(A):
+            seen.append(A.shape[0])
+            return rank_pass(A)
+
+        monkeypatch.setattr(stats, "_independent_columns", spy)
+        analyze(default_table)
+        assert len(seen) == 4
+        assert max(seen) <= 81
+
+    def test_weighted_rows_have_the_same_gram_matrix(self, default_table):
+        X = build_design(default_table, model_spec(2)).X
+        A = np.column_stack([np.ones(len(X)), X])
+        D = _distinct_rows(A)
+        assert D.shape == (81, A.shape[1])
+        assert np.allclose(D.T @ D, A.T @ A, rtol=1e-12, atol=0.0)
+
+    def test_all_distinct_rows_return_the_input(self):
+        A = np.random.default_rng(30).normal(size=(20, 4))
+        assert _distinct_rows(A) is A
+
+    @pytest.mark.parametrize("rows", [[[1, 0], [0, 2]], [[1, 0], [0, 2], [1, 0]]])
+    def test_rows_sharing_a_key_return_the_input(self, rows):
+        # [1, 0] and [0, 2] both have key 1
+        A = np.array(rows, dtype=float)
+        assert _distinct_rows(A) is A
+
+    def test_fit_bits_do_not_depend_on_the_layout_of_x(self, default_table):
+        design = build_design(default_table, model_spec(4))
+        X, y = design.X, design.y
+        views = (np.ascontiguousarray(X), np.asfortranarray(X), np.repeat(X, 2, axis=1)[:, ::2])
+        fits = [fit_least_squares(v, y, design.columns) for v in views]
+        assert fits[0].dropped == ()
+        assert len({_fit_bits(fit) for fit in fits}) == 1
+        # the residual's bits depend on the design's layout: the report
+        # digests pin the Fortran-ordered one
+        A = np.asfortranarray(np.column_stack([np.ones(len(y)), X]))
+        beta, *_ = np.linalg.lstsq(A, y, rcond=None)
+        resid = y - A @ beta
+        assert np.array(fits[0].rss).tobytes() == np.array(resid @ resid).tobytes()
+
+    def test_duplicated_column_leaves_the_fit_bits(self, default_table):
+        design = build_design(default_table, model_spec(4))
+        base = fit_least_squares(design.X, design.y, design.columns)
+        dup = fit_least_squares(
+            np.column_stack([design.X, design.X[:, 0]]), design.y, design.columns + ("copy",)
+        )
+        assert dup.dropped == ("copy",)
+        assert _fit_bits(replace(dup, dropped=())) == _fit_bits(base)
+
+
 class TestChiSquare:
     def test_gof_exact_match_is_zero(self):
         res = chi2_gof((50, 50), (0.5, 0.5))
@@ -375,6 +443,15 @@ class TestChiSquare:
             chi2_upper_tail(-1.0, 2)
         with pytest.raises(ValueError):
             chi2_upper_tail(1.0, 0)
+
+    @pytest.mark.parametrize("df", [1.5, 0.5, float("nan"), float("inf")])
+    def test_upper_tail_rejects_non_integer_df(self, df):
+        with pytest.raises(ValueError) as caught:
+            chi2_upper_tail(3.0, df)
+        assert str(caught.value) == f"df must be an integer, got {df!r}"
+
+    def test_upper_tail_takes_integral_float_df(self):
+        assert chi2_upper_tail(3.0, 2.0) == chi2_upper_tail(3.0, 2)
 
 
 class TestCsvEmitters:
