@@ -193,8 +193,9 @@ def _settings(args) -> tuple[dict, SweepConfig]:
         params=params,
         tail_threshold=settings["threshold"],
     )
-    if settings.get("workers", 1) < 1:
-        raise ValueError("workers must be >= 1")
+    for key in ("workers", "bins", "max_lag"):  # checked here, before any work
+        if settings.get(key, 1) < 1:
+            raise ValueError(f"{key} must be >= 1")
     return settings, config
 
 

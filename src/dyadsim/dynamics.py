@@ -22,12 +22,17 @@ onto its range as ``low + (high - low) * u``; ``Generator.uniform`` is that
 same map over the same stream of doubles, so this equals the scalar path's
 two ``uniform`` calls bit for bit.  The kernel does not construct one
 ``PCG64(seed)`` per run: it computes numpy's ``SeedSequence`` seeding of every
-row's PCG64 ``(state, inc)`` on uint32 arrays at once, and reseeds one
-reused generator per row, so each row reads numpy's own PCG64 stream for its
-seed.  :class:`NoiseSource` keeps numpy's constructor as the reference.
+row's PCG64 ``(state, inc)`` on arrays at once -- the hashing on uint32 words,
+PCG64's 128-bit seeding step on pairs of uint64 limbs -- and reseeds one
+reused generator per row through numpy's ``state`` setter, so each row reads
+numpy's own PCG64 stream for its seed.  :class:`NoiseSource` keeps numpy's
+constructor as the reference.
 
-The kernel draws into a row-major (2, rows, turns + 1) buffer and steps the
-recurrence on time-major windows: turns [t0, t1) of every row are copied
+The kernel draws rows in groups into a small (group, turns + 1, 2) scratch
+of at most ``_WINDOW_CELLS`` cells (one row, if a row is larger), maps the
+draws onto their ranges there, and copies each group transposed into a
+row-major (2, rows, turns + 1) buffer.  It then steps the recurrence on
+time-major windows: turns [t0, t1) of every row are copied
 into a small (t1 - t0, 2, rows) scratch, stepped there on contiguous
 columns, and copied back, the last state carried into the next window.
 Each turn is then three ufunc calls over contiguous (2, rows) data instead
@@ -36,10 +41,11 @@ of over columns one row-length apart.  A window holds at most
 so wide blocks still amortize each copy over several turns; being at most
 turns + 1 deep, it is never larger than the block's own buffer.  Every
 element sees the same operations in the same order, so the bytes do not
-depend on the window.
+depend on the group or the window.
 """
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -63,7 +69,7 @@ __all__ = [
 
 TERNARY = (-1, 0, 1)
 
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 # numpy's SeedSequence hash constants and the PCG64 LCG multiplier
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -172,8 +178,12 @@ class BehaviorState(tuple):
 
 
 def _checked_seed(seed) -> int:
-    """``seed`` as an int, or ``ValueError`` naming it if outside [0, 2**64)."""
-    seed = int(seed)
+    """``seed`` as an int, or ``ValueError`` naming it if it is not a Python
+    or numpy integer or lies outside [0, 2**64)."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed {seed!r} is not an integer") from None
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} outside [0, 2**64)")
     return seed
@@ -186,7 +196,7 @@ class NoiseSource:
     and draw discipline so identical (seed, algorithm_id) pairs replay the
     same sequence on every platform.  Draw order: initial b1, initial b2,
     then one (n1, n2) pair per turn, drawn as a single (turns, 2) block.
-    Seeds must lie in [0, 2**64); any other seed raises ``ValueError``.
+    Seeds must be integers in [0, 2**64); any other seed raises ``ValueError``.
     """
 
     ALGORITHM_ID = "numpy-pcg64-uniform/1"
@@ -289,7 +299,9 @@ def _pcg64_states(seeds: list[int]) -> Iterator[tuple[int, int]]:
 
     The seed's two 32-bit words go through ``SeedSequence``'s 4-word pool
     hashing and ``generate_state(4, np.uint64)``, as uint32 arithmetic over
-    all seeds at once; only PCG64's 128-bit seeding step runs per seed.
+    all seeds at once.  PCG64's 128-bit seeding step then runs on the same
+    arrays, as (high, low) pairs of uint64 limbs; per seed, only the two
+    limbs of ``state`` and of ``inc`` are joined into Python ints.
     """
     words = np.array(seeds, dtype=np.uint64)
     zero = np.zeros(len(words), dtype=np.uint32)
@@ -319,10 +331,29 @@ def _pcg64_states(seeds: list[int]) -> Iterator[tuple[int, int]]:
         hash_const = hash_const * _HASH_MULT_B & _MASK32
         value = value * hash_const
         out[:, i] = value ^ value >> 16
-    # generate_state(4, np.uint64) reads the 8 words as 4 little-endian uint64
-    for w0, w1, w2, w3 in zip(*out.view("<u8").T.tolist()):
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        yield ((w0 << 64 | w1) + inc) * _PCG64_MULT + inc & _MASK128, inc
+    # generate_state(4, np.uint64) reads the 8 words as 4 little-endian uint64;
+    # inc = (w2:w3) << 1 | 1 and state = ((w0:w1) + inc) * _PCG64_MULT + inc,
+    # mod 2**128, where (hi:lo) is hi << 64 | lo; uint64 arithmetic wraps, and
+    # each low-word add carries into the high word when its sum wraps
+    w0, w1, w2, w3 = out.view("<u8").T
+    one, half, low_half = np.uint64(1), np.uint64(32), np.uint64(_MASK32)
+    inc_hi, inc_lo = w2 << one | w3 >> np.uint64(63), w3 << one | one
+    lo = w1 + inc_lo
+    hi = w0 + inc_hi + (lo < w1)
+    mult_hi, mult_lo = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT % (1 << 64))
+    # the high word of lo * mult_lo, from 32-bit halves: neither partial sum
+    # exceeds (2**32 - 1)**2 + 2**32 - 1 < 2**64
+    a1, a0, b1, b0 = lo >> half, lo & low_half, mult_lo >> half, mult_lo & low_half
+    upper = a1 * b0 + (a0 * b0 >> half)
+    middle = (upper & low_half) + a0 * b1
+    hi = a1 * b1 + (upper >> half) + (middle >> half) + lo * mult_hi + hi * mult_lo
+    lo = lo * mult_lo
+    state_lo = lo + inc_lo
+    state_hi = hi + inc_hi + (state_lo < lo)
+    for s_hi, s_lo, i_hi, i_lo in zip(
+        state_hi.tolist(), state_lo.tolist(), inc_hi.tolist(), inc_lo.tolist()
+    ):
+        yield s_hi << 64 | s_lo, i_hi << 64 | i_lo
 
 
 def simulate_rows(
@@ -334,38 +365,63 @@ def simulate_rows(
     bitwise the :func:`simulate` output for ``seeds[i]`` under coefficients
     ``coefficients[i]`` (from :meth:`ModelParams.coefficients`), whatever the
     other rows; diverging runs are carried through as inf/nan, not raised.
-    Seeds must lie in [0, 2**64); any other seed raises ``ValueError``.
+    Seeds must be integers in [0, 2**64); any other seed raises ``ValueError``.
 
-    The recurrence steps on a time-major window (see the module docstring)
-    of at most ``_WINDOW_CELLS`` cells, but at least ``_MIN_WINDOW_TURNS``
-    and at most turns + 1 turns deep; its depth changes no output bit.
+    Rows are drawn through a scratch of at most ``_WINDOW_CELLS`` cells, or
+    of one row when a row is larger (see :func:`_draw_rows`).  The
+    recurrence steps on a time-major window (see the module docstring) of at
+    most ``_WINDOW_CELLS`` cells, but at least ``_MIN_WINDOW_TURNS`` and at
+    most turns + 1 turns deep.  Neither size changes an output bit.
     """
     seeds = [_checked_seed(seed) for seed in seeds]
-    m = len(seeds)
-    B = np.empty((2, m, params.turns + 1))  # B1, B2; draws first, then states
-    draws = np.empty((params.turns + 1, 2))
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for i, (state, inc) in enumerate(_pcg64_states(seeds)):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        B[:, i] = rng.random(out=draws).T
-    for part, h in ((B[:, :, :1], 0.5), (B[:, :, 1:], params.noise_half_width)):
-        part *= h - -h  # uniform(-h, h) is -h + (h - -h) * u
-        part += -h
+    m, width = len(seeds), params.turns + 1
+    B = _draw_rows(params, seeds)  # B1, B2; draws first, then states
     # A[j, i] holds a_ij per row
     A = np.asarray(coefficients, dtype=float).reshape(m, 2, 2).transpose(2, 1, 0).copy()
     columns = B.transpose(2, 0, 1)  # time-major view: columns[t] is (2, m)
-    depth = min(max(_WINDOW_CELLS // (2 * max(m, 1)), _MIN_WINDOW_TURNS), params.turns + 1)
+    depth = min(max(_WINDOW_CELLS // (2 * max(m, 1)), _MIN_WINDOW_TURNS), width)
     window = np.empty((depth, 2, m))
     with np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(0, params.turns, depth - 1):  # windows share one turn
-            t1 = min(t0 + depth, params.turns + 1)
+            t1 = min(t0 + depth, width)
             steps = window[: t1 - t0]
             steps[...] = columns[t0:t1]
             _step_columns(A, steps)
             columns[t0 + 1:t1] = steps[1:]
     return B[0], B[1]
+
+
+def _draw_rows(params: ModelParams, seeds: list[int]) -> np.ndarray:
+    """(2, rows, turns + 1) buffer of each seed's initial state and noise,
+    mapped onto their ranges, for seeds already checked.
+
+    Rows are drawn in groups into a (group, turns + 1, 2) scratch of at most
+    ``_WINDOW_CELLS`` cells, or of one row when a row is larger: each row is
+    one contiguous ``random`` call, the uniform maps run in the scratch, and
+    each group goes into the buffer in one transposed copy.  The scratch and
+    the seeding arrays are freed on return, before the recurrence's window
+    is allocated.
+    """
+    m, width = len(seeds), params.turns + 1
+    B = np.empty((2, m, width))
+    group = max(_WINDOW_CELLS // (2 * width), 1)
+    scratch = np.empty((min(group, m), width, 2))
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    lcg = {}  # one setter value for every row; only its state and inc change
+    state = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
+    states = _pcg64_states(seeds)
+    for g0 in range(0, m, group):
+        draws = scratch[: m - g0]
+        for row in draws:
+            lcg["state"], lcg["inc"] = next(states)
+            bit_generator.state = state
+            rng.random(out=row)
+        for part, h in ((draws[:, :1], 0.5), (draws[:, 1:], params.noise_half_width)):
+            part *= h - -h  # uniform(-h, h) is -h + (h - -h) * u
+            part += -h
+        B[:, g0:g0 + len(draws)] = draws.transpose(2, 0, 1)
+    return B
 
 
 def _step_columns(A: np.ndarray, columns: np.ndarray) -> None:

@@ -61,7 +61,7 @@ class InvalidSweepError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep settings: master seed in [0, 2**64), batch size, dynamics, tail threshold."""
+    """Sweep settings: integer master seed in [0, 2**64), batch size, dynamics, tail threshold."""
 
     master_seed: int
     runs_per_context: int = 100

@@ -282,6 +282,27 @@ class TestErrorCategories:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key", [
+        ("xcorr", "max_lag"), ("lags", "max_lag"), ("figures", "max_lag"), ("figures", "bins"),
+    ])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_zero_panel_setting_found_before_work(
+        self, tmp_path, capsys, monkeypatch, command, key, form
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the settings were checked")
+
+        for name in ("run_sweep", "read_sweep_csv", "context_batch"):
+            monkeypatch.setattr(sweep_mod, name, no_work)
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = 0\n")
+        flag = "--" + key.replace("_", "-")
+        given = [flag, "0"] if form == "flag" else ["--config", str(config)]
+        out = tmp_path / "out"
+        assert main([command, *SMALL, *given, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"dyadsim: error: validation: {key} must be >= 1\n"
+        assert not out.exists()
+
 
 class TestFlagHandling:
     # a context whose s1 is -1 reads as a flag after a space; the = form passes it

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -402,6 +403,86 @@ class TestBulkSeeder:
             NoiseSource(seed)
         with pytest.raises(ValueError, match=f"seed {seed} outside"):
             simulate(ContextMatrix(1, 0, 0, 1), ModelParams(turns=5), seed)
+
+
+class TestDrawGroups:
+    """simulate_rows draws rows in groups of _WINDOW_CELLS // (2 * (turns + 1))
+    rows, at least one."""
+
+    @staticmethod
+    def assert_rows_equal_scalar(params, contexts, seeds, rows):
+        B1, B2 = simulate_rows([params.coefficients(c) for c in contexts], params, seeds)
+        assert B1.shape == B2.shape == (len(seeds), params.turns + 1)
+        for i in rows:
+            traj = simulate(contexts[i], params, seeds[i])
+            assert B1[i].tobytes() == traj.b1.tobytes()
+            assert B2[i].tobytes() == traj.b2.tobytes()
+
+    def test_rows_on_both_sides_of_a_group_boundary(self):
+        params = ModelParams(turns=50)
+        assert dynamics._WINDOW_CELLS // (2 * 51) == 642
+        contexts = [enumerate_contexts()[i % 81] for i in range(643)]
+        seeds = [7 * i + 1 for i in range(643)]
+        self.assert_rows_equal_scalar(params, contexts, seeds, [0, 641, 642])
+
+    def test_one_row_groups(self):
+        params = ModelParams(turns=2**15)
+        assert dynamics._WINDOW_CELLS // (2 * (2**15 + 1)) == 0
+        contexts = [ContextMatrix(1, 0, 1, -1), ContextMatrix(-1, 1, 0, 1)]
+        self.assert_rows_equal_scalar(params, contexts, [11, 2**64 - 1], [0, 1])
+
+
+def _seeding_carries(seed):
+    """Which carries of PCG64's 128-bit seeding step ``seed`` takes, from
+    the words numpy's SeedSequence hashes it to."""
+    w0, w1, w2, w3 = (int(w) for w in np.random.SeedSequence(seed).generate_state(4, np.uint64))
+    inc_lo = (w3 << 1 | 1) % 2**64
+    product = ((w0 << 64 | w1) + ((w2 << 64 | w3) << 1 | 1)) * dynamics._PCG64_MULT
+    return {
+        "sum": w1 + inc_lo >= 2**64,  # low-word add in (w0:w1) + inc
+        "state": product % 2**64 + inc_lo >= 2**64,  # the add of inc after the multiply
+        "inc": w3 >= 2**63,  # w3's top bit moves into inc's high word
+    }
+
+
+class TestSeedingCarries:
+    @pytest.mark.parametrize("carry, taken, seed", [
+        ("sum", True, 0), ("sum", False, 3),
+        ("state", True, 4), ("state", False, 5),
+        ("inc", True, 7), ("inc", False, 9),
+    ])
+    def test_carry_matches_numpy(self, carry, taken, seed):
+        assert _seeding_carries(seed)[carry] is taken
+        reference = np.random.PCG64(seed).state["state"]
+        assert list(_pcg64_states([seed])) == [(reference["state"], reference["inc"])]
+
+
+class TestSeedType:
+    CONTEXT = ContextMatrix(1, 0, 0, 1)
+
+    @pytest.mark.parametrize("seed", [7.9, 7.0, 2.5, "3", np.float64(7.0), None],
+                             ids=["7.9", "7.0", "2.5", "str", "np.float64", "None"])
+    def test_non_integer_seed_rejected(self, seed):
+        params = ModelParams(turns=5)
+        message = f"^seed {re.escape(repr(seed))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            NoiseSource(seed)
+        with pytest.raises(ValueError, match=message):
+            simulate(self.CONTEXT, params, seed)
+        with pytest.raises(ValueError, match=message):
+            simulate_rows([params.coefficients(self.CONTEXT)] * 2, params, [3, seed])
+
+    @pytest.mark.parametrize("seed", [np.uint64(7), np.int64(7), np.uint32(7)],
+                             ids=["np.uint64", "np.int64", "np.uint32"])
+    def test_integer_types_accepted(self, seed):
+        params = ModelParams(turns=5)
+        traj = simulate(self.CONTEXT, params, seed)
+        assert type(traj.seed) is int and traj.seed == int(seed)
+        reference = simulate(self.CONTEXT, params, int(seed))
+        assert traj.b1.tobytes() == reference.b1.tobytes()
+        B1, B2 = simulate_rows([params.coefficients(self.CONTEXT)], params, [seed])
+        assert B1[0].tobytes() == reference.b1.tobytes()
+        assert B2[0].tobytes() == reference.b2.tobytes()
 
 
 class TestRelabelingSymmetry:

@@ -3,14 +3,15 @@
 The digests were recorded from the CLI pipeline ``sweep`` -> ``analyze`` ->
 ``figures --input`` at default flags.  Any change that alters a single
 output byte fails here, so refactors of the sweep, stats and report layers
-must keep the outputs identical.
+must keep the outputs identical.  Two more digests pin ``sweep.csv`` at
+seed 42 with ``--runs 400 --turns 50`` and ``--runs 10 --turns 5000``.
 """
 
 import hashlib
 
 import pytest
 
-from dyadsim import report, stats, sweep
+from dyadsim import ModelParams, report, stats, sweep
 
 GOLDEN_SHA256 = {
     "sweep.csv": "531ff27f2b71d8b95d871744de26a7db71d60534498f61ce1b28529f1d9c80eb",
@@ -38,6 +39,13 @@ GOLDEN_SHA256 = {
     "fig7_lags_-1+10+1.csv": "d0b44447ba30ca9c1c301dc7a4180a65db4b4188d821d146d187e9bf2e299758",
 }
 
+# sweep.csv at seed 42 at the benchmark's other two shapes, (runs, turns):
+# 5,140-row kernel blocks of 51 turns, and rows of 5,001 turns
+SHAPE_SWEEP_SHA256 = {
+    (400, 50): "59d4861264799da35d9e3cbdef2e3c49bf835e2a352b8e3481a89a65389a5328",
+    (10, 5000): "197ba99975b15211370ebdf7e06e0b9cca305a3e54abfac84d840349cf222928",
+}
+
 
 @pytest.fixture(scope="module")
 def outputs(default_config, default_table, default_report):
@@ -60,3 +68,13 @@ def test_output_file_set(outputs):
 def test_output_digest(outputs, name):
     digest = hashlib.sha256(outputs[name].encode()).hexdigest()
     assert digest == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("runs, turns", sorted(SHAPE_SWEEP_SHA256))
+def test_sweep_digest_at_other_shapes(default_config, runs, turns):
+    config = sweep.SweepConfig(
+        master_seed=default_config.master_seed, runs_per_context=runs,
+        params=ModelParams(turns=turns),
+    )
+    text = sweep.sweep_csv_text(sweep.run_sweep(config))
+    assert hashlib.sha256(text.encode()).hexdigest() == SHAPE_SWEEP_SHA256[(runs, turns)]

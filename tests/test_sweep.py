@@ -1,7 +1,9 @@
 import math
+import re
 import tempfile
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +104,21 @@ class TestDeriveRunSeed:
         assert seeds.tolist() == [
             derive_run_seed(master_seed, ci, j) for ci in range(81) for j in range(runs)
         ]
+
+
+class TestSweepConfig:
+    @pytest.mark.parametrize("seed", [7.9, 42.0, "42", np.float64(42.0)],
+                             ids=["7.9", "42.0", "str", "np.float64"])
+    def test_non_integer_master_seed_rejected(self, seed):
+        message = f"^seed {re.escape(repr(seed))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(master_seed=seed)
+
+    def test_numpy_integer_master_seed_accepted(self):
+        config = SweepConfig(master_seed=np.uint64(3), runs_per_context=1,
+                             params=ModelParams(turns=40))
+        reference = replace(config, master_seed=3)
+        assert sweep_csv_text(run_sweep(config)) == sweep_csv_text(run_sweep(reference))
 
 
 class TestClassifyTail:
