@@ -148,8 +148,10 @@ class ModelParams:
             raise ValueError(f"influence must be >= 0, got {self.influence!r}")
         if self.noise_half_width < 0.0:
             raise ValueError(f"noise_half_width must be >= 0, got {self.noise_half_width!r}")
-        if int(self.turns) != self.turns or self.turns < 1:
-            raise ValueError(f"turns must be a positive integer, got {self.turns!r}")
+        turns = _checked_int("turns", self.turns)
+        if turns < 1:
+            raise ValueError(f"turns must be a positive integer, got {turns!r}")
+        object.__setattr__(self, "turns", turns)
 
     def coefficients(self, context: ContextMatrix) -> tuple[float, float, float, float]:
         """Entries (a11, a12, a21, a22) of influence * C - alpha * Id."""
@@ -175,6 +177,15 @@ class BehaviorState(tuple):
     @property
     def b2(self) -> float:
         return self[1]
+
+
+def _checked_int(name: str, value) -> int:
+    """``value`` as an int, or ``ValueError`` naming ``name`` and the value if
+    it is not a Python or numpy integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _checked_seed(seed) -> int:

@@ -13,7 +13,7 @@ from math import isnan
 import numpy as np
 
 from dyadsim.dynamics import (
-    ContextMatrix, ModelParams, _checked_seed, simulate_batch, simulate_rows,
+    ContextMatrix, ModelParams, _checked_int, _checked_seed, simulate_batch, simulate_rows,
 )
 from dyadsim.metrics import pearson_rows
 
@@ -54,6 +54,16 @@ _CONTEXT_PREFIXES = tuple(
     f"{ci},{ctx.s1},{ctx.o1},{ctx.o2},{ctx.s2}," for ci, ctx in enumerate(_CONTEXTS)
 )
 
+# the writer's spellings as bytes: each context's first five fields, and the
+# finite flag and tail label per tail code
+_CONTEXT_FIELDS = np.array([p.split(",")[:5] for p in _CONTEXT_PREFIXES], dtype="S3")
+_LABEL_FIELDS = np.array([s.split(",") for s in _ROW_SUFFIXES], dtype="S14")
+
+# besides non-ASCII text, what read_sweep_csv leaves to the per-row loop:
+# np.loadtxt ends a line at "\r", skips an empty line, drops a bytes field's
+# trailing NULs, and strips \x1c-\x1f around a float, which float() rejects
+_UNPROVEN = ("\r", "\n\n", "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+
 
 class InvalidSweepError(ValueError):
     """A sweep CSV failed structural or consistency validation."""
@@ -61,7 +71,8 @@ class InvalidSweepError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep settings: integer master seed in [0, 2**64), batch size, dynamics, tail threshold."""
+    """Sweep settings: integer master seed in [0, 2**64), integer batch size >= 1,
+    dynamics, tail threshold."""
 
     master_seed: int
     runs_per_context: int = 100
@@ -69,9 +80,11 @@ class SweepConfig:
     tail_threshold: float = 0.25
 
     def __post_init__(self):
-        _checked_seed(self.master_seed)
-        if int(self.runs_per_context) < 1:
+        object.__setattr__(self, "master_seed", _checked_seed(self.master_seed))
+        runs = _checked_int("runs_per_context", self.runs_per_context)
+        if runs < 1:
             raise ValueError("runs_per_context must be >= 1")
+        object.__setattr__(self, "runs_per_context", runs)
         if not 0.0 < self.tail_threshold < 1.0:
             raise ValueError("tail_threshold must be in (0, 1)")
 
@@ -250,61 +263,60 @@ def _fail(row: int, message: str):
     raise InvalidSweepError(f"sweep CSV row {row}: {message}")
 
 
-def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
-    """Read and validate a sweep CSV against the generating config.
+def _column_table(lines: list[str], config: SweepConfig, seeds: np.ndarray):
+    """The table of ``lines`` (header first) if one ``np.loadtxt`` pass proves
+    every record canonical, else None; never raises.
 
-    Checks structure (header, cardinality, canonical order), that contexts
-    match the canonical enumeration, that run seeds match
-    :func:`derive_run_seed` under ``config.master_seed``, that a defined r
-    lies in [-1, 1], and that the finite flag and tail label are consistent
-    with the stored r.  Raises :class:`InvalidSweepError` on the first
-    violation.
-
-    A row that starts with its canonical spelling of the first seven fields
-    (as :func:`sweep_csv_text` writes them) has those fields proven valid,
-    so only r, the finite flag and the tail are parsed; any other row has
-    each field parsed and checked, which accepts equal spellings such as
-    ``+1`` or ``01``.
+    The seven integer fields, the finite flag and the tail label are read as
+    bytes, each one byte wider than its longest canonical spelling so that a
+    longer field cannot be cut down to a match, and must equal what
+    :func:`sweep_csv_text` writes for this grid and the parsed r.
     """
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != SWEEP_CSV_HEADER:
-        raise InvalidSweepError("bad or missing sweep CSV header")
-    expected = 81 * config.runs_per_context
-    if len(lines) - 1 != expected:
-        raise InvalidSweepError(
-            f"expected {expected} records (81 x {config.runs_per_context}), "
-            f"found {len(lines) - 1}"
-        )
-    seeds = _run_seeds(config.master_seed, range(81), config.runs_per_context)
+    runs = config.runs_per_context
+    run_width = len(str(runs - 1)) + 1
+    dtype = [("context", "S3", 5), ("run_index", f"S{run_width}"), ("run_seed", "S21"),
+             ("r", float), ("labels", "S14", 2)]
+    try:
+        data = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                          skiprows=1, max_rows=len(seeds))
+    except ValueError:
+        return None
+    r = data["r"]
+    canonical = (
+        len(data) == len(seeds)
+        and (data["context"].reshape(81, runs, 5) == _CONTEXT_FIELDS[:, None]).all()
+        and (data["run_index"].reshape(81, runs)
+             == np.arange(runs).astype(f"S{run_width}")).all()
+        and (data["run_seed"] == seeds.astype("S21")).all()
+        and not (np.abs(r) > 1.0).any()
+        and (data["labels"] == _LABEL_FIELDS[_tail_codes(r, config.tail_threshold)]).all()
+    )
+    return _table(config, seeds, r.copy()) if canonical else None
+
+
+def _row_table(lines: list[str], config: SweepConfig, seeds: np.ndarray) -> SweepTable:
+    """The table of ``lines`` (header first), each field parsed and checked
+    row by row; raises :class:`InvalidSweepError` on the first violation."""
     expected_seeds = seeds.tolist()
     rs = []
     for row, line in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) != 10:
             _fail(row, f"expected 10 fields, found {len(parts)}")
-        expected_ci, expected_run = divmod(row, config.runs_per_context)
-        canonical = line.startswith(
-            f"{_CONTEXT_PREFIXES[expected_ci]}{expected_run},{expected_seeds[row]},"
-        )
         try:
-            if not canonical:
-                ci = int(parts[0])
-                entries = tuple(int(p) for p in parts[1:5])
-                run_index = int(parts[5])
-                run_seed = int(parts[6])
+            ci = int(parts[0])
+            entries = tuple(int(p) for p in parts[1:5])
+            run_index = int(parts[5])
+            run_seed = int(parts[6])
             r = float(parts[7])
         except ValueError:
             _fail(row, f"unparseable field in {line!r}")
-        if not canonical:
-            if ci != expected_ci or run_index != expected_run:
-                _fail(row, f"canonical order violated: ({ci}, {run_index})")
-            if entries != _CONTEXTS[ci].as_tuple():
-                _fail(row, f"context {entries} does not match enumeration index {ci}")
-            if run_seed != expected_seeds[row]:
-                _fail(row, "run_seed does not match the master seed derivation")
+        if (ci, run_index) != divmod(row, config.runs_per_context):
+            _fail(row, f"canonical order violated: ({ci}, {run_index})")
+        if entries != _CONTEXTS[ci].as_tuple():
+            _fail(row, f"context {entries} does not match enumeration index {ci}")
+        if run_seed != expected_seeds[row]:
+            _fail(row, "run_seed does not match the master seed derivation")
         finite_str, tail = parts[8], parts[9]
         if finite_str not in ("true", "false"):
             _fail(row, f"bad finite flag {finite_str!r}")
@@ -317,3 +329,40 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
             _fail(row, f"tail label {tail!r} inconsistent with r={r!r}")
         rs.append(r)
     return _table(config, seeds, rs)
+
+
+def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
+    """Read and validate a sweep CSV against the generating config.
+
+    Checks structure (header, cardinality, canonical order), that contexts
+    match the canonical enumeration, that run seeds match
+    :func:`derive_run_seed` under ``config.master_seed``, that a defined r
+    lies in [-1, 1], and that the finite flag and tail label are consistent
+    with the stored r.  Raises :class:`InvalidSweepError` on the first
+    violation.
+
+    A file as :func:`sweep_csv_text` writes it is proven valid column by
+    column (:func:`_column_table`).  Any other file goes to the per-row loop
+    (:func:`_row_table`), which names the first violation or accepts equal
+    spellings: ``+1`` or ``01`` in an integer field, and any spelling
+    ``float()`` reads as the same r.  A line that ends in a carriage return
+    fails, as its last field is then no label.
+    """
+    with open(path, "r", newline="") as fh:
+        text = fh.read()
+    provable = text.isascii() and not any(s in text for s in _UNPROVEN)
+    lines = text.split("\n")
+    del text  # the lines are the one copy kept
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != SWEEP_CSV_HEADER:
+        raise InvalidSweepError("bad or missing sweep CSV header")
+    expected = 81 * config.runs_per_context
+    if len(lines) - 1 != expected:
+        raise InvalidSweepError(
+            f"expected {expected} records (81 x {config.runs_per_context}), "
+            f"found {len(lines) - 1}"
+        )
+    seeds = _run_seeds(config.master_seed, range(81), config.runs_per_context)
+    table = _column_table(lines, config, seeds) if provable else None
+    return _row_table(lines, config, seeds) if table is None else table

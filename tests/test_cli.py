@@ -258,6 +258,27 @@ class TestErrorCategories:
         )
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("lines, message", [
+        (slice(None), "bad or missing sweep CSV header"),
+        (slice(3, 4), "sweep CSV row 2: tail label '{tail}\\r' inconsistent with r={r}"),
+    ], ids=["crlf", "one-cr"])
+    def test_carriage_return_is_input_error(self, tmp_path, capsys, lines, message):
+        csv = tmp_path / "s.csv"
+        assert main(["sweep", *SMALL, "--seed", "9", "--out", str(csv)]) == 0
+        rows = csv.read_text().split("\n")
+        *_, r, _, tail = rows[3].split(",")
+        rows[lines] = [row + "\r" for row in rows[lines]]
+        edited = tmp_path / "cr.csv"
+        edited.write_bytes("\n".join(rows).encode())
+        capsys.readouterr()
+        code = main(["analyze", *SMALL, "--seed", "9", "--input", str(edited),
+                     "--out", str(tmp_path / "rep")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "dyadsim: error: input: " + message.format(tail=tail, r=r) + "\n"
+        )
+        assert not (tmp_path / "rep").exists()
+
     def test_zero_workers_is_usage_error(self, tmp_path, capsys):
         code = main(["sweep", *SMALL, "--workers", "0", "--out", str(tmp_path / "s.csv")])
         assert code == 2

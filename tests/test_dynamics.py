@@ -74,6 +74,17 @@ class TestModelParams:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ModelParams(**{name: value})
 
+    @pytest.mark.parametrize("turns", [20.0, 2.5, "20", np.float64(20.0)],
+                             ids=["20.0", "2.5", "str", "np.float64"])
+    def test_non_integer_turns_rejected(self, turns):
+        message = f"^turns must be an integer, got {re.escape(repr(turns))}$"
+        with pytest.raises(ValueError, match=message):
+            ModelParams(turns=turns)
+
+    def test_numpy_integer_turns_accepted_as_int(self):
+        params = ModelParams(turns=np.int64(20))
+        assert type(params.turns) is int and params == ModelParams(turns=20)
+
 
 class TestStep:
     def test_zero_coupling_decay_only(self):

@@ -15,6 +15,7 @@ from dyadsim.dynamics import (
 )
 from dyadsim import sweep
 from dyadsim.metrics import UndefinedCorrelationError, pearson_r
+from dyadsim.report import analyze, report_json_text
 from dyadsim.sweep import (
     TAIL_LABELS,
     InvalidSweepError,
@@ -31,6 +32,8 @@ from dyadsim.sweep import (
 )
 
 SMALL = SweepConfig(master_seed=7, runs_per_context=2, params=ModelParams(turns=60))
+
+CSV_COLUMNS = ("context_index", "run_index", "run_seed", "r")
 
 # unit gain over 1,200 turns: the strongly coupled contexts diverge, so
 # blocks mix finite and non-finite rows
@@ -113,6 +116,23 @@ class TestSweepConfig:
         message = f"^seed {re.escape(repr(seed))} is not an integer$"
         with pytest.raises(ValueError, match=message):
             SweepConfig(master_seed=seed)
+
+    @pytest.mark.parametrize("runs", [2.5, 2.0, "2", np.float64(2.0)],
+                             ids=["2.5", "2.0", "str", "np.float64"])
+    def test_non_integer_runs_rejected(self, runs):
+        message = f"^runs_per_context must be an integer, got {re.escape(repr(runs))}$"
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(master_seed=1, runs_per_context=runs)
+
+    def test_numpy_integer_fields_stored_as_int(self):
+        config = SweepConfig(master_seed=np.uint64(1), runs_per_context=np.int64(2),
+                             params=ModelParams(turns=np.int64(40)))
+        reference = SweepConfig(master_seed=1, runs_per_context=2, params=ModelParams(turns=40))
+        assert type(config.master_seed) is int and type(config.runs_per_context) is int
+        table, reference_table = run_sweep(config), run_sweep(reference)
+        assert sweep_csv_text(table) == sweep_csv_text(reference_table)
+        # the report's provenance holds the config's integers
+        assert report_json_text(analyze(table)) == report_json_text(analyze(reference_table))
 
     def test_numpy_integer_master_seed_accepted(self):
         config = SweepConfig(master_seed=np.uint64(3), runs_per_context=1,
@@ -389,6 +409,42 @@ class TestSweepCsv:
             assert getattr(loaded, column).tobytes() == getattr(canonical, column).tobytes()
         assert sweep_csv_text(loaded) == text
 
+    def test_canonical_file_skips_the_row_loop(self, tmp_path, monkeypatch):
+        table = run_sweep(DIVERGING)  # nan rows as well as finite ones
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(table, path)
+
+        def no_row_loop(*args):
+            raise AssertionError("a canonical file reached the per-row loop")
+
+        monkeypatch.setattr(sweep, "_row_table", no_row_loop)
+        loaded = read_sweep_csv(path, DIVERGING)
+        for column in CSV_COLUMNS:
+            assert getattr(loaded, column).tobytes() == getattr(table, column).tobytes()
+        assert loaded.r.flags.c_contiguous
+
+    def test_one_plus_spelling_takes_the_row_loop(self, tmp_path, monkeypatch):
+        table = run_sweep(SMALL)
+        lines = sweep_csv_text(table).split("\n")
+        parts = lines[109].split(",")  # row 108: context 54, s1 = 1
+        assert parts[1] == "1"
+        parts[1] = "+1"
+        lines[109] = ",".join(parts)
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(lines))
+        calls = []
+        row_table = sweep._row_table
+
+        def counted_row_table(*args):
+            calls.append(args)
+            return row_table(*args)
+
+        monkeypatch.setattr(sweep, "_row_table", counted_row_table)
+        loaded = read_sweep_csv(path, SMALL)
+        assert len(calls) == 1
+        for column in CSV_COLUMNS:
+            assert getattr(loaded, column).tobytes() == getattr(table, column).tobytes()
+
 
 @st.composite
 def sweep_tables(draw):
@@ -450,3 +506,185 @@ class TestSweepProperties:
         result = tail_counts(table)
         assert result.counts == {label: counts[label] for label in TAIL_LABELS}
         assert result.with_negative == {label: with_negative[label] for label in TAIL_LABELS}
+
+
+def _read_sweep_csv_reference(path, config):
+    """Reference sweep CSV reader: one loop over the rows, with the canonical
+    first-seven-fields shortcut; frozen to check the column pass against."""
+    with open(path, "r", newline="") as fh:
+        lines = fh.read().split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != sweep.SWEEP_CSV_HEADER:
+        raise InvalidSweepError("bad or missing sweep CSV header")
+    runs = config.runs_per_context
+    if len(lines) - 1 != 81 * runs:
+        raise InvalidSweepError(
+            f"expected {81 * runs} records (81 x {runs}), found {len(lines) - 1}"
+        )
+    contexts = enumerate_contexts()
+    expected_seeds = [
+        derive_run_seed(config.master_seed, ci, j) for ci in range(81) for j in range(runs)
+    ]
+
+    def fail(row, message):
+        raise InvalidSweepError(f"sweep CSV row {row}: {message}")
+
+    rs = []
+    for row, line in enumerate(lines[1:]):
+        parts = line.split(",")
+        if len(parts) != 10:
+            fail(row, f"expected 10 fields, found {len(parts)}")
+        expected_ci, expected_run = divmod(row, runs)
+        ctx = contexts[expected_ci]
+        canonical = line.startswith(
+            f"{expected_ci},{ctx.s1},{ctx.o1},{ctx.o2},{ctx.s2},"
+            f"{expected_run},{expected_seeds[row]},"
+        )
+        try:
+            if not canonical:
+                ci = int(parts[0])
+                entries = tuple(int(p) for p in parts[1:5])
+                run_index = int(parts[5])
+                run_seed = int(parts[6])
+            r = float(parts[7])
+        except ValueError:
+            fail(row, f"unparseable field in {line!r}")
+        if not canonical:
+            if ci != expected_ci or run_index != expected_run:
+                fail(row, f"canonical order violated: ({ci}, {run_index})")
+            if entries != contexts[ci].as_tuple():
+                fail(row, f"context {entries} does not match enumeration index {ci}")
+            if run_seed != expected_seeds[row]:
+                fail(row, "run_seed does not match the master seed derivation")
+        finite_str, tail = parts[8], parts[9]
+        if finite_str not in ("true", "false"):
+            fail(row, f"bad finite flag {finite_str!r}")
+        if (finite_str == "true") == math.isnan(r):
+            fail(row, "finite flag inconsistent with r")
+        if abs(r) > 1.0:
+            fail(row, f"r={r!r} outside [-1, 1]")
+        if tail != classify_tail(r, config.tail_threshold):
+            fail(row, f"tail label {tail!r} inconsistent with r={r!r}")
+        rs.append(r)
+    return SweepTable(
+        config=config,
+        context_index=np.repeat(np.arange(81), runs),
+        run_index=np.tile(np.arange(runs), 81),
+        run_seed=np.array(expected_seeds, dtype=np.uint64),
+        r=np.array(rs, dtype=float),
+    )
+
+
+# respellings of an integer field and of r; some keep the value, some do not
+_INT_SPELLINGS = (
+    lambda v: "+" + v, lambda v: "0" + v, lambda v: v + ".0", lambda v: v[:-1] + "_" + v[-1:],
+)
+_R_SPELLINGS = (
+    lambda v: "nan(1)", lambda v: "infinity", lambda v: " " + v, lambda v: v + "0",
+    lambda v: "-0.0",
+)
+
+
+@st.composite
+def corrupted_csvs(draw):
+    """(config, text): a canonical sweep CSV with one to three edits, each a
+    CR or empty line, padding, a respelled field, an r outside [-1, 1], a
+    wrong label, an extra or missing field, or two swapped rows."""
+    table = draw(sweep_tables())
+    threshold = table.config.tail_threshold
+    lines = sweep_csv_text(table).split("\n")[:-1]
+    newline = "\n"
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(
+            ["cr", "crlf", "empty", "pad", "int", "r", "range", "label", "extra", "missing",
+             "swap"]
+        ))
+        row = draw(st.integers(min_value=1, max_value=len(lines) - 1))
+        parts = lines[row].split(",")
+        if kind == "cr":
+            lines[draw(st.integers(min_value=0, max_value=len(lines) - 1))] += "\r"
+        elif kind == "crlf":
+            newline = "\r\n"
+        elif kind == "empty":
+            lines.insert(row, "")
+        elif kind == "swap":
+            other = draw(st.integers(min_value=1, max_value=len(lines) - 1))
+            lines[row], lines[other] = lines[other], lines[row]
+        else:
+            if kind == "pad":
+                field = draw(st.integers(min_value=0, max_value=len(parts) - 1))
+                pad = draw(st.sampled_from(
+                    [" ", "\t", "\x0c", "\x1c", "\x1f", "\x00", "\xa0", "\u2028"]
+                ))
+                parts[field] = draw(st.sampled_from([pad + parts[field], parts[field] + pad]))
+            elif kind == "int" and len(parts) > 6:
+                field = draw(st.integers(min_value=0, max_value=6))
+                parts[field] = draw(st.sampled_from(_INT_SPELLINGS))(parts[field])
+            elif kind == "r" and len(parts) > 7:
+                parts[7] = draw(st.sampled_from(_R_SPELLINGS))(parts[7])
+            elif kind == "range" and len(parts) > 9:
+                bad = draw(st.sampled_from(["1.5", "-2.0", "inf", "-inf", "1e400",
+                                            "1.0000000000000002"]))
+                parts[7] = bad
+                if draw(st.booleans()):  # labels that agree with the bad r
+                    parts[8:10] = ["true", classify_tail(float(bad), threshold)]
+            elif kind == "label" and len(parts) > 9:
+                field = draw(st.sampled_from([8, 9]))
+                parts[field] = draw(st.sampled_from(["true", "false", *TAIL_LABELS]))
+            elif kind == "extra":
+                parts.append(draw(st.sampled_from(["", "x", "0"])))
+            elif kind == "missing":
+                del parts[draw(st.integers(min_value=0, max_value=len(parts) - 1))]
+            lines[row] = ",".join(parts)
+    return table.config, newline.join(lines) + newline
+
+
+def _read_outcome(reader, path, config):
+    """The table's columns as (dtype, bytes) pairs, or the error text."""
+    try:
+        table = reader(path, config)
+    except InvalidSweepError as exc:
+        return "error", str(exc)
+    return "table", [(getattr(table, c).dtype.str, getattr(table, c).tobytes())
+                     for c in CSV_COLUMNS]
+
+
+class TestReaderMatchesReference:
+    # edits that a column check one byte too narrow, or a text check that
+    # lets through what np.loadtxt and float() read differently, would accept;
+    # each is made on the first row whose fields pass ``where``
+    @pytest.mark.parametrize("field, edit, where", [
+        (7, lambda v: v + "\x1c", lambda f: f[8] == "true"),
+        (7, lambda v: "\x1f" + v, lambda f: f[8] == "true"),
+        (9, lambda v: v + "\x00", lambda f: True),
+        (9, lambda v: v + " ", lambda f: f[9] == "complementary"),
+        (8, lambda v: v + "e", lambda f: f[8] == "false"),
+        (6, lambda v: v + ".0", lambda f: len(f[6]) == 20),
+        (6, lambda v: v + "0", lambda f: len(f[6]) == 20),
+        (5, lambda v: v + "0", lambda f: f[5] == "1"),
+        (1, lambda v: v + "0", lambda f: f[1] == "-1"),
+        (0, lambda v: v + "0", lambda f: f[0] == "1"),
+        (9, lambda v: v + "\r", lambda f: True),
+    ], ids=["r+x1c", "x1f+r", "tail+nul", "tail+space", "finite+e", "seed+.0", "seed+0",
+            "run+0", "s1+0", "ci+0", "tail+cr"])
+    def test_same_outcome_at_each_check_boundary(self, tmp_path, field, edit, where):
+        lines = sweep_csv_text(run_sweep(DIVERGING)).split("\n")
+        row = next(i for i, line in enumerate(lines[1:], 1) if where(line.split(",")))
+        parts = lines[row].split(",")
+        parts[field] = edit(parts[field])
+        lines[row] = ",".join(parts)
+        path = tmp_path / "sweep.csv"
+        path.write_bytes("\n".join(lines).encode())
+        expected = _read_outcome(_read_sweep_csv_reference, path, DIVERGING)
+        assert _read_outcome(read_sweep_csv, path, DIVERGING) == expected
+
+    @settings(deadline=None, max_examples=200)
+    @given(corrupted_csvs())
+    def test_same_table_or_same_error(self, case):
+        config, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sweep.csv"
+            path.write_bytes(text.encode())
+            expected = _read_outcome(_read_sweep_csv_reference, path, config)
+            assert _read_outcome(read_sweep_csv, path, config) == expected
