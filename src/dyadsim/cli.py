@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from dyadsim import __version__, dynamics, report as report_mod, sweep as sweep_mod
-from dyadsim.dynamics import ContextMatrix, ModelParams
-from dyadsim.metrics import LagSpec
+from dyadsim.dynamics import ContextMatrix, ModelParams, _checked_int
+from dyadsim.metrics import LagSpec, _check_ccf_length
 from dyadsim.sweep import InvalidSweepError, SweepConfig
 
 __all__ = ["parse_context", "build_parser", "main"]
@@ -39,7 +39,7 @@ _KEYS = {
     "noise": (float, ModelParams.noise_half_width, "noise half-width"),
     "threshold": (float, SweepConfig.tail_threshold, "tail threshold on r"),
     "max_lag": (int, LagSpec.max_lag, "largest lag"),
-    "bins": (int, 40, "histogram bins"),
+    "bins": (int, report_mod.HISTOGRAM_BINS, "histogram bins"),
     "workers": (int, 1, "accepted, no effect"),
 }
 _SWEEP_KEYS = tuple(_KEYS)[:7]  # the SweepConfig keys, taken by every command
@@ -194,8 +194,11 @@ def _settings(args) -> tuple[dict, SweepConfig]:
         tail_threshold=settings["threshold"],
     )
     for key in ("workers", "bins", "max_lag"):  # checked here, before any work
-        if settings.get(key, 1) < 1:
-            raise ValueError(f"{key} must be >= 1")
+        if key in settings:
+            settings[key] = _checked_int(key, settings[key])
+    if args.command in ("xcorr", "figures"):  # these cut CCFs of series of turns + 1 samples
+        turns, lag = params.turns, settings["max_lag"]
+        _check_ccf_length(turns + 1, lag, f": turns = {turns} is too few for max_lag = {lag}")
     return settings, config
 
 
@@ -244,9 +247,8 @@ def _cmd_simulate(args, settings, config) -> int:
 
 
 def _panel_command(args, settings, config, panel: str, rename_from: str, rename_to: str) -> int:
-    contexts = args.context if args.context else None
     payloads = report_mod.figure_data(
-        panel, config=config, contexts=contexts, max_lag=settings["max_lag"]
+        panel, config=config, contexts=args.context, max_lag=settings["max_lag"]
     )
     renamed = {
         name.replace(rename_from, rename_to, 1): text for name, text in payloads.items()

@@ -148,10 +148,7 @@ class ModelParams:
             raise ValueError(f"influence must be >= 0, got {self.influence!r}")
         if self.noise_half_width < 0.0:
             raise ValueError(f"noise_half_width must be >= 0, got {self.noise_half_width!r}")
-        turns = _checked_int("turns", self.turns)
-        if turns < 1:
-            raise ValueError(f"turns must be a positive integer, got {turns!r}")
-        object.__setattr__(self, "turns", turns)
+        object.__setattr__(self, "turns", _checked_int("turns", self.turns))
 
     def coefficients(self, context: ContextMatrix) -> tuple[float, float, float, float]:
         """Entries (a11, a12, a21, a22) of influence * C - alpha * Id."""
@@ -179,13 +176,16 @@ class BehaviorState(tuple):
         return self[1]
 
 
-def _checked_int(name: str, value) -> int:
-    """``value`` as an int, or ``ValueError`` naming ``name`` and the value if
-    it is not a Python or numpy integer."""
+def _checked_int(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int, or ``ValueError`` naming ``name`` if it is not a
+    Python or numpy integer or is below ``minimum``: the one rule for counts."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return count
 
 
 def _checked_seed(seed) -> int:
@@ -223,7 +223,7 @@ class NoiseSource:
 
     def turn_noise(self, turns: int, half_width: float) -> np.ndarray:
         """(turns, 2) array of per-turn per-agent draws on [-h, +h]."""
-        return self._rng.uniform(-half_width, half_width, (int(turns), 2))
+        return self._rng.uniform(-half_width, half_width, (_checked_int("turns", turns), 2))
 
 
 def draw_run_inputs(params: ModelParams, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dyadsim.dynamics import _checked_int
+
 __all__ = [
     "UndefinedCorrelationError",
     "pearson_r",
@@ -120,6 +122,13 @@ class CcfResult:
         return float(self.values[k + self.max_lag])
 
 
+def _check_ccf_length(n: int, max_lag: int, given: str = "") -> None:
+    """``ValueError`` ending in ``given`` unless ``n`` samples allow lags to ``max_lag``."""
+    bound = 2 * max_lag + 2
+    if n <= bound:
+        raise ValueError(f"need length > {bound}, got {n}{given}")
+
+
 def cross_correlation(x, y, max_lag: int) -> CcfResult:
     """Lagged Pearson cross-correlation of two series, or of stacked pairs.
 
@@ -138,16 +147,13 @@ def cross_correlation(x, y, max_lag: int) -> CcfResult:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    max_lag = int(max_lag)
-    if max_lag < 1:
-        raise ValueError("max_lag must be >= 1")
+    max_lag = _checked_int("max_lag", max_lag)
     if x.ndim not in (1, 2):
         raise ValueError("cross_correlation needs 1-D series or (m, n) stacks")
     if y.shape != x.shape:
         raise ValueError("series lengths differ")
     n = x.shape[-1]
-    if n <= 2 * max_lag + 2:
-        raise ValueError(f"need length > {2 * max_lag + 2}, got {n}")
+    _check_ccf_length(n, max_lag)
     rows_x, rows_y = np.atleast_2d(x), np.atleast_2d(y)
     values = np.empty((len(rows_x), 2 * max_lag + 1))
     for k in range(-max_lag, max_lag + 1):
@@ -209,8 +215,7 @@ class LagSpec:
     max_lag: int = 20
 
     def __post_init__(self):
-        if int(self.max_lag) < 1:
-            raise ValueError("max_lag must be >= 1")
+        object.__setattr__(self, "max_lag", _checked_int("max_lag", self.max_lag))
 
 
 @dataclass(frozen=True)
@@ -272,7 +277,7 @@ def turn_lags(x, y, spec: LagSpec = LagSpec()) -> LagDistribution:
         raise ValueError("turn_lags needs 1-D series or (m, n) stacks")
     if x.shape != y.shape:
         raise ValueError("series lengths differ")
-    max_lag = int(spec.max_lag)
+    max_lag = spec.max_lag
     rows_x, rows_y = np.atleast_2d(x), np.atleast_2d(y)
     n = x.shape[-1]
     # one time axis for all rows: row i's sample t sits at i * (2n + max_lag) + t,
@@ -318,9 +323,7 @@ def histogram(values, bin_count: int, lo: float, hi: float) -> HistogramResult:
     includes ``hi``.  Values outside the range (including nan) land in the
     overflow count, never in a bin.
     """
-    bin_count = int(bin_count)
-    if bin_count < 1:
-        raise ValueError("bin_count must be >= 1")
+    bin_count = _checked_int("bin_count", bin_count)
     if not lo < hi:
         raise ValueError("need lo < hi")
     values = np.asarray(values, dtype=float).ravel()

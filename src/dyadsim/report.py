@@ -42,6 +42,7 @@ DEFAULT_FIGURE_CONTEXTS = (
 )
 
 PANEL_NAMES = ("r_histogram", "ccf_panel", "lag_panel", "trajectory_panel")
+HISTOGRAM_BINS = 40  # the r histogram's default bin count over [-1, 1]
 
 UNIFORM_NEGATIVE_PROB = 65.0 / 81.0  # contexts with at least one -1 entry
 
@@ -224,8 +225,8 @@ def figure_data(
     table: sweep_mod.SweepTable | None = None,
     config: sweep_mod.SweepConfig | None = None,
     contexts=None,
-    max_lag: int = 20,
-    bins: int = 40,
+    max_lag: int = metrics.LagSpec.max_lag,
+    bins: int = HISTOGRAM_BINS,
     batches: dict | None = None,
 ) -> dict:
     """CSV payloads for one figure panel, keyed by output filename.
@@ -269,9 +270,9 @@ def figure_data(
                 ) from None
             payloads[f"fig2_traj_{code}.csv"] = dynamics.trajectory_csv_text(trajectory)
         elif which == "ccf_panel":
-            result = metrics.cross_correlation(B1[finite], B2[finite], max_lag)
             if np.count_nonzero(finite) < 2:
                 raise AnalysisError(f"ccf panel, context {code}: fewer than 2 finite runs")
+            result = metrics.cross_correlation(B1[finite], B2[finite], max_lag)
             agg = metrics.aggregate_ccf([result])
             payloads[f"fig6_ccf_{code}.csv"] = metrics.ccf_csv_text(agg)
         else:  # lag_panel

@@ -37,8 +37,8 @@ TAIL_LABELS = ("complementary", "neutral", "synchronous", "undefined")
 
 SWEEP_CSV_HEADER = "context_index,s1,o1,o2,s2,run_index,run_seed,r,finite,tail"
 
-# the CSV's finite flag and tail label, indexed by tail code
-_ROW_SUFFIXES = ("true,complementary", "true,neutral", "true,synchronous", "false,undefined")
+# the CSV's finite flag and tail label, indexed by tail code; only code 3, undefined, is nan
+_ROW_SUFFIXES = tuple(f"{'true' if c < 3 else 'false'},{t}" for c, t in enumerate(TAIL_LABELS))
 
 _MASK64 = (1 << 64) - 1
 
@@ -82,8 +82,6 @@ class SweepConfig:
     def __post_init__(self):
         object.__setattr__(self, "master_seed", _checked_seed(self.master_seed))
         runs = _checked_int("runs_per_context", self.runs_per_context)
-        if runs < 1:
-            raise ValueError("runs_per_context must be >= 1")
         object.__setattr__(self, "runs_per_context", runs)
         if not 0.0 < self.tail_threshold < 1.0:
             raise ValueError("tail_threshold must be in (0, 1)")
@@ -150,12 +148,8 @@ def _run_seeds(master_seed: int, context_indices, runs: int) -> np.ndarray:
 def classify_tail(r: float, threshold: float) -> str:
     """Tail label for a correlation value (nan -> ``undefined``)."""
     if isnan(r):
-        return "undefined"
-    if r < -threshold:
-        return "complementary"
-    if r > threshold:
-        return "synchronous"
-    return "neutral"
+        return TAIL_LABELS[3]
+    return TAIL_LABELS[0 if r < -threshold else 2 if r > threshold else 1]
 
 
 def _tail_codes(r: np.ndarray, threshold: float) -> np.ndarray:
@@ -199,10 +193,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepTable:
     :func:`pearson_rows` takes contiguous row slices of each block and gives
     a diverged row nan.  A row's result does not depend on the other rows,
     so the output does not depend on where blocks fall.  ``workers`` must be
-    >= 1 and changes nothing.
+    an integer >= 1 and changes nothing.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _checked_int("workers", workers)
     runs, params = config.runs_per_context, config.params
     seeds = _run_seeds(config.master_seed, range(81), runs)
     coefficients = np.repeat([params.coefficients(ctx) for ctx in _CONTEXTS], runs, axis=0)

@@ -303,18 +303,21 @@ class TestErrorCategories:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, key", [
-        ("xcorr", "max_lag"), ("lags", "max_lag"), ("figures", "max_lag"), ("figures", "bins"),
-    ])
-    @pytest.mark.parametrize("form", ["flag", "config"])
-    def test_zero_panel_setting_found_before_work(
-        self, tmp_path, capsys, monkeypatch, command, key, form
-    ):
+    @pytest.fixture
+    def no_work(self, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the settings were checked")
 
         for name in ("run_sweep", "read_sweep_csv", "context_batch"):
             monkeypatch.setattr(sweep_mod, name, no_work)
+
+    @pytest.mark.parametrize("command, key", [
+        ("xcorr", "max_lag"), ("lags", "max_lag"), ("figures", "max_lag"), ("figures", "bins"),
+    ])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_zero_panel_setting_found_before_work(
+        self, tmp_path, capsys, no_work, command, key, form
+    ):
         config = tmp_path / "run.conf"
         config.write_text(f"{key} = 0\n")
         flag = "--" + key.replace("_", "-")
@@ -323,6 +326,32 @@ class TestErrorCategories:
         assert main([command, *SMALL, *given, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"dyadsim: error: validation: {key} must be >= 1\n"
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", [["xcorr"], ["figures"], ["figures", "--input", "s.csv"]],
+                             ids=["xcorr", "figures", "figures-input"])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_max_lag_too_large_for_turns_found_before_work(
+        self, tmp_path, capsys, no_work, command, form
+    ):
+        # a series is turns + 1 = 61 samples, and a CCF out to lag 30 needs 63
+        config = tmp_path / "run.conf"
+        config.write_text("max_lag = 30\n")
+        given = ["--max-lag", "30"] if form == "flag" else ["--config", str(config)]
+        out = tmp_path / "out"
+        assert main([*command, *SMALL, *given, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "dyadsim: error: validation: need length > 62, got 61: "
+            "turns = 60 is too few for max_lag = 30\n"
+        )
+        assert not out.exists()
+
+    def test_lags_take_a_max_lag_beyond_the_ccf_limit(self, tmp_path):
+        out = tmp_path / "out"
+        args = ["lags", *SMALL, "--max-lag", "30", "--context", "1,1;1,1", "--out", str(out)]
+        assert main(args) == 0
+        lines = (out / "lags_+1+1+1+1.csv").read_text().splitlines()
+        assert len(lines) == 1 + 61
 
 
 class TestFlagHandling:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dyadsim import dynamics
+from dyadsim import cli, dynamics
 from dyadsim.dynamics import (
     BehaviorState,
     ContextMatrix,
@@ -21,7 +21,8 @@ from dyadsim.dynamics import (
     trajectory_csv_text,
     trajectory_from_csv,
 )
-from dyadsim.sweep import enumerate_contexts
+from dyadsim.metrics import LagSpec, cross_correlation, histogram
+from dyadsim.sweep import SweepConfig, enumerate_contexts, run_sweep
 
 UNIT_GAIN = ModelParams(influence=1.0)
 
@@ -84,6 +85,58 @@ class TestModelParams:
     def test_numpy_integer_turns_accepted_as_int(self):
         params = ModelParams(turns=np.int64(20))
         assert type(params.turns) is int and params == ModelParams(turns=20)
+
+
+def _cli_setting(key):
+    def call(value):
+        args = cli.build_parser().parse_args(["figures"])
+        setattr(args, key, value)
+        return cli._settings(args)[0][key]
+    return call
+
+
+def _sweep_workers(value):
+    run_sweep(SweepConfig(1, runs_per_context=1, params=ModelParams(turns=4)), workers=value)
+
+
+_SERIES = np.random.default_rng(3).normal(size=(2, 40))
+
+# (name in the message, call taking the count and returning what it stores,
+# or None where nothing is stored) for every entry point that takes a count
+COUNT_ENTRY_POINTS = {
+    "ModelParams.turns": ("turns", lambda v: ModelParams(turns=v).turns),
+    "SweepConfig.runs_per_context": (
+        "runs_per_context", lambda v: SweepConfig(1, runs_per_context=v).runs_per_context
+    ),
+    "run_sweep.workers": ("workers", _sweep_workers),
+    "NoiseSource.turn_noise": ("turns", lambda v: NoiseSource(1).turn_noise(v, 0.5).shape[0]),
+    "LagSpec.max_lag": ("max_lag", lambda v: LagSpec(max_lag=v).max_lag),
+    "cross_correlation.max_lag": ("max_lag", lambda v: cross_correlation(*_SERIES, v).max_lag),
+    "histogram.bin_count": ("bin_count", lambda v: histogram([0.5], v, 0.0, 1.0).bin_count),
+    "cli.workers": ("workers", _cli_setting("workers")),
+    "cli.bins": ("bins", _cli_setting("bins")),
+    "cli.max_lag": ("max_lag", _cli_setting("max_lag")),
+}
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("value, message", [
+        (2.5, "must be an integer, got 2.5"),
+        ("3", "must be an integer, got '3'"),
+        (0, "must be >= 1"),
+        (-1, "must be >= 1"),
+    ], ids=["float", "str", "zero", "negative"])
+    def test_rejected_with_the_shared_message(self, entry, value, message):
+        name, call = COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {message}')}$"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    def test_numpy_integer_accepted_as_int(self, entry):
+        _, call = COUNT_ENTRY_POINTS[entry]
+        stored = call(np.int64(2))
+        assert stored is None or (type(stored) is int and stored == 2)
 
 
 class TestStep:

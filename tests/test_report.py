@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dyadsim import metrics
 from dyadsim.dynamics import (
     ContextMatrix,
     ModelParams,
@@ -14,6 +15,7 @@ from dyadsim.dynamics import (
 )
 from dyadsim.report import (
     DEFAULT_FIGURE_CONTEXTS,
+    AnalysisError,
     analyze,
     figure_data,
     report_json_text,
@@ -133,6 +135,16 @@ class TestFigureData:
         means = [float(line.split(",")[1]) for line in lines]
         assert len(means) == 41
         assert max(abs(m) for m in means) < 0.1
+
+    def test_ccf_panel_counts_finite_runs_before_any_ccf(self, monkeypatch):
+        def no_ccf(*args, **kwargs):
+            raise AssertionError("a CCF ran before the finite runs were counted")
+
+        monkeypatch.setattr(metrics, "cross_correlation", no_ccf)
+        config = SweepConfig(master_seed=42, runs_per_context=1, params=ModelParams(turns=60))
+        message = r"^ccf panel, context \+100\+1: fewer than 2 finite runs$"
+        with pytest.raises(AnalysisError, match=message):
+            figure_data("ccf_panel", config=config, contexts=[ContextMatrix(1, 0, 0, 1)])
 
     def test_lag_panel_payload(self):
         payload = figure_data(
