@@ -263,12 +263,10 @@ def _cmd_figures(args, settings, config) -> int:
         table = sweep_mod.read_sweep_csv(args.input, config)
     else:
         table = sweep_mod.run_sweep(config, workers=settings["workers"])
-    contexts = args.context or report_mod.DEFAULT_FIGURE_CONTEXTS
     max_lag = settings["max_lag"]
-    payloads = {}
-    payloads.update(report_mod.figure_data("r_histogram", table=table, bins=settings["bins"]))
-    for context in contexts:  # one seeded batch per context, alive for its panels only
-        batches = {}
+    payloads = report_mod.figure_data("r_histogram", table=table, bins=settings["bins"])
+    for context in args.context or report_mod.DEFAULT_FIGURE_CONTEXTS:
+        batches = {}  # one seeded batch per context, alive for its panels only
         for panel in ("ccf_panel", "lag_panel", "trajectory_panel"):
             payloads.update(report_mod.figure_data(
                 panel, config=config, contexts=[context], max_lag=max_lag, batches=batches

@@ -176,15 +176,15 @@ class BehaviorState(tuple):
         return self[1]
 
 
-def _checked_int(name: str, value, minimum: int = 1) -> int:
+def _checked_int(name: str, value) -> int:
     """``value`` as an int, or ``ValueError`` naming ``name`` if it is not a
-    Python or numpy integer or is below ``minimum``: the one rule for counts."""
+    Python or numpy integer or is below 1: the one rule for counts."""
     try:
         count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if count < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1")
     return count
 
 

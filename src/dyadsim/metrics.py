@@ -98,8 +98,16 @@ def pearson_r(x, y) -> float:
     return float(r)
 
 
+class _LagAxis:
+    """The ``lags`` property of a result over lags -max_lag..+max_lag."""
+
+    @property
+    def lags(self) -> np.ndarray:
+        return np.arange(-self.max_lag, self.max_lag + 1)
+
+
 @dataclass(frozen=True)
-class CcfResult:
+class CcfResult(_LagAxis):
     """Cross-correlation function over lags -max_lag..+max_lag.
 
     Sign convention: at positive lag k the value is the correlation of
@@ -111,10 +119,6 @@ class CcfResult:
 
     max_lag: int
     values: np.ndarray
-
-    @property
-    def lags(self) -> np.ndarray:
-        return np.arange(-self.max_lag, self.max_lag + 1)
 
     def value(self, k: int) -> float:
         if not -self.max_lag <= k <= self.max_lag:
@@ -166,17 +170,13 @@ def cross_correlation(x, y, max_lag: int) -> CcfResult:
 
 
 @dataclass(frozen=True)
-class CcfAggregate:
+class CcfAggregate(_LagAxis):
     """Per-lag mean/SD over a batch of CCFs, with defined-value counts."""
 
     max_lag: int
     mean: np.ndarray
     sd: np.ndarray
     n_defined: np.ndarray
-
-    @property
-    def lags(self) -> np.ndarray:
-        return np.arange(-self.max_lag, self.max_lag + 1)
 
 
 def aggregate_ccf(results: list[CcfResult]) -> CcfAggregate:
@@ -219,16 +219,12 @@ class LagSpec:
 
 
 @dataclass(frozen=True)
-class LagDistribution:
+class LagDistribution(_LagAxis):
     """Counts of signed nearest-on-state lags in [-max_lag, +max_lag]."""
 
     max_lag: int
     counts: np.ndarray
     total_events: int
-
-    @property
-    def lags(self) -> np.ndarray:
-        return np.arange(-self.max_lag, self.max_lag + 1)
 
     @property
     def rel_freq(self) -> np.ndarray:
@@ -351,8 +347,7 @@ def ccf_csv_text(agg: CcfAggregate) -> str:
 def lag_csv_text(dist: LagDistribution) -> str:
     """Lag distribution as CSV: `lag,count,rel_freq`."""
     lines = ["lag,count,rel_freq"]
-    rel = dist.rel_freq
-    for lag, count, freq in zip(dist.lags, dist.counts, rel):
+    for lag, count, freq in zip(dist.lags, dist.counts, dist.rel_freq):
         lines.append(f"{lag},{count},{_fmt(freq)}")
     return "\n".join(lines) + "\n"
 

@@ -34,11 +34,14 @@ __all__ = [
 ]
 
 TAIL_LABELS = ("complementary", "neutral", "synchronous", "undefined")
+COMPLEMENTARY, NEUTRAL, SYNCHRONOUS, UNDEFINED = range(4)  # tail codes, indices into TAIL_LABELS
 
 SWEEP_CSV_HEADER = "context_index,s1,o1,o2,s2,run_index,run_seed,r,finite,tail"
 
-# the CSV's finite flag and tail label, indexed by tail code; only code 3, undefined, is nan
-_ROW_SUFFIXES = tuple(f"{'true' if c < 3 else 'false'},{t}" for c, t in enumerate(TAIL_LABELS))
+# the CSV's finite flag and tail label, indexed by tail code; only an undefined r is nan
+_ROW_SUFFIXES = tuple(
+    f"{'false' if code == UNDEFINED else 'true'},{label}" for code, label in enumerate(TAIL_LABELS)
+)
 
 _MASK64 = (1 << 64) - 1
 
@@ -148,14 +151,18 @@ def _run_seeds(master_seed: int, context_indices, runs: int) -> np.ndarray:
 def classify_tail(r: float, threshold: float) -> str:
     """Tail label for a correlation value (nan -> ``undefined``)."""
     if isnan(r):
-        return TAIL_LABELS[3]
-    return TAIL_LABELS[0 if r < -threshold else 2 if r > threshold else 1]
+        return TAIL_LABELS[UNDEFINED]
+    if r < -threshold:
+        return TAIL_LABELS[COMPLEMENTARY]
+    if r > threshold:
+        return TAIL_LABELS[SYNCHRONOUS]
+    return TAIL_LABELS[NEUTRAL]
 
 
 def _tail_codes(r: np.ndarray, threshold: float) -> np.ndarray:
     """Index into ``TAIL_LABELS`` per row; agrees with :func:`classify_tail`."""
-    codes = np.where(r < -threshold, 0, np.where(r > threshold, 2, 1))
-    codes[np.isnan(r)] = 3
+    codes = np.where(r < -threshold, COMPLEMENTARY, np.where(r > threshold, SYNCHRONOUS, NEUTRAL))
+    codes[np.isnan(r)] = UNDEFINED
     return codes
 
 
