@@ -43,6 +43,10 @@ _KEYS = {
     "workers": (int, 1, "accepted, no effect"),
 }
 _SWEEP_KEYS = tuple(_KEYS)[:7]  # the SweepConfig keys, taken by every command
+# the library field of each setting named otherwise, which range errors name as the setting
+_FIELD_KEYS = {
+    "runs_per_context": "runs", "noise_half_width": "noise", "tail_threshold": "threshold",
+}
 _CAST_NAMES = {int: "an int", float: "a float"}
 _CONTEXT_HELP = "write --context=-1,0;1,-1 when s1 is -1"
 
@@ -181,18 +185,22 @@ def _settings(args) -> tuple[dict, SweepConfig]:
                     f"config file line {lineno}: {key} = {text!r} is not {_CAST_NAMES[kind]}"
                 ) from None
         settings[key] = default if value is None else value
-    params = ModelParams(
-        alpha=settings["alpha"],
-        influence=settings["influence"],
-        noise_half_width=settings["noise"],
-        turns=settings["turns"],
-    )
-    config = SweepConfig(
-        master_seed=settings["seed"],
-        runs_per_context=settings["runs"],
-        params=params,
-        tail_threshold=settings["threshold"],
-    )
+    try:
+        params = ModelParams(
+            alpha=settings["alpha"],
+            influence=settings["influence"],
+            noise_half_width=settings["noise"],
+            turns=settings["turns"],
+        )
+        config = SweepConfig(
+            master_seed=settings["seed"],
+            runs_per_context=settings["runs"],
+            params=params,
+            tail_threshold=settings["threshold"],
+        )
+    except ValueError as exc:  # a library message starts with its field's name
+        field, _, rest = str(exc).partition(" ")
+        raise ValueError(f"{_FIELD_KEYS.get(field, field)} {rest}") from None
     for key in ("workers", "bins", "max_lag"):  # checked here, before any work
         if key in settings:
             settings[key] = _checked_int(key, settings[key])
@@ -265,12 +273,15 @@ def _cmd_figures(args, settings, config) -> int:
         table = sweep_mod.run_sweep(config, workers=settings["workers"])
     max_lag = settings["max_lag"]
     payloads = report_mod.figure_data("r_histogram", table=table, bins=settings["bins"])
-    for context in args.context or report_mod.DEFAULT_FIGURE_CONTEXTS:
-        batches = {}  # one seeded batch per context, alive for its panels only
+    contexts = args.context or report_mod.DEFAULT_FIGURE_CONTEXTS
+    fresh = sweep_mod._context_batches(config, contexts)
+    for context in contexts:
+        batches = {(config, context): next(fresh)}  # one simulation for its three panels
         for panel in ("ccf_panel", "lag_panel", "trajectory_panel"):
             payloads.update(report_mod.figure_data(
                 panel, config=config, contexts=[context], max_lag=max_lag, batches=batches
             ))
+        del batches  # so that a finished group is freed before the next is simulated
     for path in report_mod.write_payloads(payloads, _out_dir(args)):
         print(f"wrote {path}")
     return EXIT_OK

@@ -479,10 +479,8 @@ def batch_row_trajectory(
 
 def trajectory_csv_text(trajectory: Trajectory) -> str:
     """Trajectory as CSV (`t,b1,b2`), round-trip-safe decimal floats."""
-    lines = ["t,b1,b2"]
-    for t in range(len(trajectory)):
-        lines.append(f"{t},{float(trajectory.b1[t])!r},{float(trajectory.b2[t])!r}")
-    return "\n".join(lines) + "\n"
+    rows = enumerate(zip(trajectory.b1.tolist(), trajectory.b2.tolist()))
+    return "\n".join(["t,b1,b2", *(f"{t},{x!r},{y!r}" for t, (x, y) in rows)]) + "\n"
 
 
 def trajectory_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:

@@ -234,11 +234,11 @@ def figure_data(
     Panels: ``r_histogram`` (needs ``table``), ``ccf_panel``, ``lag_panel``
     and ``trajectory_panel`` (need ``config``; each requested context's
     seeded :func:`sweep.context_batch` is cut into the panel, and the
-    trajectory is its run 0).  ``batches``, if given, is a caller-owned
-    mapping from ``(config, context)`` to that batch: missing entries are
-    filled, present ones reused, so panels sharing it simulate each context
-    once.  Context filenames carry the signed-digit code of (s1, o1, o2, s2),
-    e.g. ``fig6_ccf_+10+1-1.csv``.
+    trajectory is its run 0).  ``batches``, if given, maps ``(config,
+    context)`` to such a batch, which is used instead of simulating that
+    context again; the other contexts are simulated in groups of whole
+    contexts, and no byte depends on the grouping.  Context filenames carry
+    the signed-digit code of (s1, o1, o2, s2), e.g. ``fig6_ccf_+10+1-1.csv``.
     """
     if which not in PANEL_NAMES:
         raise ValueError(f"unknown figure panel {which!r}; expected one of {PANEL_NAMES}")
@@ -254,13 +254,12 @@ def figure_data(
     if contexts is None:
         contexts = DEFAULT_FIGURE_CONTEXTS
 
+    given = {} if batches is None else batches
+    fresh = sweep_mod._context_batches(config, [c for c in contexts if (config, c) not in given])
     payloads = {}
     for context in contexts:
         code = context.code()
-        shared = {} if batches is None else batches  # unshared: no batch outlives its context
-        if (config, context) not in shared:
-            shared[config, context] = sweep_mod.context_batch(config, context)
-        seeds, B1, B2, finite = shared[config, context]
+        seeds, B1, B2, finite = given.get((config, context)) or next(fresh)
         if which == "trajectory_panel":
             try:
                 trajectory = dynamics.batch_row_trajectory(context, seeds[0], B1[0], B2[0])

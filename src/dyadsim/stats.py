@@ -20,6 +20,7 @@ parameter products:
 (8/48/56/28/28); ``FitResult.k_effective`` is the rank actually estimated.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,7 +313,7 @@ def chi2_upper_tail(x: float, df: int) -> float:
     """Upper-tail probability of the chi-square law, Q(df/2, x/2)."""
     if x < 0:
         raise ValueError("chi-square statistic must be >= 0")
-    if not float(df).is_integer():
+    if not isinstance(df, numbers.Real) or not float(df).is_integer():
         raise ValueError(f"df must be an integer, got {df!r}")
     if df < 1:
         raise ValueError("df must be >= 1")

@@ -13,7 +13,7 @@ from math import isnan
 import numpy as np
 
 from dyadsim.dynamics import (
-    ContextMatrix, ModelParams, _checked_int, _checked_seed, simulate_batch, simulate_rows,
+    ContextMatrix, ModelParams, _checked_int, _checked_seed, simulate_rows,
 )
 from dyadsim.metrics import pearson_rows
 
@@ -185,11 +185,31 @@ def context_batch(config: SweepConfig, context: ContextMatrix):
     (runs, turns + 1) series of both agents, and the mask of runs whose
     series stay finite throughout.
     """
-    context_index = _CONTEXTS.index(context)
-    seeds = _run_seeds(config.master_seed, [context_index], config.runs_per_context).tolist()
-    B1, B2 = simulate_batch(context, config.params, seeds)
-    finite = np.isfinite(B1).all(axis=1) & np.isfinite(B2).all(axis=1)
-    return seeds, B1, B2, finite
+    return next(_context_batches(config, [context]))
+
+
+def _context_batches(config: SweepConfig, contexts):
+    """:func:`context_batch` of each context in order, simulated as groups of
+    whole contexts, one :func:`simulate_rows` call per group.
+
+    A group holds at most ``_CELL_BUDGET // 2`` cells, or one context when a
+    context is larger; a row does not depend on the other rows, so neither
+    does any batch.  A group is freed before the next one is simulated once
+    the caller drops its batches.
+    """
+    runs, params = config.runs_per_context, config.params
+    # half the budget: a group stays alive while its panels' CCF and lag temporaries are allocated
+    group = max(1, _CELL_BUDGET // 2 // (runs * (params.turns + 1)))
+    for g0 in range(0, len(contexts), group):
+        members = contexts[g0:g0 + group]
+        seeds = _run_seeds(config.master_seed, [_CONTEXTS.index(c) for c in members], runs)
+        coefficients = np.repeat([params.coefficients(c) for c in members], runs, axis=0)
+        B1, B2 = simulate_rows(coefficients, params, seeds.tolist())
+        finite = np.isfinite(B1).all(axis=1) & np.isfinite(B2).all(axis=1)
+        for k in range(len(members)):
+            rows = slice(k * runs, (k + 1) * runs)
+            yield seeds[rows].tolist(), B1[rows], B2[rows], finite[rows]
+        del B1, B2
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepTable:

@@ -179,26 +179,67 @@ class TestPanelCommands:
             "fig7_lags_0000.csv",
         ]
 
+    @staticmethod
+    def _count_kernel_calls(monkeypatch):
+        """The seeds of each simulate_rows call the figure batches make."""
+        calls = []
+        simulate_rows = sweep_mod.simulate_rows
+
+        def counted(coefficients, params, seeds):
+            calls.append(list(seeds))
+            return simulate_rows(coefficients, params, seeds)
+
+        monkeypatch.setattr(sweep_mod, "simulate_rows", counted)
+        return calls
+
     def test_figures_simulates_each_context_once(self, tmp_path, monkeypatch):
         csv = tmp_path / "s.csv"
         assert main(["sweep", *SMALL, "--out", str(csv)]) == 0
-        batch_calls = []
-        simulate_batch = sweep_mod.simulate_batch
-
-        def counted(context, params, seeds):
-            batch_calls.append(context.code())
-            return simulate_batch(context, params, seeds)
 
         def scalar(*args, **kwargs):
             raise AssertionError("figures ran the scalar simulate")
 
-        monkeypatch.setattr(sweep_mod, "simulate_batch", counted)
+        calls = self._count_kernel_calls(monkeypatch)
         monkeypatch.setattr(dynamics, "simulate", scalar)
         code = main(["figures", *SMALL, "--input", str(csv), "--context", "1,0;1,-1",
                      "--context", "0,0;0,0", "--out", str(tmp_path / "figs")])
         assert code == 0
-        assert batch_calls == ["+10+1-1", "0000"]
+        # both contexts' seeds, each once, in one kernel call
+        indices = [sweep_mod.enumerate_contexts().index(parse_context(text))
+                   for text in ("1,0;1,-1", "0,0;0,0")]
+        assert calls == [[sweep_mod.derive_run_seed(42, i, run) for i in indices for run in (0, 1)]]
         assert len(list((tmp_path / "figs").iterdir())) == 1 + 3 * 2
+
+    @pytest.mark.parametrize("runs, turns", [(100, 500), (10, 5000)],
+                             ids=["paper-default", "long-series"])
+    def test_figures_simulates_the_default_contexts_in_three_calls(
+        self, tmp_path, monkeypatch, runs, turns
+    ):
+        # a context is about 50,000 cells at both shapes, so two fit half the budget
+        flags = ["--runs", str(runs), "--turns", str(turns)]
+        csv = tmp_path / "s.csv"
+        assert main(["sweep", *flags, "--out", str(csv)]) == 0
+        calls = self._count_kernel_calls(monkeypatch)
+        assert main(["figures", *flags, "--input", str(csv), "--out", str(tmp_path / "f")]) == 0
+        assert [len(seeds) for seeds in calls] == [2 * runs] * 3
+
+    @pytest.mark.parametrize("command", ["figures", "xcorr", "lags"])
+    def test_payloads_do_not_depend_on_the_grouping(self, tmp_path, monkeypatch, command):
+        args = [command, "--runs", "3", "--turns", "120",
+                "--context", "1,1;1,1", "--context", "0,0;0,0", "--context", "1,0;1,-1"]
+        if command == "figures":  # read the sweep, so that only the figure batches simulate
+            assert main(["sweep", *args[1:5], "--out", str(tmp_path / "s.csv")]) == 0
+            args += ["--input", str(tmp_path / "s.csv")]
+        payloads = []
+        for budget in (sweep_mod._CELL_BUDGET, 1):  # all contexts in one group; one per group
+            monkeypatch.setattr(sweep_mod, "_CELL_BUDGET", budget)
+            calls = self._count_kernel_calls(monkeypatch)
+            out = tmp_path / str(budget)
+            assert main([*args, "--out", str(out)]) == 0
+            assert len(calls) == (1 if budget > 1 else 3)
+            payloads.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert payloads[0] == payloads[1]
+        assert len(payloads[0]) == (1 + 3 * 3 if command == "figures" else 3)
 
 
 class TestErrorCategories:
@@ -303,12 +344,27 @@ class TestErrorCategories:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("runs", "0", "runs must be >= 1"),
+        ("noise", "-1", "noise must be >= 0, got -1.0"),
+        ("threshold", "2", "threshold must be in (0, 1)"),
+    ])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_range_error_names_the_setting(self, tmp_path, capsys, key, value, message, form):
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = {value}\n")
+        given = [f"--{key}", value] if form == "flag" else ["--config", str(config)]
+        out = tmp_path / "s.csv"
+        assert main(["sweep", *given, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"dyadsim: error: validation: {message}\n"
+        assert not out.exists()
+
     @pytest.fixture
     def no_work(self, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the settings were checked")
 
-        for name in ("run_sweep", "read_sweep_csv", "context_batch"):
+        for name in ("run_sweep", "read_sweep_csv", "context_batch", "_context_batches"):
             monkeypatch.setattr(sweep_mod, name, no_work)
 
     @pytest.mark.parametrize("command, key", [

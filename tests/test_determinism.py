@@ -1,11 +1,12 @@
 """The sweep CSV and the figure payloads do not depend on the BLAS kernel, its
 thread count or numpy's SIMD dispatch level.
 
-Each setting runs ``sweep`` and ``figures --input`` in child processes, and
-its outputs must match those of the host's default setting. A child reports
-the OpenBLAS thread count and numpy's CPU features it ran with, and OpenBLAS
-names its kernel on stderr (``OPENBLAS_VERBOSE=2``), so a setting that did
-not take effect fails the test instead of passing it vacuously. A setting
+Each setting runs ``sweep`` and ``figures --input`` in child processes, the
+figures for two contexts simulated as one group, and its outputs must match
+those of the host's default setting. A child reports the OpenBLAS thread
+count and numpy's CPU features it ran with, and OpenBLAS names its kernel on
+stderr (``OPENBLAS_VERBOSE=2``), so a setting that did not take effect fails
+the test instead of passing it vacuously. A setting
 the host cannot run is skipped with the reason: no single bundled
 scipy-openblas library (whose thread count the child reads), fewer than 2
 CPUs for 2 threads, a CPU without the forced kernel's instructions, or a
@@ -112,7 +113,7 @@ def _digests(setting, out):
     csv = out / "sweep.csv"
     seen = [_run(["sweep", *FLAGS, "--out", str(csv)], env),
             _run(["figures", *FLAGS, "--input", str(csv), "--context", "1,0;1,-1",
-                  "--out", str(out / "figs")], env)]
+                  "--context", "1,1;1,1", "--out", str(out / "figs")], env)]
     for probe, cores in seen:
         if "OPENBLAS_NUM_THREADS" in setting:
             assert probe["threads"] == int(setting["OPENBLAS_NUM_THREADS"])
@@ -121,7 +122,9 @@ def _digests(setting, out):
         if "NPY_DISABLE_CPU_FEATURES" in setting:
             assert not any(probe["features"][f] for f in DISABLED_FEATURES)
     files = [csv, *sorted((out / "figs").iterdir())]
-    assert len(files) == 5  # the sweep CSV, the histogram and three context panels
+    # the sweep CSV, the histogram, and three panels of each context, both
+    # simulated in one group
+    assert len(files) == 8
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
 
 

@@ -12,6 +12,7 @@ from dyadsim.dynamics import (
     ModelParams,
     NoiseSource,
     NonFiniteStateError,
+    Trajectory,
     _pcg64_states,
     draw_run_inputs,
     simulate,
@@ -566,7 +567,35 @@ class TestRelabelingSymmetry:
                 assert state.b2 == original.b1[t]
 
 
+def _trajectory_csv_reference(trajectory: Trajectory) -> str:
+    """The per-element writer that trajectory_csv_text replaced, kept as its
+    reference: one numpy scalar indexed per turn and agent."""
+    lines = ["t,b1,b2"]
+    for t in range(len(trajectory)):
+        lines.append(f"{t},{float(trajectory.b1[t])!r},{float(trajectory.b2[t])!r}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _series_pairs(draw):
+    """Two float64 series of one length whose last state alone may be
+    non-finite, as batch_row_trajectory allows."""
+    turns = draw(st.integers(0, 40))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return [np.array(draw(st.lists(finite, min_size=turns, max_size=turns)) + [draw(st.floats())])
+            for _ in range(2)]
+
+
 class TestTrajectoryCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(_series_pairs())
+    @example([np.array([-0.0, 5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]),
+              np.array([0.0, -5e-324, -1.7976931348623157e308, np.inf])])
+    @example([np.array([0.1, np.nan]), np.array([-0.0, -np.inf])])
+    def test_matches_the_per_element_writer(self, pair):
+        trajectory = Trajectory(ContextMatrix(1, 0, 1, -1), 0, *pair)
+        assert trajectory_csv_text(trajectory) == _trajectory_csv_reference(trajectory)
+
     def test_round_trip(self):
         traj = simulate(ContextMatrix(1, 0, 1, -1), ModelParams(turns=25), 4)
         text = trajectory_csv_text(traj)

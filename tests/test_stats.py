@@ -444,7 +444,7 @@ class TestChiSquare:
         with pytest.raises(ValueError):
             chi2_upper_tail(1.0, 0)
 
-    @pytest.mark.parametrize("df", [1.5, 0.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("df", [1.5, 0.5, float("nan"), float("inf"), "3", None])
     def test_upper_tail_rejects_non_integer_df(self, df):
         with pytest.raises(ValueError) as caught:
             chi2_upper_tail(3.0, df)

@@ -219,12 +219,8 @@ class TestRowBlocks:
             calls.append(len(seeds))
             return simulate_rows(coefficients, params, seeds)
 
-        def no_batch(*args):
-            raise AssertionError("run_sweep called simulate_batch")
-
         monkeypatch.setattr(sweep, "_CELL_BUDGET", budget)
         monkeypatch.setattr(sweep, "simulate_rows", counted)
-        monkeypatch.setattr(sweep, "simulate_batch", no_batch)
         table = run_sweep(self.CONFIG)
         assert sum(calls) == self.ROWS
         assert len(calls) <= math.ceil(self.ROWS * self.CELLS_PER_ROW / budget)
@@ -257,6 +253,51 @@ class TestRowBlocks:
             for row in (i, i + 399):
                 ci, seed = int(table.context_index[row]), int(table.run_seed[row])
                 assert table.r[row].hex() == _scalar_r(contexts[ci], config.params, seed).hex()
+
+
+class TestContextGroups:
+    """Figure batches are simulated as groups of whole contexts, one
+    simulate_rows call per group, and equal the per-context kernel call."""
+
+    CONFIG = DIVERGING
+    CONTEXTS = [enumerate_contexts()[i] for i in (80, 40, 0, 80, 67)]  # 80 is (1, 1, 1, 1)
+
+    def _batches(self, monkeypatch, budget):
+        calls = []
+
+        def counted(coefficients, params, seeds):
+            calls.append(len(seeds))
+            return simulate_rows(coefficients, params, seeds)
+
+        monkeypatch.setattr(sweep, "_CELL_BUDGET", budget)
+        monkeypatch.setattr(sweep, "simulate_rows", counted)
+        return list(sweep._context_batches(self.CONFIG, self.CONTEXTS)), calls
+
+    @pytest.mark.parametrize("per_group", [1, 2, 5])
+    def test_batches_do_not_depend_on_the_group(self, monkeypatch, per_group):
+        runs, params = self.CONFIG.runs_per_context, self.CONFIG.params
+        budget = 2 * per_group * runs * (params.turns + 1)  # groups take half the budget
+        batches, calls = self._batches(monkeypatch, budget)
+        assert calls == [runs * min(per_group, 5 - g0) for g0 in range(0, 5, per_group)]
+        assert not batches[0][3].all() and batches[1][3].all()  # (1, 1, 1, 1) diverges
+        for context, (seeds, B1, B2, finite) in zip(self.CONTEXTS, batches):
+            index = enumerate_contexts().index(context)
+            assert seeds == [derive_run_seed(5, index, run) for run in range(runs)]
+            want = simulate_rows([params.coefficients(context)] * runs, params, seeds)
+            assert B1.tobytes() == want[0].tobytes() and B2.tobytes() == want[1].tobytes()
+            assert B1.flags.c_contiguous and B2.flags.c_contiguous
+            assert finite.tolist() == (np.isfinite(want[0]) & np.isfinite(want[1])).all(1).tolist()
+
+    def test_a_context_over_the_budget_is_its_own_group(self, monkeypatch):
+        batches, calls = self._batches(monkeypatch, 1)
+        assert calls == [self.CONFIG.runs_per_context] * 5 and len(batches) == 5
+
+    def test_context_batch_is_the_one_context_case(self):
+        one = sweep.context_batch(self.CONFIG, self.CONTEXTS[1])
+        grouped = list(sweep._context_batches(self.CONFIG, self.CONTEXTS))[1]
+        assert one[0] == grouped[0] and one[3].tolist() == grouped[3].tolist()
+        assert one[1].tobytes() == grouped[1].tobytes()
+        assert one[2].tobytes() == grouped[2].tobytes()
 
 
 class TestTailCounts:
