@@ -148,6 +148,8 @@ def _read_config_file(path: Path) -> dict:
         text = path.read_text()
     except OSError as exc:
         raise InvalidSweepError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidSweepError(f"cannot decode config file {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -247,7 +249,8 @@ def _cmd_analyze(args, settings, config) -> int:
 
 
 def _cmd_simulate(args, settings, config) -> int:
-    trajectory = dynamics.simulate(args.context, config.params, config.master_seed)
+    B1, B2 = dynamics.simulate_batch(args.context, config.params, [config.master_seed])
+    trajectory = dynamics.batch_row_trajectory(args.context, config.master_seed, B1[0], B2[0])
     out = _out_file(args, "trajectory.csv")
     out.write_text(dynamics.trajectory_csv_text(trajectory))
     print(f"wrote {out} ({len(trajectory)} states)")
@@ -274,14 +277,14 @@ def _cmd_figures(args, settings, config) -> int:
     max_lag = settings["max_lag"]
     payloads = report_mod.figure_data("r_histogram", table=table, bins=settings["bins"])
     contexts = args.context or report_mod.DEFAULT_FIGURE_CONTEXTS
-    fresh = sweep_mod._context_batches(config, contexts)
+    batches = sweep_mod.context_batches(config, contexts)
     for context in contexts:
-        batches = {(config, context): next(fresh)}  # one simulation for its three panels
+        batch = [next(batches)]  # one simulation for its three panels
         for panel in ("ccf_panel", "lag_panel", "trajectory_panel"):
             payloads.update(report_mod.figure_data(
-                panel, config=config, contexts=[context], max_lag=max_lag, batches=batches
+                panel, config=config, contexts=[context], max_lag=max_lag, batches=batch
             ))
-        del batches  # so that a finished group is freed before the next is simulated
+        del batch  # so that a finished group is freed before the next is simulated
     for path in report_mod.write_payloads(payloads, _out_dir(args)):
         print(f"wrote {path}")
     return EXIT_OK

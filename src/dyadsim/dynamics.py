@@ -280,28 +280,22 @@ def _left_range(turn: int) -> NonFiniteStateError:
 
 
 def simulate(context: ContextMatrix, params: ModelParams, seed: int) -> Trajectory:
-    """Run one seeded interaction of ``params.turns`` turns.
+    """Run one seeded interaction of ``params.turns`` turns: the scalar
+    reference, :func:`step` iterated over :func:`draw_run_inputs`.
 
     Deterministic given (context, params, seed).  Propagates
     :class:`NonFiniteStateError` if a state diverges beyond double range
     before the final turn.
     """
     init, noise = draw_run_inputs(params, seed)
-    a11, a12, a21, a22 = params.coefficients(context)
-    turns = params.turns
-    b1 = np.empty(turns + 1)
-    b2 = np.empty(turns + 1)
-    x, y = float(init[0]), float(init[1])
-    b1[0] = x
-    b2[0] = y
-    for t in range(1, turns + 1):
-        if not (np.isfinite(x) and np.isfinite(y)):
-            raise _left_range(t - 1)
-        n1 = float(noise[t - 1, 0])
-        n2 = float(noise[t - 1, 1])
-        x, y = a11 * x + a12 * y + n1, a21 * x + a22 * y + n2
-        b1[t] = x
-        b2[t] = y
+    b1, b2 = np.empty((2, params.turns + 1))
+    b1[0], b2[0] = state = BehaviorState(*init)
+    for t in range(params.turns):
+        try:
+            state = step(context, params, state, noise[t])
+        except NonFiniteStateError:
+            raise _left_range(t) from None
+        b1[t + 1], b2[t + 1] = state
     return Trajectory(context=context, seed=int(seed), b1=b1, b2=b2)
 
 
@@ -441,7 +435,7 @@ def _step_columns(A: np.ndarray, columns: np.ndarray) -> None:
     ``columns[0]`` holds the starting states and ``columns[t]`` for t > 0
     the noise of turn t, which becomes its state.  A[j, i] holds a_ij per
     row, so products[j, i] = a_ij * b_j and each state is noise + (a_i1 * b1
-    + a_i2 * b2), as in :func:`simulate`.  Every view is made once, outside
+    + a_i2 * b2), as in :func:`step`.  Every view is made once, outside
     the loop: a state viewed as (2, 1, m) broadcasts against A over i and
     lines up with the (2, 1, m) halves of products, so each turn is three
     ufunc calls and nothing else.

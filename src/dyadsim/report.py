@@ -227,18 +227,18 @@ def figure_data(
     contexts=None,
     max_lag: int = metrics.LagSpec.max_lag,
     bins: int = HISTOGRAM_BINS,
-    batches: dict | None = None,
+    batches=None,
 ) -> dict:
     """CSV payloads for one figure panel, keyed by output filename.
 
     Panels: ``r_histogram`` (needs ``table``), ``ccf_panel``, ``lag_panel``
     and ``trajectory_panel`` (need ``config``; each requested context's
-    seeded :func:`sweep.context_batch` is cut into the panel, and the
-    trajectory is its run 0).  ``batches``, if given, maps ``(config,
-    context)`` to such a batch, which is used instead of simulating that
-    context again; the other contexts are simulated in groups of whole
-    contexts, and no byte depends on the grouping.  Context filenames carry
-    the signed-digit code of (s1, o1, o2, s2), e.g. ``fig6_ccf_+10+1-1.csv``.
+    seeded batch is cut into the panel, and the trajectory is its run 0).
+    ``batches`` gives one :func:`sweep.context_batches` batch per context,
+    in ``contexts`` order; by default that generator simulates them, in
+    groups of whole contexts, and no byte depends on the grouping.  Context
+    filenames carry the signed-digit code of (s1, o1, o2, s2), e.g.
+    ``fig6_ccf_+10+1-1.csv``.
     """
     if which not in PANEL_NAMES:
         raise ValueError(f"unknown figure panel {which!r}; expected one of {PANEL_NAMES}")
@@ -251,33 +251,32 @@ def figure_data(
 
     if config is None:
         raise ValueError(f"{which} needs a sweep config")
-    if contexts is None:
-        contexts = DEFAULT_FIGURE_CONTEXTS
+    contexts = DEFAULT_FIGURE_CONTEXTS if contexts is None else tuple(contexts)
+    batches = iter(sweep_mod.context_batches(config, contexts) if batches is None else batches)
+    # each batch lives only in _panel_payload's frame, so a finished group is freed
+    # before the generator simulates the next one; a loop variable or zip would keep it
+    return dict(_panel_payload(which, context, next(batches), max_lag) for context in contexts)
 
-    given = {} if batches is None else batches
-    fresh = sweep_mod._context_batches(config, [c for c in contexts if (config, c) not in given])
-    payloads = {}
-    for context in contexts:
-        code = context.code()
-        seeds, B1, B2, finite = given.get((config, context)) or next(fresh)
-        if which == "trajectory_panel":
-            try:
-                trajectory = dynamics.batch_row_trajectory(context, seeds[0], B1[0], B2[0])
-            except dynamics.NonFiniteStateError as exc:
-                raise dynamics.NonFiniteStateError(
-                    f"trajectory panel, context {code}: {exc}"
-                ) from None
-            payloads[f"fig2_traj_{code}.csv"] = dynamics.trajectory_csv_text(trajectory)
-        elif which == "ccf_panel":
-            if np.count_nonzero(finite) < 2:
-                raise AnalysisError(f"ccf panel, context {code}: fewer than 2 finite runs")
-            result = metrics.cross_correlation(B1[finite], B2[finite], max_lag)
-            agg = metrics.aggregate_ccf([result])
-            payloads[f"fig6_ccf_{code}.csv"] = metrics.ccf_csv_text(agg)
-        else:  # lag_panel
-            dist = metrics.turn_lags(B1[finite], B2[finite], metrics.LagSpec(max_lag=max_lag))
-            payloads[f"fig7_lags_{code}.csv"] = metrics.lag_csv_text(dist)
-    return payloads
+
+def _panel_payload(which: str, context, batch, max_lag: int) -> tuple[str, str]:
+    """(filename, CSV text) of one context's batch cut into a panel."""
+    code = context.code()
+    seeds, B1, B2, finite = batch
+    if which == "trajectory_panel":
+        try:
+            trajectory = dynamics.batch_row_trajectory(context, seeds[0], B1[0], B2[0])
+        except dynamics.NonFiniteStateError as exc:
+            raise dynamics.NonFiniteStateError(
+                f"trajectory panel, context {code}: {exc}"
+            ) from None
+        return f"fig2_traj_{code}.csv", dynamics.trajectory_csv_text(trajectory)
+    if which == "ccf_panel":
+        if np.count_nonzero(finite) < 2:
+            raise AnalysisError(f"ccf panel, context {code}: fewer than 2 finite runs")
+        result = metrics.cross_correlation(B1[finite], B2[finite], max_lag)
+        return f"fig6_ccf_{code}.csv", metrics.ccf_csv_text(metrics.aggregate_ccf([result]))
+    dist = metrics.turn_lags(B1[finite], B2[finite], metrics.LagSpec(max_lag=max_lag))
+    return f"fig7_lags_{code}.csv", metrics.lag_csv_text(dist)
 
 
 def _write_files(items, out_dir) -> list:

@@ -25,7 +25,7 @@ __all__ = [
     "enumerate_contexts",
     "derive_run_seed",
     "classify_tail",
-    "context_batch",
+    "context_batches",
     "run_sweep",
     "tail_counts",
     "sweep_csv_text",
@@ -178,24 +178,17 @@ def _table(config: SweepConfig, run_seed: list[int], r) -> SweepTable:
     )
 
 
-def context_batch(config: SweepConfig, context: ContextMatrix):
-    """Seeded runs of one context, on the sweep's seed grid.
+def context_batches(config: SweepConfig, contexts):
+    """Seeded runs of each context of a sequence, in order, on the sweep's seed grid.
 
-    Returns ``(seeds, B1, B2, finite)``: the per-run seeds, the
+    Yields ``(seeds, B1, B2, finite)`` per context: the per-run seeds, the
     (runs, turns + 1) series of both agents, and the mask of runs whose
-    series stay finite throughout.
-    """
-    return next(_context_batches(config, [context]))
-
-
-def _context_batches(config: SweepConfig, contexts):
-    """:func:`context_batch` of each context in order, simulated as groups of
-    whole contexts, one :func:`simulate_rows` call per group.
-
-    A group holds at most ``_CELL_BUDGET // 2`` cells, or one context when a
-    context is larger; a row does not depend on the other rows, so neither
-    does any batch.  A group is freed before the next one is simulated once
-    the caller drops its batches.
+    series stay finite throughout.  The contexts are simulated as groups of
+    whole contexts, one :func:`simulate_rows` call per group.  A group holds
+    at most ``_CELL_BUDGET // 2`` cells, or one context when a context is
+    larger; a row does not depend on the other rows, so neither does any
+    batch.  A group is freed before the next one is simulated once the
+    caller drops its batches.
     """
     runs, params = config.runs_per_context, config.params
     # half the budget: a group stays alive while its panels' CCF and lag temporaries are allocated
@@ -368,8 +361,11 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
     ``float()`` reads as the same r.  A line that ends in a carriage return
     fails, as its last field is then no label.
     """
-    with open(path, "r", newline="") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidSweepError(f"cannot decode sweep CSV {path}: {exc}") from None
     provable = text.isascii() and not any(s in text for s in _UNPROVEN)
     lines = text.split("\n")
     del text  # the lines are the one copy kept

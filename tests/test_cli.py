@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import weakref
 
 from pathlib import Path
 
 import pytest
 
 import dyadsim
-from dyadsim import dynamics, sweep as sweep_mod
+from dyadsim import dynamics, report as report_mod, sweep as sweep_mod
 from dyadsim.cli import _settings, build_parser, main, parse_context
 from dyadsim.sweep import SweepConfig
 
@@ -86,6 +87,37 @@ class TestSimulateCommand:
         assert main([*args, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().strip().split("\n")) == 502
+
+    @pytest.mark.parametrize("context, seed, flags", [
+        ("1,0;1,-1", 7, []),
+        ("0,0;0,0", 0, ["--turns", "1"]),
+        ("-1,1;0,1", 2**64 - 1, ["--alpha", "0", "--noise", "0"]),
+        ("1,0;1,0", 42, ["--influence", "1.0", "--turns", "5000"]),
+        # at unit gain, state 1108 is the first to leave double range: only the final state
+        ("1,1;1,1", 42, ["--influence", "1.0", "--turns", "1108"]),
+    ])
+    def test_writes_the_scalar_reference(self, tmp_path, monkeypatch, context, seed, flags):
+        simulate = dynamics.simulate
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("the simulate command ran the scalar reference")
+
+        monkeypatch.setattr(dynamics, "simulate", scalar)
+        out = tmp_path / "t.csv"
+        args = ["simulate", f"--context={context}", "--seed", str(seed), *flags]
+        assert main([*args, "--out", str(out)]) == 0
+        config = _settings(build_parser().parse_args(args))[1]
+        reference = simulate(parse_context(context), config.params, seed)
+        assert out.read_text() == dynamics.trajectory_csv_text(reference)
+
+    def test_divergence_before_the_last_turn_is_analysis_error(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        args = ["simulate", "--context", "1,1;1,1", "--influence", "1.0", "--turns", "1109"]
+        assert main([*args, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "dyadsim: error: analysis: behavior state left double-precision range at turn 1108\n"
+        )
+        assert not out.exists()
 
     def test_bad_context_is_usage_error(self, tmp_path):
         result = run_cli(["simulate", "--context", "2,0;0,0"], cwd=tmp_path)
@@ -242,6 +274,52 @@ class TestPanelCommands:
         assert len(payloads[0]) == (1 + 3 * 3 if command == "figures" else 3)
 
 
+class TestOneGroupAlive:
+    """The figure batches free each group before the next one is simulated."""
+
+    # five contexts of 3 x 121 cells, with a budget that groups them in twos
+    CONTEXTS = ["1,1;1,1", "0,0;0,0", "1,0;1,-1", "1,0;1,0", "-1,1;0,1"]
+    FLAGS = ["--runs", "3", "--turns", "120"]
+
+    @pytest.fixture
+    def groups(self, monkeypatch):
+        """A weakref to each simulate_rows call's buffer; a call fails if an
+        earlier buffer is still alive."""
+        refs = []
+        simulate_rows = sweep_mod.simulate_rows
+
+        def spied(coefficients, params, seeds):
+            alive = [i for i, ref in enumerate(refs) if ref() is not None]
+            assert not alive, f"groups {alive} alive when group {len(refs)} is simulated"
+            B1, B2 = simulate_rows(coefficients, params, seeds)
+            assert B1.base is B2.base
+            refs.append(weakref.ref(B1.base))
+            return B1, B2
+
+        monkeypatch.setattr(sweep_mod, "_CELL_BUDGET", 2 * 2 * 3 * 121)
+        monkeypatch.setattr(sweep_mod, "simulate_rows", spied)
+        return refs
+
+    @pytest.mark.parametrize("panel", ["ccf_panel", "lag_panel", "trajectory_panel"])
+    def test_figure_data(self, groups, panel):
+        config = SweepConfig(master_seed=42, runs_per_context=3,
+                             params=dynamics.ModelParams(turns=120))
+        contexts = [parse_context(text) for text in self.CONTEXTS]
+        assert len(report_mod.figure_data(panel, config=config, contexts=contexts)) == 5
+        assert len(groups) == 3
+
+    @pytest.mark.parametrize("command", ["xcorr", "lags", "figures"])
+    def test_command(self, tmp_path, command, groups):
+        args = [command, *self.FLAGS, *(f"--context={text}" for text in self.CONTEXTS)]
+        if command == "figures":  # read the sweep, so that only the figure batches simulate
+            csv = tmp_path / "s.csv"
+            assert main(["sweep", *self.FLAGS, "--out", str(csv)]) == 0
+            groups.clear()
+            args += ["--input", str(csv)]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 0
+        assert len(groups) == 3
+
+
 class TestErrorCategories:
     @pytest.mark.parametrize("command", ["xcorr", "figures"])
     def test_all_runs_diverging_is_analysis_error(self, tmp_path, capsys, command):
@@ -277,6 +355,21 @@ class TestErrorCategories:
         assert err == (
             "dyadsim: error: analysis: ccf panel, context +100+1: fewer than 2 finite runs\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, kind", [
+        (["analyze", "--input"], "sweep CSV"),
+        (["figures", "--input"], "sweep CSV"),
+        (["sweep", "--config"], "config file"),
+    ], ids=["analyze-input", "figures-input", "config"])
+    def test_undecodable_file_is_input_error_naming_it(self, tmp_path, capsys, command, kind):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"context_index,s1,o1,o2,s2,run_index,run_seed,r,finite,tail\n\xff\n")
+        out = tmp_path / "out"
+        assert main([*command, str(bad), *SMALL, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"dyadsim: error: input: cannot decode {kind} {bad}: ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_flag_error_found_before_work_is_usage_error(self, tmp_path, capsys):
@@ -364,7 +457,7 @@ class TestErrorCategories:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the settings were checked")
 
-        for name in ("run_sweep", "read_sweep_csv", "context_batch", "_context_batches"):
+        for name in ("run_sweep", "read_sweep_csv", "context_batches"):
             monkeypatch.setattr(sweep_mod, name, no_work)
 
     @pytest.mark.parametrize("command, key", [

@@ -1,13 +1,14 @@
-"""The sweep CSV and the figure payloads do not depend on the BLAS kernel, its
-thread count or numpy's SIMD dispatch level.
+"""The sweep CSV, the figure payloads and the trajectories do not depend on
+the BLAS kernel, its thread count or numpy's SIMD dispatch level.
 
-Each setting runs ``sweep`` and ``figures --input`` in child processes, the
-figures for two contexts simulated as one group, and its outputs must match
-those of the host's default setting. A child reports the OpenBLAS thread
-count and numpy's CPU features it ran with, and OpenBLAS names its kernel on
-stderr (``OPENBLAS_VERBOSE=2``), so a setting that did not take effect fails
-the test instead of passing it vacuously. A setting
-the host cannot run is skipped with the reason: no single bundled
+Each setting runs ``sweep``, ``figures --input`` and two ``simulate`` runs in
+child processes, the figures for two contexts simulated as one group, and its
+outputs must match those of the host's default setting. One ``simulate`` run
+stays finite; the other diverges and its final state alone is non-finite. A
+child reports the OpenBLAS thread count and numpy's CPU features it ran
+with, and OpenBLAS names its kernel on stderr (``OPENBLAS_VERBOSE=2``), so a
+setting that did not take effect fails the test instead of passing it
+vacuously. A setting the host cannot run is skipped with the reason: no single bundled
 scipy-openblas library (whose thread count the child reads), fewer than 2
 CPUs for 2 threads, a CPU without the forced kernel's instructions, or a
 numpy without ``numpy._core``'s CPU feature table.
@@ -114,6 +115,14 @@ def _digests(setting, out):
     seen = [_run(["sweep", *FLAGS, "--out", str(csv)], env),
             _run(["figures", *FLAGS, "--input", str(csv), "--context", "1,0;1,-1",
                   "--context", "1,1;1,1", "--out", str(out / "figs")], env)]
+    stable, final_inf = out / "traj_stable.csv", out / "traj_final_inf.csv"
+    trajectories = {
+        stable: ["--turns", "60", "--context", "1,0;1,-1"],
+        # at unit gain, state 1108 of this run is the first to leave double range
+        final_inf: ["--turns", "1108", "--influence", "1.0", "--context", "1,1;1,1"],
+    }
+    for traj, args in trajectories.items():
+        seen.append(_run(["simulate", "--seed", "42", *args, "--out", str(traj)], env))
     for probe, cores in seen:
         if "OPENBLAS_NUM_THREADS" in setting:
             assert probe["threads"] == int(setting["OPENBLAS_NUM_THREADS"])
@@ -121,10 +130,11 @@ def _digests(setting, out):
             assert cores == [setting["OPENBLAS_CORETYPE"]]
         if "NPY_DISABLE_CPU_FEATURES" in setting:
             assert not any(probe["features"][f] for f in DISABLED_FEATURES)
-    files = [csv, *sorted((out / "figs").iterdir())]
-    # the sweep CSV, the histogram, and three panels of each context, both
-    # simulated in one group
-    assert len(files) == 8
+    files = [csv, *sorted((out / "figs").iterdir()), *trajectories]
+    # the sweep CSV, the histogram, three panels of each context, both
+    # simulated in one group, and the two trajectories
+    assert len(files) == 10
+    assert final_inf.read_text().endswith("\n1108,inf,inf\n")
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files}
 
 

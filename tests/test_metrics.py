@@ -21,7 +21,7 @@ from dyadsim.metrics import (
     pearson_rows,
     turn_lags,
 )
-from dyadsim.sweep import SweepConfig, context_batch, enumerate_contexts
+from dyadsim.sweep import SweepConfig, context_batches, enumerate_contexts
 
 
 def brute_force_lags(x, y, max_lag):
@@ -445,7 +445,7 @@ class TestStackedTurnLags:
         context = next(c for c in enumerate_contexts() if c.as_tuple() == (1, 1, 1, 1))
         params = ModelParams(influence=1.0, turns=1109)
         config = SweepConfig(master_seed=42, runs_per_context=30, params=params)
-        _, B1, B2, finite = context_batch(config, context)
+        _, B1, B2, finite = next(context_batches(config, [context]))
         x, y = B1[finite], B2[finite]
         with np.errstate(over="ignore"):
             assert np.isinf(x.mean(axis=1)).sum() >= 1

@@ -170,6 +170,8 @@ class TestFigureData:
         assert len(payload) == len(DEFAULT_FIGURE_CONTEXTS)
         for context in DEFAULT_FIGURE_CONTEXTS:
             assert f"fig2_traj_{context.code()}.csv" in payload
+        contexts = iter(DEFAULT_FIGURE_CONTEXTS)  # an iterator is read once
+        assert figure_data("trajectory_panel", config=PANEL_CONFIG, contexts=contexts) == payload
 
     @staticmethod
     def _scalar_run_zero(config, context):

@@ -271,7 +271,7 @@ class TestContextGroups:
 
         monkeypatch.setattr(sweep, "_CELL_BUDGET", budget)
         monkeypatch.setattr(sweep, "simulate_rows", counted)
-        return list(sweep._context_batches(self.CONFIG, self.CONTEXTS)), calls
+        return list(sweep.context_batches(self.CONFIG, self.CONTEXTS)), calls
 
     @pytest.mark.parametrize("per_group", [1, 2, 5])
     def test_batches_do_not_depend_on_the_group(self, monkeypatch, per_group):
@@ -291,13 +291,6 @@ class TestContextGroups:
     def test_a_context_over_the_budget_is_its_own_group(self, monkeypatch):
         batches, calls = self._batches(monkeypatch, 1)
         assert calls == [self.CONFIG.runs_per_context] * 5 and len(batches) == 5
-
-    def test_context_batch_is_the_one_context_case(self):
-        one = sweep.context_batch(self.CONFIG, self.CONTEXTS[1])
-        grouped = list(sweep._context_batches(self.CONFIG, self.CONTEXTS))[1]
-        assert one[0] == grouped[0] and one[3].tolist() == grouped[3].tolist()
-        assert one[1].tobytes() == grouped[1].tobytes()
-        assert one[2].tobytes() == grouped[2].tobytes()
 
 
 class TestTailCounts:
