@@ -146,8 +146,6 @@ def _read_config_file(path: Path) -> dict:
     values = {}
     try:
         text = path.read_text()
-    except OSError as exc:
-        raise InvalidSweepError(f"cannot read config file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidSweepError(f"cannot decode config file {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -235,8 +235,9 @@ def figure_data(
     and ``trajectory_panel`` (need ``config``; each requested context's
     seeded batch is cut into the panel, and the trajectory is its run 0).
     ``batches`` gives one :func:`sweep.context_batches` batch per context,
-    in ``contexts`` order; by default that generator simulates them, in
-    groups of whole contexts, and no byte depends on the grouping.  Context
+    in ``contexts`` order, and any other count raises ``ValueError``; by
+    default that generator simulates them, in groups of whole contexts, and
+    no byte depends on the grouping.  Context
     filenames carry the signed-digit code of (s1, o1, o2, s2), e.g.
     ``fig6_ccf_+10+1-1.csv``.
     """
@@ -253,9 +254,20 @@ def figure_data(
         raise ValueError(f"{which} needs a sweep config")
     contexts = DEFAULT_FIGURE_CONTEXTS if contexts is None else tuple(contexts)
     batches = iter(sweep_mod.context_batches(config, contexts) if batches is None else batches)
+
+    def batch(given: int):
+        found = next(batches, None)
+        if found is None:
+            raise ValueError(f"{given} batches for {len(contexts)} contexts")
+        return found
+
     # each batch lives only in _panel_payload's frame, so a finished group is freed
     # before the generator simulates the next one; a loop variable or zip would keep it
-    return dict(_panel_payload(which, context, next(batches), max_lag) for context in contexts)
+    payloads = dict(_panel_payload(which, c, batch(i), max_lag) for i, c in enumerate(contexts))
+    extra = sum(1 for _ in batches)
+    if extra:
+        raise ValueError(f"{len(contexts) + extra} batches for {len(contexts)} contexts")
+    return payloads
 
 
 def _panel_payload(which: str, context, batch, max_lag: int) -> tuple[str, str]:

@@ -37,6 +37,7 @@ TAIL_LABELS = ("complementary", "neutral", "synchronous", "undefined")
 COMPLEMENTARY, NEUTRAL, SYNCHRONOUS, UNDEFINED = range(4)  # tail codes, indices into TAIL_LABELS
 
 SWEEP_CSV_HEADER = "context_index,s1,o1,o2,s2,run_index,run_seed,r,finite,tail"
+_FIELD_NAMES = SWEEP_CSV_HEADER.split(",")
 
 # the CSV's finite flag and tail label, indexed by tail code; only an undefined r is nan
 _ROW_SUFFIXES = tuple(
@@ -62,10 +63,10 @@ _CONTEXT_PREFIXES = tuple(
 _CONTEXT_FIELDS = np.array([p.split(",")[:5] for p in _CONTEXT_PREFIXES], dtype="S3")
 _LABEL_FIELDS = np.array([s.split(",") for s in _ROW_SUFFIXES], dtype="S14")
 
-# besides non-ASCII text, what read_sweep_csv leaves to the per-row loop:
-# np.loadtxt ends a line at "\r", skips an empty line, drops a bytes field's
-# trailing NULs, and strips \x1c-\x1f around a float, which float() rejects
-_UNPROVEN = ("\r", "\n\n", "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+# characters sweep never writes that np.loadtxt would hide: it ends a line at
+# "\r", drops a bytes field's trailing NULs and strips \x1c-\x1f around a
+# float; read_sweep_csv rejects them, non-ASCII text and an empty line
+_STRAY = "\r\x00\x1c\x1d\x1e\x1f"
 
 
 class InvalidSweepError(ValueError):
@@ -276,109 +277,89 @@ def _fail(row: int, message: str):
     raise InvalidSweepError(f"sweep CSV row {row}: {message}")
 
 
-def _column_table(lines: list[str], config: SweepConfig, seeds: np.ndarray):
-    """The table of ``lines`` (header first) if one ``np.loadtxt`` pass proves
-    every record canonical, else None; never raises.
-
-    The seven integer fields, the finite flag and the tail label are read as
-    bytes, each one byte wider than its longest canonical spelling so that a
-    longer field cannot be cut down to a match, and must equal what
-    :func:`sweep_csv_text` writes for this grid and the parsed r.
-    """
-    runs = config.runs_per_context
-    run_width = len(str(runs - 1)) + 1
-    dtype = [("context", "S3", 5), ("run_index", f"S{run_width}"), ("run_seed", "S21"),
-             ("r", float), ("labels", "S14", 2)]
-    try:
-        data = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                          skiprows=1, max_rows=len(seeds))
-    except ValueError:
-        return None
-    r = data["r"]
-    canonical = (
-        len(data) == len(seeds)
-        and (data["context"].reshape(81, runs, 5) == _CONTEXT_FIELDS[:, None]).all()
-        and (data["run_index"].reshape(81, runs)
-             == np.arange(runs).astype(f"S{run_width}")).all()
-        and (data["run_seed"] == seeds.astype("S21")).all()
-        and not (np.abs(r) > 1.0).any()
-        and (data["labels"] == _LABEL_FIELDS[_tail_codes(r, config.tail_threshold)]).all()
-    )
-    return _table(config, seeds, r.copy()) if canonical else None
-
-
-def _row_table(lines: list[str], config: SweepConfig, seeds: np.ndarray) -> SweepTable:
-    """The table of ``lines`` (header first), each field parsed and checked
-    row by row; raises :class:`InvalidSweepError` on the first violation."""
-    expected_seeds = seeds.tolist()
-    rs = []
+def _fail_unreadable(lines: list[str], fields: dict):
+    """Raise naming the first record that does not have 10 fields, holds a
+    character outside ASCII or in ``_STRAY``, or has an r that
+    ``np.loadtxt(..., **fields)`` cannot read; the header is canonical."""
     for row, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != 10:
-            _fail(row, f"expected 10 fields, found {len(parts)}")
+        texts = line.split(",")
+        if len(texts) != 10:
+            _fail(row, f"expected 10 fields, found {len(texts)}")
+        for name, text in zip(_FIELD_NAMES, texts):
+            stray = [c for c in text if not c.isascii() or c in _STRAY]
+            if stray:
+                _fail(row, f"{name} {text!r} holds {stray[0]!r}, which sweep never writes")
         try:
-            ci = int(parts[0])
-            entries = tuple(int(p) for p in parts[1:5])
-            run_index = int(parts[5])
-            run_seed = int(parts[6])
-            r = float(parts[7])
+            np.loadtxt([line], **fields)
         except ValueError:
-            _fail(row, f"unparseable field in {line!r}")
-        if (ci, run_index) != divmod(row, config.runs_per_context):
-            _fail(row, f"canonical order violated: ({ci}, {run_index})")
-        if entries != _CONTEXTS[ci].as_tuple():
-            _fail(row, f"context {entries} does not match enumeration index {ci}")
-        if run_seed != expected_seeds[row]:
-            _fail(row, "run_seed does not match the master seed derivation")
-        finite_str, tail = parts[8], parts[9]
-        if finite_str not in ("true", "false"):
-            _fail(row, f"bad finite flag {finite_str!r}")
-        finite = finite_str == "true"
-        if finite == isnan(r):
-            _fail(row, "finite flag inconsistent with r")
-        if abs(r) > 1.0:
-            _fail(row, f"r={r!r} outside [-1, 1]")
-        if tail != classify_tail(r, config.tail_threshold):
-            _fail(row, f"tail label {tail!r} inconsistent with r={r!r}")
-        rs.append(r)
-    return _table(config, seeds, rs)
+            _fail(row, f"r {texts[7]!r} is not a number")
 
 
 def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
     """Read and validate a sweep CSV against the generating config.
 
-    Checks structure (header, cardinality, canonical order), that contexts
-    match the canonical enumeration, that run seeds match
-    :func:`derive_run_seed` under ``config.master_seed``, that a defined r
-    lies in [-1, 1], and that the finite flag and tail label are consistent
-    with the stored r.  Raises :class:`InvalidSweepError` on the first
-    violation.
+    Every field except ``r`` must be spelled as :func:`sweep_csv_text`
+    writes it for this config: the canonical (context, run) order and
+    contexts, run seeds from :func:`derive_run_seed` under
+    ``config.master_seed``, and the finite flag and tail label of the stored
+    r.  ``r`` may be any decimal ``np.loadtxt`` reads, and a defined r must
+    lie in [-1, 1].  The file must be ASCII, with no empty line, carriage
+    return, NUL or 0x1c-0x1f separator (``_STRAY``) anywhere.
 
-    A file as :func:`sweep_csv_text` writes it is proven valid column by
-    column (:func:`_column_table`).  Any other file goes to the per-row loop
-    (:func:`_row_table`), which names the first violation or accepts equal
-    spellings: ``+1`` or ``01`` in an integer field, and any spelling
-    ``float()`` reads as the same r.  A line that ends in a carriage return
-    fails, as its last field is then no label.
+    One ``np.loadtxt`` pass reads the fields and one (rows, 10) mask in
+    header order marks each field that differs from the canonical grid; the
+    file is valid iff the mask is empty.  Raises :class:`InvalidSweepError`
+    on a bad header or record count, else naming a wrong row and field
+    (``sweep CSV row 5: s1 does not match: found '0', sweep writes '-1'``):
+    the first row that holds a stray character or that ``loadtxt`` cannot
+    read, else the mask's first.
     """
     try:
         with open(path, "r", newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise InvalidSweepError(f"cannot decode sweep CSV {path}: {exc}") from None
-    provable = text.isascii() and not any(s in text for s in _UNPROVEN)
+    clean = text.isascii() and "\n\n" not in text and not any(c in text for c in _STRAY)
     lines = text.split("\n")
     del text  # the lines are the one copy kept
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != SWEEP_CSV_HEADER:
         raise InvalidSweepError("bad or missing sweep CSV header")
-    expected = 81 * config.runs_per_context
-    if len(lines) - 1 != expected:
+    runs = config.runs_per_context
+    if len(lines) - 1 != 81 * runs:
         raise InvalidSweepError(
-            f"expected {expected} records (81 x {config.runs_per_context}), "
-            f"found {len(lines) - 1}"
+            f"expected {81 * runs} records (81 x {runs}), found {len(lines) - 1}"
         )
-    seeds = _run_seeds(config.master_seed, range(81), config.runs_per_context)
-    table = _column_table(lines, config, seeds) if provable else None
-    return _row_table(lines, config, seeds) if table is None else table
+    # each bytes field is one byte wider than its longest canonical spelling,
+    # so that a longer field cannot be cut down to a match
+    run_width = len(str(runs - 1)) + 1
+    dtype = [("context", "S3", 5), ("run_index", f"S{run_width}"), ("run_seed", "S21"),
+             ("r", float), ("labels", "S14", 2)]
+    fields = dict(dtype=dtype, delimiter=",", comments=None)
+    try:
+        data = np.loadtxt(lines, skiprows=1, **fields) if clean else None
+    except ValueError:
+        data = None
+    if data is None:
+        _fail_unreadable(lines, fields)
+    seeds = _run_seeds(config.master_seed, range(81), runs)
+    r = data["r"]
+    codes = _tail_codes(r, config.tail_threshold)
+    wrong = np.empty((len(r), 10), dtype=bool)
+    wrong[:, :5] = (data["context"].reshape(81, runs, 5) != _CONTEXT_FIELDS[:, None]).reshape(-1, 5)
+    run_spellings = np.arange(runs).astype(f"S{run_width}")
+    wrong[:, 5] = (data["run_index"].reshape(81, runs) != run_spellings).ravel()
+    wrong[:, 6] = data["run_seed"] != seeds.astype("S21")
+    wrong[:, 7] = np.abs(r) > 1.0
+    wrong[:, 8:] = data["labels"] != _LABEL_FIELDS[codes]
+    if wrong.any():
+        row, k = divmod(int(wrong.argmax()), 10)
+        if k == 7:
+            _fail(row, f"r={float(r[row])!r} outside [-1, 1]")
+        ci, run = divmod(row, runs)
+        writes = f"{_CONTEXT_PREFIXES[ci]}{run},{seeds[row]},,{_ROW_SUFFIXES[codes[row]]}"
+        found = lines[row + 1].split(",")[k]
+        _fail(row, f"{_FIELD_NAMES[k]} does not match: found {found!r}, "
+                   f"sweep writes {writes.split(',')[k]!r}")
+    return _table(config, seeds, r.copy())

@@ -372,6 +372,44 @@ class TestErrorCategories:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["analyze", "--input"], ["figures", "--input"],
+                                         ["sweep", "--config"]],
+                             ids=["analyze-input", "figures-input", "config"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unopenable_file_is_io_error_naming_it(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "in.txt"
+        if kind == "directory":
+            path.mkdir()
+        out = tmp_path / "out"
+        assert main([*command, str(path), *SMALL, "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("dyadsim: error: io: [Errno ")
+        assert err.endswith(f": {str(path)!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        (1, "+0", "s1 does not match: found '+0', sweep writes '0'"),
+        (5, "00", "run_index does not match: found '00', sweep writes '0'"),
+        (9, "Neutral", "tail does not match: found 'Neutral', sweep writes '{tail}'"),
+    ], ids=["s1", "run_index", "tail"])
+    def test_non_canonical_spelling_is_input_error(self, tmp_path, capsys, field, value,
+                                                   message):
+        csv = tmp_path / "s.csv"
+        assert main(["sweep", *SMALL, "--seed", "9", "--out", str(csv)]) == 0
+        rows = csv.read_text().split("\n")
+        parts = rows[81].split(",")  # row 80: context 40, (0, 0, 0, 0), run 0
+        tail, parts[field] = parts[9], value
+        rows[81] = ",".join(parts)
+        csv.write_text("\n".join(rows))
+        capsys.readouterr()
+        code = main(["analyze", *SMALL, "--seed", "9", "--input", str(csv),
+                     "--out", str(tmp_path / "rep")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"dyadsim: error: input: sweep CSV row 80: {message.format(tail=tail)}\n"
+        )
+        assert not (tmp_path / "rep").exists()
+
     def test_flag_error_found_before_work_is_usage_error(self, tmp_path, capsys):
         assert main(["xcorr", "--turns", "30", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -394,13 +432,13 @@ class TestErrorCategories:
 
     @pytest.mark.parametrize("lines, message", [
         (slice(None), "bad or missing sweep CSV header"),
-        (slice(3, 4), "sweep CSV row 2: tail label '{tail}\\r' inconsistent with r={r}"),
+        (slice(3, 4), "sweep CSV row 2: tail '{tail}\\r' holds '\\r', which sweep never writes"),
     ], ids=["crlf", "one-cr"])
     def test_carriage_return_is_input_error(self, tmp_path, capsys, lines, message):
         csv = tmp_path / "s.csv"
         assert main(["sweep", *SMALL, "--seed", "9", "--out", str(csv)]) == 0
         rows = csv.read_text().split("\n")
-        *_, r, _, tail = rows[3].split(",")
+        tail = rows[3].split(",")[-1]
         rows[lines] = [row + "\r" for row in rows[lines]]
         edited = tmp_path / "cr.csv"
         edited.write_bytes("\n".join(rows).encode())
@@ -409,7 +447,7 @@ class TestErrorCategories:
                      "--out", str(tmp_path / "rep")])
         assert code == 3
         assert capsys.readouterr().err == (
-            "dyadsim: error: input: " + message.format(tail=tail, r=r) + "\n"
+            "dyadsim: error: input: " + message.format(tail=tail) + "\n"
         )
         assert not (tmp_path / "rep").exists()
 

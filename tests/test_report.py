@@ -25,6 +25,7 @@ from dyadsim.report import (
 )
 from dyadsim.sweep import (
     SweepConfig,
+    context_batches,
     derive_run_seed,
     enumerate_contexts,
     read_sweep_csv,
@@ -212,6 +213,14 @@ class TestFigureData:
         for context in DEFAULT_FIGURE_CONTEXTS:
             expected = trajectory_csv_text(self._scalar_run_zero(config, context))
             assert payload[f"fig2_traj_{context.code()}.csv"] == expected
+
+    @pytest.mark.parametrize("given", [0, 1, 3])
+    def test_batch_count_must_match_the_contexts(self, given):
+        contexts = [ContextMatrix(1, 0, 0, 1), ContextMatrix(0, 0, 0, 0)]
+        config = SweepConfig(master_seed=42, runs_per_context=3, params=ModelParams(turns=60))
+        batches = list(context_batches(config, contexts + contexts))[:given]
+        with pytest.raises(ValueError, match=rf"^{given} batches for 2 contexts$"):
+            figure_data("lag_panel", config=config, contexts=contexts, batches=batches)
 
     def test_deterministic_payloads(self):
         a = figure_data("ccf_panel", config=PANEL_CONFIG, contexts=[ContextMatrix(1, 0, 1, 0)])

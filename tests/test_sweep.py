@@ -399,16 +399,18 @@ class TestSweepCsv:
         "edits, message",
         [
             ({10: "x"}, "expected 10 fields, found 11"),
-            ({5: "a"}, "unparseable field in {line!r}"),
-            ({7: "abc"}, "unparseable field in {line!r}"),
-            ({5: "0", 7: "abc"}, "unparseable field in {line!r}"),
-            ({5: "0"}, "canonical order violated: (2, 0)"),
-            ({0: "3"}, "canonical order violated: (3, 1)"),
-            ({1: "0"}, "context (0, -1, -1, 1) does not match enumeration index 2"),
-            ({8: "yes"}, "bad finite flag 'yes'"),
-            ({7: "0.5", 8: "false", 9: "synchronous"}, "finite flag inconsistent with r"),
-            ({7: "nan", 9: "undefined"}, "finite flag inconsistent with r"),
+            ({5: "a"}, "run_index does not match: found 'a', sweep writes '1'"),
+            ({7: "abc"}, "r 'abc' is not a number"),
+            ({5: "0", 7: "abc"}, "r 'abc' is not a number"),
+            ({5: "0"}, "run_index does not match: found '0', sweep writes '1'"),
+            ({0: "3"}, "context_index does not match: found '3', sweep writes '2'"),
+            ({1: "0"}, "s1 does not match: found '0', sweep writes '-1'"),
+            ({8: "yes"}, "finite does not match: found 'yes', sweep writes 'true'"),
+            ({7: "0.5", 8: "false", 9: "synchronous"},
+             "finite does not match: found 'false', sweep writes 'true'"),
+            ({7: "nan", 9: "undefined"}, "finite does not match: found 'true', sweep writes 'false'"),
         ],
+        ids=lambda value: value.split(":")[0] if isinstance(value, str) else None,
     )
     def test_first_violation_message(self, tmp_path, edits, message):
         lines = sweep_csv_text(run_sweep(SMALL)).split("\n")
@@ -418,66 +420,54 @@ class TestSweepCsv:
                 parts[field] = value
             else:
                 parts.append(value)
-        line = lines[6] = ",".join(parts)
+        lines[6] = ",".join(parts)
         path = tmp_path / "sweep.csv"
         path.write_text("\n".join(lines))
         with pytest.raises(InvalidSweepError) as caught:
             read_sweep_csv(path, SMALL)
-        assert str(caught.value) == "sweep CSV row 5: " + message.format(line=line)
+        assert str(caught.value) == "sweep CSV row 5: " + message
 
-    def test_equal_non_canonical_spellings_accepted(self, tmp_path):
-        text = sweep_csv_text(run_sweep(SMALL))
-        canonical_path = tmp_path / "canonical.csv"
-        canonical_path.write_text(text)
-        lines = text.split("\n")
-        for row, field, value in ((108, 1, "+1"), (1, 5, "01"), (3, 0, "+01")):
-            parts = lines[row + 1].split(",")
-            assert int(parts[field]) == int(value)
-            parts[field] = value
-            lines[row + 1] = ",".join(parts)
+    # integer spellings that int() reads as the canonical value; sweep never writes them
+    @pytest.mark.parametrize("row, field, value, message", [
+        (108, 1, "+1", "s1 does not match: found '+1', sweep writes '1'"),
+        (1, 5, "01", "run_index does not match: found '01', sweep writes '1'"),
+        (3, 0, "+01", "context_index does not match: found '+01', sweep writes '1'"),
+        (3, 0, " 1", "context_index does not match: found ' 1', sweep writes '1'"),
+        (2, 6, "0" + str(derive_run_seed(7, 1, 0)),
+         f"run_seed does not match: found '0{derive_run_seed(7, 1, 0)}', "
+         f"sweep writes '{derive_run_seed(7, 1, 0)}'"),
+        (3, 5, "\u0661", "run_index '\u0661' holds '\u0661', which sweep never writes"),
+        (4, 5, "0\r", "run_index '0\\r' holds '\\r', which sweep never writes"),
+    ], ids=["s1+1", "run01", "ci+01", "ci-space", "seed0", "run-arabic-one", "run-cr"])
+    def test_non_canonical_spellings_rejected(self, tmp_path, row, field, value, message):
+        lines = sweep_csv_text(run_sweep(SMALL)).split("\n")
+        parts = lines[row + 1].split(",")
+        assert int(parts[field]) == int(value)
+        parts[field] = value
+        lines[row + 1] = ",".join(parts)
         path = tmp_path / "sweep.csv"
         path.write_text("\n".join(lines))
-        canonical = read_sweep_csv(canonical_path, SMALL)
-        loaded = read_sweep_csv(path, SMALL)
-        for column in ("context_index", "run_index", "run_seed", "r"):
-            assert getattr(loaded, column).tobytes() == getattr(canonical, column).tobytes()
-        assert sweep_csv_text(loaded) == text
+        with pytest.raises(InvalidSweepError) as caught:
+            read_sweep_csv(path, SMALL)
+        assert str(caught.value) == f"sweep CSV row {row}: {message}"
 
     def test_canonical_file_skips_the_row_loop(self, tmp_path, monkeypatch):
         table = run_sweep(DIVERGING)  # nan rows as well as finite ones
         path = tmp_path / "sweep.csv"
         write_sweep_csv(table, path)
-
-        def no_row_loop(*args):
-            raise AssertionError("a canonical file reached the per-row loop")
-
-        monkeypatch.setattr(sweep, "_row_table", no_row_loop)
-        loaded = read_sweep_csv(path, DIVERGING)
-        for column in CSV_COLUMNS:
-            assert getattr(loaded, column).tobytes() == getattr(table, column).tobytes()
-        assert loaded.r.flags.c_contiguous
-
-    def test_one_plus_spelling_takes_the_row_loop(self, tmp_path, monkeypatch):
-        table = run_sweep(SMALL)
-        lines = sweep_csv_text(table).split("\n")
-        parts = lines[109].split(",")  # row 108: context 54, s1 = 1
-        assert parts[1] == "1"
-        parts[1] = "+1"
-        lines[109] = ",".join(parts)
-        path = tmp_path / "sweep.csv"
-        path.write_text("\n".join(lines))
         calls = []
-        row_table = sweep._row_table
+        loadtxt = np.loadtxt
 
-        def counted_row_table(*args):
+        def counted_loadtxt(*args, **kwargs):
             calls.append(args)
-            return row_table(*args)
+            return loadtxt(*args, **kwargs)
 
-        monkeypatch.setattr(sweep, "_row_table", counted_row_table)
-        loaded = read_sweep_csv(path, SMALL)
+        monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+        loaded = read_sweep_csv(path, DIVERGING)
         assert len(calls) == 1
         for column in CSV_COLUMNS:
             assert getattr(loaded, column).tobytes() == getattr(table, column).tobytes()
+        assert loaded.r.flags.c_contiguous
 
 
 @st.composite
@@ -684,10 +674,42 @@ def _read_outcome(reader, path, config):
                      for c in CSV_COLUMNS]
 
 
+_COUNT_MESSAGE = re.compile(r"expected \d+ records \(81 x \d+\), found \d+")
+
+
+def _without_r(text: str) -> list[list[str]]:
+    """Every field of every line but the eighth, ``r``."""
+    return [fields[:7] + fields[8:]
+            for fields in (line.split(",") for line in text.removesuffix("\n").split("\n"))]
+
+
+def _check_against_reference(path, config):
+    """Hold the reader to the frozen reference, which also accepts spellings
+    sweep never writes: a file the reader accepts is accepted there with the
+    same columns, a file the reference rejects is rejected, a file only the
+    reader rejects has a non-r field spelled otherwise than sweep writes it
+    or holds a character sweep never writes, and every message is the
+    header or count message or names its row."""
+    got = _read_outcome(read_sweep_csv, path, config)
+    expected = _read_outcome(_read_sweep_csv_reference, path, config)
+    if got[0] == "table":
+        assert got == expected
+        return
+    message = got[1]
+    assert (message == "bad or missing sweep CSV header" or _COUNT_MESSAGE.fullmatch(message)
+            or re.match(r"sweep CSV row \d+: ", message)), message
+    if expected[0] == "table":
+        text = path.read_bytes().decode()
+        canonical = sweep_csv_text(_read_sweep_csv_reference(path, config))
+        stray = not text.isascii() or any(c in text for c in sweep._STRAY)
+        assert stray or _without_r(text) != _without_r(canonical), message
+
+
 class TestReaderMatchesReference:
     # edits that a column check one byte too narrow, or a text check that
     # lets through what np.loadtxt and float() read differently, would accept;
-    # each is made on the first row whose fields pass ``where``
+    # each is made on the first row whose fields pass ``where``, and both
+    # readers reject it, read_sweep_csv naming that row and field
     @pytest.mark.parametrize("field, edit, where", [
         (7, lambda v: v + "\x1c", lambda f: f[8] == "true"),
         (7, lambda v: "\x1f" + v, lambda f: f[8] == "true"),
@@ -710,8 +732,10 @@ class TestReaderMatchesReference:
         lines[row] = ",".join(parts)
         path = tmp_path / "sweep.csv"
         path.write_bytes("\n".join(lines).encode())
-        expected = _read_outcome(_read_sweep_csv_reference, path, DIVERGING)
-        assert _read_outcome(read_sweep_csv, path, DIVERGING) == expected
+        assert _read_outcome(_read_sweep_csv_reference, path, DIVERGING)[0] == "error"
+        name = sweep.SWEEP_CSV_HEADER.split(",")[field]
+        with pytest.raises(InvalidSweepError, match=rf"^sweep CSV row {row - 1}: {name} "):
+            read_sweep_csv(path, DIVERGING)
 
     @settings(deadline=None, max_examples=200)
     @given(corrupted_csvs())
@@ -720,5 +744,4 @@ class TestReaderMatchesReference:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "sweep.csv"
             path.write_bytes(text.encode())
-            expected = _read_outcome(_read_sweep_csv_reference, path, config)
-            assert _read_outcome(read_sweep_csv, path, config) == expected
+            _check_against_reference(path, config)
