@@ -275,13 +275,9 @@ def _cmd_figures(args, settings, config) -> int:
     max_lag = settings["max_lag"]
     payloads = report_mod.figure_data("r_histogram", table=table, bins=settings["bins"])
     contexts = args.context or report_mod.DEFAULT_FIGURE_CONTEXTS
-    batches = sweep_mod.context_batches(config, contexts)
-    for context in contexts:
-        batch = [next(batches)]  # one simulation for its three panels
+    for batch in sweep_mod.context_batches(config, contexts):  # one simulation, three panels
         for panel in ("ccf_panel", "lag_panel", "trajectory_panel"):
-            payloads.update(report_mod.figure_data(
-                panel, config=config, contexts=[context], max_lag=max_lag, batches=batch
-            ))
+            payloads.update(report_mod.figure_data(panel, max_lag=max_lag, batches=[batch]))
         del batch  # so that a finished group is freed before the next is simulated
     for path in report_mod.write_payloads(payloads, _out_dir(args)):
         print(f"wrote {path}")

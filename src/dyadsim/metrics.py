@@ -6,6 +6,7 @@ overlap normalization, turn-taking lag distributions based on above-mean
 reentrant; series are 1-D float arrays (or anything ``np.asarray`` accepts).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,8 +321,9 @@ def histogram(values, bin_count: int, lo: float, hi: float) -> HistogramResult:
     overflow count, never in a bin.
     """
     bin_count = _checked_int("bin_count", bin_count)
-    if not lo < hi:
-        raise ValueError("need lo < hi")
+    lo, hi = float(lo), float(hi)
+    if not (lo < hi and math.isfinite(hi - lo)):  # an infinite width bins every value in bin 0
+        raise ValueError(f"need finite lo < hi and hi - lo, got lo={lo}, hi={hi}")
     values = np.asarray(values, dtype=float).ravel()
     with np.errstate(invalid="ignore"):
         inside = (values >= lo) & (values <= hi)
@@ -329,7 +331,7 @@ def histogram(values, bin_count: int, lo: float, hi: float) -> HistogramResult:
     width = (hi - lo) / bin_count
     idx = np.floor((values[inside] - lo) / width).astype(int)
     counts = np.bincount(np.minimum(idx, bin_count - 1), minlength=bin_count)
-    return HistogramResult(lo=float(lo), hi=float(hi), counts=counts, overflow=overflow)
+    return HistogramResult(lo=lo, hi=hi, counts=counts, overflow=overflow)
 
 
 def _fmt(value: float) -> str:

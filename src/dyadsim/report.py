@@ -7,6 +7,7 @@ exemplar trajectories).  Output is deterministic: regenerating from the
 same table and config is byte-identical.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -232,14 +233,13 @@ def figure_data(
     """CSV payloads for one figure panel, keyed by output filename.
 
     Panels: ``r_histogram`` (needs ``table``), ``ccf_panel``, ``lag_panel``
-    and ``trajectory_panel`` (need ``config``; each requested context's
-    seeded batch is cut into the panel, and the trajectory is its run 0).
-    ``batches`` gives one :func:`sweep.context_batches` batch per context,
-    in ``contexts`` order, and any other count raises ``ValueError``; by
-    default that generator simulates them, in groups of whole contexts, and
-    no byte depends on the grouping.  Context
-    filenames carry the signed-digit code of (s1, o1, o2, s2), e.g.
-    ``fig6_ccf_+10+1-1.csv``.
+    and ``trajectory_panel``.  A context panel cuts each
+    :func:`sweep.context_batches` batch into one payload, named after the
+    batch's context; the trajectory is its run 0.  It takes ``batches``, or
+    ``contexts`` (default ``DEFAULT_FIGURE_CONTEXTS``) that it simulates
+    through that generator with ``config``, in groups of whole contexts; no
+    byte depends on the grouping.  Context filenames carry the signed-digit
+    code of (s1, o1, o2, s2), e.g. ``fig6_ccf_+10+1-1.csv``.
     """
     if which not in PANEL_NAMES:
         raise ValueError(f"unknown figure panel {which!r}; expected one of {PANEL_NAMES}")
@@ -250,30 +250,22 @@ def figure_data(
         hist = metrics.histogram(table.r[table.finite], bins, -1.0, 1.0)
         return {"fig3_hist.csv": metrics.histogram_csv_text(hist)}
 
-    if config is None:
-        raise ValueError(f"{which} needs a sweep config")
-    contexts = DEFAULT_FIGURE_CONTEXTS if contexts is None else tuple(contexts)
-    batches = iter(sweep_mod.context_batches(config, contexts) if batches is None else batches)
-
-    def batch(given: int):
-        found = next(batches, None)
-        if found is None:
-            raise ValueError(f"{given} batches for {len(contexts)} contexts")
-        return found
-
-    # each batch lives only in _panel_payload's frame, so a finished group is freed
-    # before the generator simulates the next one; a loop variable or zip would keep it
-    payloads = dict(_panel_payload(which, c, batch(i), max_lag) for i, c in enumerate(contexts))
-    extra = sum(1 for _ in batches)
-    if extra:
-        raise ValueError(f"{len(contexts) + extra} batches for {len(contexts)} contexts")
-    return payloads
+    if batches is None:
+        if config is None:
+            raise ValueError(f"{which} needs a sweep config")
+        contexts = DEFAULT_FIGURE_CONTEXTS if contexts is None else tuple(contexts)
+        batches = sweep_mod.context_batches(config, contexts)
+    elif contexts is not None:
+        raise ValueError(f"{which} takes contexts or batches, not both")
+    # map holds no batch between calls, so a finished group is freed before the
+    # generator simulates the next one; a comprehension's loop variable would keep it
+    return dict(map(functools.partial(_panel_payload, which, max_lag=max_lag), batches))
 
 
-def _panel_payload(which: str, context, batch, max_lag: int) -> tuple[str, str]:
+def _panel_payload(which: str, batch, max_lag: int) -> tuple[str, str]:
     """(filename, CSV text) of one context's batch cut into a panel."""
+    context, seeds, B1, B2, finite = batch
     code = context.code()
-    seeds, B1, B2, finite = batch
     if which == "trajectory_panel":
         try:
             trajectory = dynamics.batch_row_trajectory(context, seeds[0], B1[0], B2[0])

@@ -333,6 +333,9 @@ def chi2_gof(observed, expected_probs) -> Chi2Result:
     probs = np.asarray(expected_probs, dtype=float)
     if observed.shape != probs.shape or observed.ndim != 1 or len(observed) < 2:
         raise ValueError("need matching 1-D counts and probabilities (>= 2 categories)")
+    for count in observed:
+        if not (np.isfinite(count) and count >= 0 and count == int(count)):
+            raise ValueError(f"count {count} is not a non-negative integer")
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
     total = observed.sum()

@@ -182,14 +182,14 @@ def _table(config: SweepConfig, run_seed: list[int], r) -> SweepTable:
 def context_batches(config: SweepConfig, contexts):
     """Seeded runs of each context of a sequence, in order, on the sweep's seed grid.
 
-    Yields ``(seeds, B1, B2, finite)`` per context: the per-run seeds, the
-    (runs, turns + 1) series of both agents, and the mask of runs whose
-    series stay finite throughout.  The contexts are simulated as groups of
-    whole contexts, one :func:`simulate_rows` call per group.  A group holds
-    at most ``_CELL_BUDGET // 2`` cells, or one context when a context is
-    larger; a row does not depend on the other rows, so neither does any
-    batch.  A group is freed before the next one is simulated once the
-    caller drops its batches.
+    Yields ``(context, seeds, B1, B2, finite)`` per context: the context
+    itself, the per-run seeds, the (runs, turns + 1) series of both agents,
+    and the mask of runs whose series stay finite throughout.  The contexts
+    are simulated as groups of whole contexts, one :func:`simulate_rows`
+    call per group.  A group holds at most ``_CELL_BUDGET // 2`` cells, or
+    one context when a context is larger; a row does not depend on the
+    other rows, so neither does any batch.  A group is freed before the next
+    one is simulated once the caller drops its batches.
     """
     runs, params = config.runs_per_context, config.params
     # half the budget: a group stays alive while its panels' CCF and lag temporaries are allocated
@@ -200,9 +200,9 @@ def context_batches(config: SweepConfig, contexts):
         coefficients = np.repeat([params.coefficients(c) for c in members], runs, axis=0)
         B1, B2 = simulate_rows(coefficients, params, seeds.tolist())
         finite = np.isfinite(B1).all(axis=1) & np.isfinite(B2).all(axis=1)
-        for k in range(len(members)):
+        for k, context in enumerate(members):
             rows = slice(k * runs, (k + 1) * runs)
-            yield seeds[rows].tolist(), B1[rows], B2[rows], finite[rows]
+            yield context, seeds[rows].tolist(), B1[rows], B2[rows], finite[rows]
         del B1, B2
 
 

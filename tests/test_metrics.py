@@ -445,7 +445,7 @@ class TestStackedTurnLags:
         context = next(c for c in enumerate_contexts() if c.as_tuple() == (1, 1, 1, 1))
         params = ModelParams(influence=1.0, turns=1109)
         config = SweepConfig(master_seed=42, runs_per_context=30, params=params)
-        _, B1, B2, finite = next(context_batches(config, [context]))
+        _, _, B1, B2, finite = next(context_batches(config, [context]))
         x, y = B1[finite], B2[finite]
         with np.errstate(over="ignore"):
             assert np.isinf(x.mean(axis=1)).sum() >= 1
@@ -487,6 +487,11 @@ class TestHistogram:
             histogram([1.0], 0, 0.0, 1.0)
         with pytest.raises(ValueError):
             histogram([1.0], 2, 1.0, 1.0)
+        inf, nan = float("inf"), float("nan")
+        cases = ((0.0, inf), (-inf, 1.0), (-inf, inf), (nan, 1.0), (0.0, nan), (-1e308, 1e308))
+        for lo, hi in cases:
+            with pytest.raises(ValueError, match=r"^need finite lo < hi"):
+                histogram([0.0, 0.5], 2, lo, hi)
 
 
 class TestCsvEmitters:

@@ -214,13 +214,15 @@ class TestFigureData:
             expected = trajectory_csv_text(self._scalar_run_zero(config, context))
             assert payload[f"fig2_traj_{context.code()}.csv"] == expected
 
-    @pytest.mark.parametrize("given", [0, 1, 3])
-    def test_batch_count_must_match_the_contexts(self, given):
+    def test_batches_carry_their_contexts(self):
         contexts = [ContextMatrix(1, 0, 0, 1), ContextMatrix(0, 0, 0, 0)]
         config = SweepConfig(master_seed=42, runs_per_context=3, params=ModelParams(turns=60))
-        batches = list(context_batches(config, contexts + contexts))[:given]
-        with pytest.raises(ValueError, match=rf"^{given} batches for 2 contexts$"):
+        batches = list(context_batches(config, contexts))
+        with pytest.raises(ValueError, match=r"^lag_panel takes contexts or batches, not both$"):
             figure_data("lag_panel", config=config, contexts=contexts, batches=batches)
+        payload = figure_data("lag_panel", batches=batches[::-1])  # no config
+        assert payload == figure_data("lag_panel", config=config, contexts=contexts)
+        assert list(payload) == ["fig7_lags_0000.csv", "fig7_lags_+100+1.csv"]
 
     def test_deterministic_payloads(self):
         a = figure_data("ccf_panel", config=PANEL_CONFIG, contexts=[ContextMatrix(1, 0, 1, 0)])

@@ -404,6 +404,9 @@ class TestChiSquare:
             chi2_gof((10, 10), (0.6, 0.6))
         with pytest.raises(ValueError, match="expected"):
             chi2_gof((10, 10), (1.0, 0.0))
+        for observed, count in (([-1, 5], "-1.0"), ([0.5, 3.5], "0.5"), ([np.nan, 3], "nan")):
+            with pytest.raises(ValueError, match=rf"^count {count} is not a non-negative"):
+                chi2_gof(observed, (0.5, 0.5))
 
     def test_two_proportion_equal_is_zero(self):
         assert chi2_two_proportion(30, 100, 30, 100).statistic == 0.0

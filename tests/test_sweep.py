@@ -279,8 +279,9 @@ class TestContextGroups:
         budget = 2 * per_group * runs * (params.turns + 1)  # groups take half the budget
         batches, calls = self._batches(monkeypatch, budget)
         assert calls == [runs * min(per_group, 5 - g0) for g0 in range(0, 5, per_group)]
-        assert not batches[0][3].all() and batches[1][3].all()  # (1, 1, 1, 1) diverges
-        for context, (seeds, B1, B2, finite) in zip(self.CONTEXTS, batches):
+        assert [batch[0] for batch in batches] == self.CONTEXTS  # 80 twice, in order
+        assert not batches[0][4].all() and batches[1][4].all()  # (1, 1, 1, 1) diverges
+        for context, seeds, B1, B2, finite in batches:
             index = enumerate_contexts().index(context)
             assert seeds == [derive_run_seed(5, index, run) for run in range(runs)]
             want = simulate_rows([params.coefficients(context)] * runs, params, seeds)
@@ -290,7 +291,8 @@ class TestContextGroups:
 
     def test_a_context_over_the_budget_is_its_own_group(self, monkeypatch):
         batches, calls = self._batches(monkeypatch, 1)
-        assert calls == [self.CONFIG.runs_per_context] * 5 and len(batches) == 5
+        assert calls == [self.CONFIG.runs_per_context] * 5
+        assert [batch[0] for batch in batches] == self.CONTEXTS
 
 
 class TestTailCounts:
