@@ -64,7 +64,6 @@ __all__ = [
     "simulate_batch",
     "batch_row_trajectory",
     "trajectory_csv_text",
-    "trajectory_from_csv",
 ]
 
 TERNARY = (-1, 0, 1)
@@ -178,8 +177,10 @@ class BehaviorState(tuple):
 
 def _checked_int(name: str, value) -> int:
     """``value`` as an int, or ``ValueError`` naming ``name`` if it is not a
-    Python or numpy integer or is below 1: the one rule for counts."""
+    Python or numpy integer, is a ``bool`` or is below 1: the one rule for counts."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -190,8 +191,10 @@ def _checked_int(name: str, value) -> int:
 
 def _checked_seed(seed) -> int:
     """``seed`` as an int, or ``ValueError`` naming it if it is not a Python
-    or numpy integer or lies outside [0, 2**64)."""
+    or numpy integer, is a ``bool`` or lies outside [0, 2**64)."""
     try:
+        if isinstance(seed, bool):
+            raise TypeError
         seed = operator.index(seed)
     except TypeError:
         raise ValueError(f"seed {seed!r} is not an integer") from None
@@ -299,16 +302,18 @@ def simulate(context: ContextMatrix, params: ModelParams, seed: int) -> Trajecto
     return Trajectory(context=context, seed=int(seed), b1=b1, b2=b2)
 
 
-def _pcg64_states(seeds: list[int]) -> Iterator[tuple[int, int]]:
-    """``(state, inc)`` of ``np.random.PCG64(seed)`` for each seed in [0, 2**64).
+def _pcg64_states(seeds) -> Iterator[tuple[int, int]]:
+    """``(state, inc)`` of ``np.random.PCG64(seed)`` for each seed of a
+    sequence or uint64 array of seeds in [0, 2**64).
 
     The seed's two 32-bit words go through ``SeedSequence``'s 4-word pool
     hashing and ``generate_state(4, np.uint64)``, as uint32 arithmetic over
     all seeds at once.  PCG64's 128-bit seeding step then runs on the same
-    arrays, as (high, low) pairs of uint64 limbs; per seed, only the two
-    limbs of ``state`` and of ``inc`` are joined into Python ints.
+    arrays, as (high, low) pairs of uint64 limbs.  The limbs of every
+    ``state`` and of every ``inc`` are joined into Python ints in one
+    object-dtype pass each, and the pairs are returned as a ``zip``.
     """
-    words = np.array(seeds, dtype=np.uint64)
+    words = np.asarray(seeds, dtype=np.uint64)
     zero = np.zeros(len(words), dtype=np.uint32)
     entropy = [(words & _MASK32).astype(np.uint32), (words >> 32).astype(np.uint32), zero, zero]
     hash_const = _HASH_INIT_A  # runs on through every hashmix call, pool and mixing alike
@@ -355,14 +360,13 @@ def _pcg64_states(seeds: list[int]) -> Iterator[tuple[int, int]]:
     lo = lo * mult_lo
     state_lo = lo + inc_lo
     state_hi = hi + inc_hi + (state_lo < lo)
-    for s_hi, s_lo, i_hi, i_lo in zip(
-        state_hi.tolist(), state_lo.tolist(), inc_hi.tolist(), inc_lo.tolist()
-    ):
-        yield s_hi << 64 | s_lo, i_hi << 64 | i_lo
+    states = (state_hi.astype(object) << 64 | state_lo.astype(object)).tolist()
+    incs = (inc_hi.astype(object) << 64 | inc_lo.astype(object)).tolist()
+    return zip(states, incs)
 
 
 def simulate_rows(
-    coefficients, params: ModelParams, seeds: list[int]
+    coefficients, params: ModelParams, seeds
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate one seeded run per row, each with its own (a11, a12, a21, a22).
 
@@ -370,7 +374,9 @@ def simulate_rows(
     bitwise the :func:`simulate` output for ``seeds[i]`` under coefficients
     ``coefficients[i]`` (from :meth:`ModelParams.coefficients`), whatever the
     other rows; diverging runs are carried through as inf/nan, not raised.
-    Seeds must be integers in [0, 2**64); any other seed raises ``ValueError``.
+    ``seeds`` is a 1-D uint64 array, taken as is since every uint64 is a
+    valid seed, or any other sequence of integers in [0, 2**64), checked one
+    by one; a bool or any other seed raises ``ValueError`` naming it.
 
     Rows are drawn through a scratch of at most ``_WINDOW_CELLS`` cells, or
     of one row when a row is larger (see :func:`_draw_rows`).  The
@@ -378,7 +384,8 @@ def simulate_rows(
     most ``_WINDOW_CELLS`` cells, but at least ``_MIN_WINDOW_TURNS`` and at
     most turns + 1 turns deep.  Neither size changes an output bit.
     """
-    seeds = [_checked_seed(seed) for seed in seeds]
+    if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1):
+        seeds = [_checked_seed(seed) for seed in seeds]
     m, width = len(seeds), params.turns + 1
     B = _draw_rows(params, seeds)  # B1, B2; draws first, then states
     # A[j, i] holds a_ij per row
@@ -396,16 +403,18 @@ def simulate_rows(
     return B[0], B[1]
 
 
-def _draw_rows(params: ModelParams, seeds: list[int]) -> np.ndarray:
+def _draw_rows(params: ModelParams, seeds) -> np.ndarray:
     """(2, rows, turns + 1) buffer of each seed's initial state and noise,
-    mapped onto their ranges, for seeds already checked.
+    mapped onto their ranges, for seeds already checked: a uint64 array or a
+    list of ints.
 
     Rows are drawn in groups into a (group, turns + 1, 2) scratch of at most
     ``_WINDOW_CELLS`` cells, or of one row when a row is larger: each row is
     one contiguous ``random`` call, the uniform maps run in the scratch, and
-    each group goes into the buffer in one transposed copy.  The scratch and
-    the seeding arrays are freed on return, before the recurrence's window
-    is allocated.
+    each group goes into the buffer in one transposed copy.  Each row's
+    generator is reseeded from :func:`_pcg64_states`, computed for all rows
+    before the first draw.  The scratch and the seeding lists are freed on
+    return, before the recurrence's window is allocated.
     """
     m, width = len(seeds), params.turns + 1
     B = np.empty((2, m, width))
@@ -475,18 +484,3 @@ def trajectory_csv_text(trajectory: Trajectory) -> str:
     """Trajectory as CSV (`t,b1,b2`), round-trip-safe decimal floats."""
     rows = enumerate(zip(trajectory.b1.tolist(), trajectory.b2.tolist()))
     return "\n".join(["t,b1,b2", *(f"{t},{x!r},{y!r}" for t, (x, y) in rows)]) + "\n"
-
-
-def trajectory_from_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse `t,b1,b2` CSV text back into (b1, b2) arrays."""
-    lines = text.strip().split("\n")
-    if not lines or lines[0] != "t,b1,b2":
-        raise ValueError("not a trajectory CSV: bad header")
-    b1, b2 = [], []
-    for expected_t, line in enumerate(lines[1:]):
-        t_str, x, y = line.split(",")
-        if int(t_str) != expected_t:
-            raise ValueError(f"trajectory CSV out of order at row {expected_t}")
-        b1.append(float(x))
-        b2.append(float(y))
-    return np.asarray(b1), np.asarray(b2)

@@ -41,7 +41,9 @@ def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Returns an (m,) array with nan marking undefined rows (zero variance or
     non-finite input).  Each row is centered and rescaled by its max
     absolute deviation before the dot products, so series spanning hundreds
-    of orders of magnitude (diverging trajectories) stay in range.  Every
+    of orders of magnitude (diverging trajectories) stay in range.  That
+    maximum is one row reduction over ``abs`` of the deviations, taken in
+    the buffer that then holds the products of the three row sums.  Every
     row goes through the same arithmetic, and an undefined row's r is then
     set to nan.  Row results do not depend on which other rows are present,
     which keeps batched and one-at-a-time evaluation bitwise identical.
@@ -52,15 +54,14 @@ def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xm = x - x.mean(axis=1, keepdims=True)
         ym = y - y.mean(axis=1, keepdims=True)
-        # max |deviation| without an abs temporary: negation is exact
-        xs = np.maximum(xm.max(axis=1), -xm.min(axis=1))
-        ys = np.maximum(ym.max(axis=1), -ym.min(axis=1))
+        # one C-contiguous buffer for |deviation| and the three row sums: the
+        # pairwise sum over a contiguous row gives the same bits every time
+        products = np.empty(xm.shape)
+        xs = np.abs(xm, out=products).max(axis=1)
+        ys = np.abs(ym, out=products).max(axis=1)
         xm /= xs[:, None]
         ym /= ys[:, None]
-        # one C-contiguous product buffer for the three row sums: the
-        # pairwise sum over a contiguous row gives the same bits every time
-        products = xm * ym
-        num = products.sum(axis=1)
+        num = np.multiply(xm, ym, out=products).sum(axis=1)
         sxx = np.multiply(xm, xm, out=products).sum(axis=1)
         den = np.sqrt(sxx * np.multiply(ym, ym, out=products).sum(axis=1))
         r = np.clip(num / den, -1.0, 1.0)

@@ -154,15 +154,18 @@ def build_design(table, spec: ModelSpec) -> Design:
 
     Rows with an undefined correlation are excluded and counted.  Predictor
     columns follow ``spec.columns``; the intercept is added at fit time.
+    ``X`` is Fortran-ordered, the layout :func:`fit_least_squares` copies it
+    into, so that copy runs over contiguous columns.
     """
     finite = table.finite
     n_excluded = len(table) - int(finite.sum())
     if n_excluded == len(table):
         raise ValueError("no finite records to regress on")
-    # the (81, k) term table gathered by context: products of 0/1 values
-    # are exact, so X equals the per-row products bit for bit
-    cells = np.column_stack([_CELL_TERMS[term] for term in spec.columns])
-    X = cells[table.context_index[finite]]
+    # the (k, 81) term table gathered by context and transposed: products of
+    # 0/1 values are exact, so X equals the per-row products bit for bit;
+    # np.take returns the (k, n) gather C-ordered (terms[:, rows] would not)
+    terms = np.vstack([_CELL_TERMS[term] for term in spec.columns])
+    X = np.take(terms, table.context_index[finite], axis=1).T
     return Design(X=X, y=table.r[finite], columns=spec.columns, n_excluded=n_excluded)
 
 
@@ -189,13 +192,15 @@ def _distinct_rows(A):
     has the same ``|R_jj|`` and column norms up to rounding.  Rows are
     grouped by the key ``A @ 2**-j``, exact and injective for 0/1 rows of
     up to 53 columns; since other rows can share a key, the grouping is
-    checked and ``A`` returned when it does not hold.
+    checked one column at a time, stopping at the first that breaks it,
+    and ``A`` returned when it does not hold.
     """
     key = A @ 2.0 ** -np.arange(A.shape[1])
     _, first, inverse, counts = np.unique(
         key, return_index=True, return_inverse=True, return_counts=True
     )
-    if len(first) == len(A) or not (A[first][inverse] == A).all():
+    group_first = first[inverse]  # each row's group representative
+    if len(first) == len(A) or not all((col[group_first] == col).all() for col in A.T):
         return A
     return A[first] * np.sqrt(counts)[:, None]
 

@@ -8,7 +8,6 @@ whole 8,100-run batch is reproducible bit for bit on any platform.
 
 import itertools
 from dataclasses import dataclass, field
-from math import isnan
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "InvalidSweepError",
     "enumerate_contexts",
     "derive_run_seed",
-    "classify_tail",
     "context_batches",
     "run_sweep",
     "tail_counts",
@@ -149,19 +147,9 @@ def _run_seeds(master_seed: int, context_indices, runs: int) -> np.ndarray:
     return _mix64(z[:, None] ^ np.arange(runs, dtype=np.uint64)).ravel()
 
 
-def classify_tail(r: float, threshold: float) -> str:
-    """Tail label for a correlation value (nan -> ``undefined``)."""
-    if isnan(r):
-        return TAIL_LABELS[UNDEFINED]
-    if r < -threshold:
-        return TAIL_LABELS[COMPLEMENTARY]
-    if r > threshold:
-        return TAIL_LABELS[SYNCHRONOUS]
-    return TAIL_LABELS[NEUTRAL]
-
-
 def _tail_codes(r: np.ndarray, threshold: float) -> np.ndarray:
-    """Index into ``TAIL_LABELS`` per row; agrees with :func:`classify_tail`."""
+    """Index into ``TAIL_LABELS`` per row: complementary below -threshold,
+    synchronous above threshold, neutral between, undefined where r is nan."""
     codes = np.where(r < -threshold, COMPLEMENTARY, np.where(r > threshold, SYNCHRONOUS, NEUTRAL))
     codes[np.isnan(r)] = UNDEFINED
     return codes
@@ -198,7 +186,7 @@ def context_batches(config: SweepConfig, contexts):
         members = contexts[g0:g0 + group]
         seeds = _run_seeds(config.master_seed, [_CONTEXTS.index(c) for c in members], runs)
         coefficients = np.repeat([params.coefficients(c) for c in members], runs, axis=0)
-        B1, B2 = simulate_rows(coefficients, params, seeds.tolist())
+        B1, B2 = simulate_rows(coefficients, params, seeds)
         finite = np.isfinite(B1).all(axis=1) & np.isfinite(B2).all(axis=1)
         for k, context in enumerate(members):
             rows = slice(k * runs, (k + 1) * runs)

@@ -20,10 +20,11 @@ from dyadsim.dynamics import (
     simulate_rows,
     step,
     trajectory_csv_text,
-    trajectory_from_csv,
 )
 from dyadsim.metrics import LagSpec, cross_correlation, histogram
 from dyadsim.sweep import SweepConfig, enumerate_contexts, run_sweep
+
+from helpers import trajectory_from_csv
 
 UNIT_GAIN = ModelParams(influence=1.0)
 
@@ -127,7 +128,9 @@ class TestCountRule:
         ("3", "must be an integer, got '3'"),
         (0, "must be >= 1"),
         (-1, "must be >= 1"),
-    ], ids=["float", "str", "zero", "negative"])
+        (True, "must be an integer, got True"),
+        (False, "must be an integer, got False"),
+    ], ids=["float", "str", "zero", "negative", "True", "False"])
     def test_rejected_with_the_shared_message(self, entry, value, message):
         name, call = COUNT_ENTRY_POINTS[entry]
         with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {message}')}$"):
@@ -462,6 +465,32 @@ class TestBulkSeeder:
         with pytest.raises(ValueError, match=f"seed {seed} outside"):
             simulate_rows(coefficients, params, [3, seed])
 
+    def test_no_seeds_give_no_states(self):
+        assert list(_pcg64_states([])) == []
+        assert list(_pcg64_states(np.array([], dtype=np.uint64))) == []
+
+    def test_uint64_array_gives_the_states_of_the_list(self):
+        seeds = [0, 5, 2**32, 2**63 + 1, 2**64 - 1]
+        states = list(_pcg64_states(np.array(seeds, dtype=np.uint64)))
+        assert states == list(_pcg64_states(seeds))
+        assert all(type(value) is int for pair in states for value in pair)
+
+    def test_uint64_array_gives_the_bits_of_the_list(self):
+        params = ModelParams(turns=30)
+        contexts = enumerate_contexts()
+        coefficients = [params.coefficients(c) for c in contexts + contexts[:2]]
+        seeds = [3 * i + 2**63 for i in range(81)] + [0, 2**64 - 1]
+        from_array = simulate_rows(coefficients, params, np.array(seeds, dtype=np.uint64))
+        from_list = simulate_rows(coefficients, params, seeds)
+        for a, b in zip(from_array, from_list, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_signed_array_is_checked_per_seed(self):
+        params = ModelParams(turns=5)
+        coefficients = [params.coefficients(ContextMatrix(1, 0, 0, 1))] * 2
+        with pytest.raises(ValueError, match=r"^seed -1 outside \[0, 2\*\*64\)$"):
+            simulate_rows(coefficients, params, np.array([3, -1], dtype=np.int64))
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_scalar_path_rejects_out_of_range_seed(self, seed):
         with pytest.raises(ValueError, match=rf"^seed {seed} outside \[0, 2\*\*64\)$"):
@@ -525,8 +554,8 @@ class TestSeedingCarries:
 class TestSeedType:
     CONTEXT = ContextMatrix(1, 0, 0, 1)
 
-    @pytest.mark.parametrize("seed", [7.9, 7.0, 2.5, "3", np.float64(7.0), None],
-                             ids=["7.9", "7.0", "2.5", "str", "np.float64", "None"])
+    @pytest.mark.parametrize("seed", [7.9, 7.0, 2.5, "3", np.float64(7.0), None, True, False],
+                             ids=["7.9", "7.0", "2.5", "str", "np.float64", "None", "True", "False"])
     def test_non_integer_seed_rejected(self, seed):
         params = ModelParams(turns=5)
         message = f"^seed {re.escape(repr(seed))} is not an integer$"

@@ -166,6 +166,103 @@ class TestPearsonRowsReference:
         assert x.tobytes() == x_bytes and y.tobytes() == y_bytes
 
 
+
+def _deviation_extremes(x):
+    """Each row's max |deviation| both ways: one reduction over ``abs``, and
+    two reductions as max(row max, -row min)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xm = x - x.mean(axis=1, keepdims=True)
+        return np.abs(xm).max(axis=1), np.maximum(xm.max(axis=1), -xm.min(axis=1))
+
+
+def _pearson_rows_two_reductions(x, y):
+    """``pearson_rows`` with each max |deviation| taken as two row
+    reductions, max(row max, -row min), and a fresh product temporary."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xm = x - x.mean(axis=1, keepdims=True)
+        ym = y - y.mean(axis=1, keepdims=True)
+        xs = np.maximum(xm.max(axis=1), -xm.min(axis=1))
+        ys = np.maximum(ym.max(axis=1), -ym.min(axis=1))
+        xm /= xs[:, None]
+        ym /= ys[:, None]
+        products = xm * ym
+        num = products.sum(axis=1)
+        sxx = np.multiply(xm, xm, out=products).sum(axis=1)
+        den = np.sqrt(sxx * np.multiply(ym, ym, out=products).sum(axis=1))
+        r = np.clip(num / den, -1.0, 1.0)
+    r[~((xs > 0) & (ys > 0))] = np.nan
+    return r
+
+
+_MAX = np.finfo(float).max
+_TINY = np.finfo(float).smallest_subnormal
+# values that stress a row extreme: signed zeros, subnormals, the largest
+# finite values (a row of them overflows its mean), infinities and nan
+_EDGE_VALUES = (0.0, -0.0, _TINY, -_TINY, 2.2250738585072014e-308, -1.0, 0.25,
+                _MAX, -_MAX, 1e308, np.inf, -np.inf, np.nan)
+
+_EDGE_ROWS = {
+    "nan": [1.0, np.nan, 2.0],
+    "inf": [np.inf, 1.0, 2.0],
+    "-inf": [-np.inf, 1.0, 2.0],
+    "both infinities": [np.inf, -np.inf],
+    "mean overflows": [_MAX, _MAX, 1.0],
+    "mean overflows negative": [-_MAX, -_MAX, -1e308],
+    "spread overflows": [_MAX, -_MAX],
+    "constant": [0.1, 0.1, 0.1, 0.1],
+    "signed zeros": [0.0, -0.0, 0.0],
+    "negative zeros": [-0.0, -0.0],
+    "subnormals": [_TINY, -_TINY, 3 * _TINY],
+    "one subnormal": [0.0, _TINY],
+    "two samples": [1.0, 3.0],
+    "negative extreme": [5.0, 5.0, -20.0],
+    "positive extreme": [-5.0, -5.0, 20.0],
+}
+
+
+@st.composite
+def _edge_stacks(draw):
+    """(m, n) pairs of rows with 2-6 samples drawn mostly from ``_EDGE_VALUES``."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=2, max_value=6))
+    value = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(width=64))
+    return tuple(np.array(draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                        min_size=m, max_size=m)), dtype=float)
+                 for _ in range(2))
+
+
+class TestPearsonRowsRowExtremes:
+    """The max |deviation| is one reduction over abs: abs and negation are
+    exact and nan propagates through both forms, so r keeps its bits."""
+
+    @pytest.mark.parametrize("row", _EDGE_ROWS.values(), ids=_EDGE_ROWS.keys())
+    def test_edge_row_against_every_edge_row(self, row):
+        rows = list(_EDGE_ROWS.values())
+        for other in rows:
+            n = min(len(row), len(other))
+            x = np.array([row[:n], other[:n]])
+            y = np.array([other[:n], row[:n]])
+            assert pearson_rows(x, y).tobytes() == _pearson_rows_two_reductions(x, y).tobytes()
+        one_pass, two_reductions = _deviation_extremes(np.array([row]))
+        assert np.array_equal(one_pass, two_reductions, equal_nan=True)
+
+    @settings(deadline=None, max_examples=400, derandomize=True)
+    @given(_edge_stacks())
+    def test_edge_stacks_keep_their_bits(self, case):
+        x, y = case
+        assert pearson_rows(x, y).tobytes() == _pearson_rows_two_reductions(x, y).tobytes()
+        for series in case:
+            one_pass, two_reductions = _deviation_extremes(series)
+            assert np.array_equal(one_pass, two_reductions, equal_nan=True)
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(pearson_stacks())
+    def test_mixed_stacks_keep_their_bits(self, case):
+        x, y = case
+        assert pearson_rows(x, y).tobytes() == _pearson_rows_two_reductions(x, y).tobytes()
+
 class TestPearsonRowsNonFinite:
     def test_diverged_block_is_silent_and_equals_masked_call(self):
         params = ModelParams(influence=1.0, turns=1200)

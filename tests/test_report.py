@@ -11,7 +11,6 @@ from dyadsim.dynamics import (
     NonFiniteStateError,
     simulate,
     trajectory_csv_text,
-    trajectory_from_csv,
 )
 from dyadsim.report import (
     DEFAULT_FIGURE_CONTEXTS,
@@ -32,6 +31,8 @@ from dyadsim.sweep import (
     run_sweep,
     write_sweep_csv,
 )
+
+from helpers import trajectory_from_csv
 
 PANEL_CONFIG = SweepConfig(master_seed=42, runs_per_context=40, params=ModelParams(turns=200))
 

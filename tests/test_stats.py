@@ -184,7 +184,7 @@ class TestBuildDesign:
         assert design.X.dtype == expected.dtype == np.float64
         assert design.X.shape == expected.shape
         assert design.X.tobytes() == expected.tobytes()
-        assert design.X.flags.c_contiguous
+        assert design.X.flags.f_contiguous
 
 
 class TestFitLeastSquares:

@@ -21,7 +21,6 @@ from dyadsim.sweep import (
     InvalidSweepError,
     SweepConfig,
     SweepTable,
-    classify_tail,
     derive_run_seed,
     enumerate_contexts,
     read_sweep_csv,
@@ -30,6 +29,8 @@ from dyadsim.sweep import (
     tail_counts,
     write_sweep_csv,
 )
+
+from helpers import classify_tail
 
 SMALL = SweepConfig(master_seed=7, runs_per_context=2, params=ModelParams(turns=60))
 
@@ -110,8 +111,8 @@ class TestDeriveRunSeed:
 
 
 class TestSweepConfig:
-    @pytest.mark.parametrize("seed", [7.9, 42.0, "42", np.float64(42.0)],
-                             ids=["7.9", "42.0", "str", "np.float64"])
+    @pytest.mark.parametrize("seed", [7.9, 42.0, "42", np.float64(42.0), True, False],
+                             ids=["7.9", "42.0", "str", "np.float64", "True", "False"])
     def test_non_integer_master_seed_rejected(self, seed):
         message = f"^seed {re.escape(repr(seed))} is not an integer$"
         with pytest.raises(ValueError, match=message):
