@@ -18,8 +18,15 @@ parameter products:
 
 ``ModelSpec.k_nominal`` is the conventional parameter count of each model
 (8/48/56/28/28); ``FitResult.k_effective`` is the rank actually estimated.
+
+The chi-square p-values are Q(df/2, x/2), computed in pure Python so that
+the runtime needs numpy only.  The report's two tests have df = 1, whose
+Q(1/2, y) is a port of Cephes' ``igamc`` (the code behind scipy's
+``gammaincc``) and matches it bit for bit, given the same C library
+``log``, ``exp`` and ``pow``.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -314,18 +321,143 @@ class Chi2Result:
     p_value: float
 
 
+# Cephes igamc (S. L. Moshier, after DiDonato & Morris 1986 and Temme), the
+# code behind scipy.special.gammaincc, at a = 1/2.  Its constants are
+# Cephes values: lgam(0.5) and lgam1p(0.5) are 1 ulp off math.lgamma, and
+# the expm1 on |t| <= 0.5 is the EP/EQ rational, not the C library's.
+_MACHEP = 2.0 ** -53
+_MAXLOG = 7.09782712893383996843e2
+_BIG = 4.503599627370496e15
+_BIGINV = 2.0 ** -52
+_LGAM_HALF = 0.5723649429247
+_LGAM1P_HALF = -0.12078223763524884
+_LANCZOS_G = 6.024680040776729583740234375
+_LANCZOS_HALF = 0.8399333323251386  # sqrt(g / e) / lanczos_sum_expg_scaled(0.5)
+_EXPM1_P = (1.2617719307481059087798e-4, 3.0299440770744196129956e-2, 9.9999999999999999991025e-1)
+_EXPM1_Q = (3.0019850513866445504159e-6, 2.5244834034968410419224e-3,
+            2.2726554820815502876593e-1, 2.0000000000000000000897e0)
+
+
+def _cephes_expm1(t: float) -> float:
+    """Cephes ``expm1`` for |t| <= 0.5, the only arguments it gets here."""
+    tt = t * t
+    r = t * ((_EXPM1_P[0] * tt + _EXPM1_P[1]) * tt + _EXPM1_P[2])
+    r = r / (((_EXPM1_Q[0] * tt + _EXPM1_Q[1]) * tt + _EXPM1_Q[2]) * tt + _EXPM1_Q[3] - r)
+    return r + r
+
+
+def _q_half(y: float) -> float:
+    """Q(1/2, y) for y >= 0, bit for bit Cephes ``igamc(0.5, y)``.
+
+    At a = 1/2 igamc takes one of three branches (its asymptotic series
+    needs a > 20), each written out here operation for operation.
+    """
+    if y == 0.0:
+        return 1.0
+    if y == math.inf:
+        return 0.0
+    log_y = math.log(y)
+    if y > 1.1:
+        # continued fraction, DLMF 8.9.2
+        ax = 0.5 * log_y - y - _LGAM_HALF
+        if ax < -_MAXLOG:
+            return 0.0
+        ax = math.exp(ax)
+        b, z, c = 0.5, y + 0.5 + 1.0, 0.0  # b = 1 - a, z = y + b + 1
+        pkm2, pkm1, qkm2, qkm1 = 1.0, y + 1.0, y, z * y
+        ans = pkm1 / qkm1
+        for _ in range(2000):
+            c += 1.0
+            b += 1.0
+            z += 2.0
+            bc = b * c
+            pk = pkm1 * z - pkm2 * bc
+            qk = qkm1 * z - qkm2 * bc
+            if qk != 0:
+                r = pk / qk
+                t = abs((ans - r) / r)
+                ans = r
+            else:
+                t = 1.0
+            pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
+            if abs(pk) > _BIG:
+                pkm2, pkm1, qkm2, qkm1 = (v * _BIGINV for v in (pkm2, pkm1, qkm2, qkm1))
+            if t <= _MACHEP:
+                break
+        return ans * ax
+    if y <= 0.5 and -0.4 / log_y < 0.5:
+        # 1 - P(1/2, y) by the power series, DLMF 8.11.4; the prefactor
+        # y**a e**-y / Gamma(a) takes the Lanczos form near y = a
+        if abs(0.5 - y) > 0.2:
+            ax = math.exp(0.5 * log_y - y - _LGAM_HALF)
+        else:
+            ax = _LANCZOS_HALF * (math.exp(0.5 - y) * math.pow(y / _LANCZOS_G, 0.5))
+        r, c, ans = 0.5, 1.0, 1.0
+        for _ in range(2000):
+            r += 1.0
+            c *= y / r
+            ans += c
+            if c <= _MACHEP * ans:
+                break
+        return 1.0 - ans * ax / 0.5
+    # the series for Q itself, DLMF 8.7.3
+    fac, total = 1.0, 0.0
+    for n in range(1, 2000):
+        fac *= -y / n
+        term = fac / (0.5 + n)
+        total += term
+        if abs(term) <= _MACHEP * abs(total):
+            break
+    return -_cephes_expm1(0.5 * log_y - _LGAM1P_HALF) - math.exp(0.5 * log_y - _LGAM_HALF) * total
+
+
 def chi2_upper_tail(x: float, df: int) -> float:
-    """Upper-tail probability of the chi-square law, Q(df/2, x/2)."""
-    if x < 0:
-        raise ValueError("chi-square statistic must be >= 0")
-    if not isinstance(df, numbers.Real) or not float(df).is_integer():
+    """Upper-tail probability of the chi-square law, Q(df/2, x/2).
+
+    df = 1 equals scipy's ``gammaincc(0.5, x / 2)`` bit for bit (see
+    :func:`_q_half`).  A larger df steps up from Q(1/2, y) or
+    Q(1, y) = e**-y, y = x/2, by Q(a + 1, y) = Q(a, y) + y**a e**-y / Gamma(a + 1):
+    terms that underflow to 0 are skipped, and the loop stops once the
+    terms, shrinking past a = y, can no longer change the sum.
+    """
+    if isinstance(df, bool) or not isinstance(df, numbers.Real) or not float(df).is_integer():
         raise ValueError(f"df must be an integer, got {df!r}")
     if df < 1:
         raise ValueError("df must be >= 1")
-    # imported here, its only use, so that importing dyadsim does not load scipy
-    from scipy.special import gammaincc
+    if not x >= 0:
+        raise ValueError(f"chi-square statistic must be >= 0, got {float(x)!r}")
+    y = float(x) / 2.0
+    if df % 2:
+        q, a = _q_half(y), 0.5
+    else:
+        q, a = math.exp(-y), 1.0
+    end = df / 2
+    if a == end or y == 0.0 or y == math.inf:
+        return q
+    log_y = math.log(y)
 
-    return float(gammaincc(df / 2.0, x / 2.0))
+    def log_term(s):
+        return s * log_y - y - math.lgamma(s + 1.0)
+
+    # the terms grow while a + 1 <= y; bisect for the first that can be
+    # nonzero (exp underflows to 0 below -745.2; -800 leaves a margin)
+    lo, hi = 0, int(min(end - a, max(y - a, 0.0)))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if log_term(a + mid) < -800.0:
+            lo = mid + 1
+        else:
+            hi = mid
+    a += lo
+    while a < end:
+        t = math.exp(log_term(a))
+        q += t
+        a += 1.0
+        # past a = y each ratio y / (a + j) is at most y / a, so the rest
+        # of the terms sum to at most t * y / (a - y)
+        if a > y and q + t * y / (a - y) == q:
+            break
+    return q
 
 
 def chi2_gof(observed, expected_probs) -> Chi2Result:

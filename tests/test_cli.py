@@ -669,11 +669,19 @@ class TestFlagHandling:
         assert (out_dir / "sweep.csv").exists()
 
     def test_cli_import_does_not_load_scipy(self, tmp_path):
-        code = ("import sys, dyadsim.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        # import, then the sweep -> analyze -> figures chain, in one interpreter
+        flags = " ".join(SMALL)
+        code = (
+            "import sys; from dyadsim.cli import main; "
+            f"print(main('sweep {flags} --out s.csv'.split()), "
+            f"main('analyze {flags} --input s.csv --out report'.split()), "
+            f"main('figures {flags} --input s.csv --out figs'.split())); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         result = run_python(["-c", code], cwd=tmp_path)
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "[]\n"
+        assert result.stdout.splitlines()[-2:] == ["0 0 0", "[]"]
+        assert (tmp_path / "report" / "report.json").exists()
 
     def test_version_flag(self, tmp_path):
         result = run_cli(["--version"], cwd=tmp_path)

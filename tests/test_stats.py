@@ -1,8 +1,11 @@
+import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expm1 as scipy_expm1, gammaincc, gammaln
 
 from dyadsim import analyze, stats
 from dyadsim.dynamics import ContextMatrix
@@ -447,7 +450,7 @@ class TestChiSquare:
         with pytest.raises(ValueError):
             chi2_upper_tail(1.0, 0)
 
-    @pytest.mark.parametrize("df", [1.5, 0.5, float("nan"), float("inf"), "3", None])
+    @pytest.mark.parametrize("df", [1.5, 0.5, float("nan"), float("inf"), "3", None, True, False])
     def test_upper_tail_rejects_non_integer_df(self, df):
         with pytest.raises(ValueError) as caught:
             chi2_upper_tail(3.0, df)
@@ -455,6 +458,112 @@ class TestChiSquare:
 
     def test_upper_tail_takes_integral_float_df(self):
         assert chi2_upper_tail(3.0, 2.0) == chi2_upper_tail(3.0, 2)
+
+
+def _neighbours(x, steps=3):
+    """``x`` and its ``steps`` nearest floats on each side."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+# statistics x = 2y at Cephes igamc's branch points y (the prefactor's
+# Lanczos window edges 0.3 and 0.7, the series switch e**-0.8, 0.5 and the
+# continued fraction from 1.1), the subnormal onset near x = 1419.6, the
+# cut to 0 at x = 1424.99 and the ends of the range
+_DF1_STATISTICS = sorted({
+    x
+    for y in (0.3, math.exp(-0.8), 0.5, 0.7, 1.1)
+    for x in _neighbours(2.0 * y)
+} | set(_neighbours(1419.6)) | set(_neighbours(1424.9894684224535))
+  | {0.0, 5e-324, 1e-300, 2.2250738585072014e-308, math.inf})
+
+
+def _plain_upper_tail(x, df):
+    """Q(df/2, x/2) by the same recurrence, every term added: no skip, no stop."""
+    y = x / 2.0
+    q, a = (stats._q_half(y), 0.5) if df % 2 else (math.exp(-y), 1.0)
+    if y in (0.0, math.inf):
+        return q
+    while a < df / 2:
+        q += math.exp(a * math.log(y) - y - math.lgamma(a + 1.0))
+        a += 1.0
+    return q
+
+
+def _mp_upper_tail(x, df):
+    with mpmath.workdps(50):
+        return mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf,
+                               regularized=True)
+
+
+class TestUpperTail:
+    """``chi2_upper_tail``: df = 1 bitwise against scipy, larger df against mpmath."""
+
+    @pytest.mark.parametrize("x", _DF1_STATISTICS, ids=float.hex)
+    def test_df1_bitwise_equals_scipy_at_the_branch_edges(self, x):
+        assert chi2_upper_tail(x, 1).hex() == float(gammaincc(0.5, x / 2.0)).hex()
+
+    def test_df1_bitwise_equals_scipy_across_the_range(self):
+        rng = np.random.default_rng(22)
+        xs = np.concatenate([rng.uniform(0.0, 3.0, 2000), rng.uniform(0.0, 3000.0, 2000),
+                             np.exp(rng.uniform(-740.0, 7.3, 2000))])
+        expected = gammaincc(0.5, xs / 2.0)
+        mismatched = [x for x, q in zip(xs.tolist(), expected.tolist())
+                      if chi2_upper_tail(x, 1) != q]
+        assert mismatched == []
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(st.floats(min_value=0.0, max_value=3000.0))
+    def test_df1_bitwise_property(self, x):
+        assert chi2_upper_tail(x, 1).hex() == float(gammaincc(0.5, x / 2.0)).hex()
+
+    def test_cephes_expm1_is_not_the_c_library_one(self):
+        ts = np.linspace(-0.5, 0.5, 2001)
+        assert [stats._cephes_expm1(t) for t in ts.tolist()] == scipy_expm1(ts).tolist()
+        assert any(stats._cephes_expm1(t) != math.expm1(t) for t in ts.tolist())
+
+    def test_cephes_constants(self):
+        assert stats._LGAM_HALF == float(gammaln(0.5)) != math.lgamma(0.5)
+
+    def test_df_2_to_200_within_1e_12_of_mpmath(self):
+        far = []
+        for df in range(2, 201):
+            for x in (1e-3, 0.5, 0.5 * df, df - 1.0, df, df + 2.0 * math.sqrt(2.0 * df),
+                      3.0 * df, 50.0, 700.0, 1500.0, 2500.0):
+                expected = _mp_upper_tail(x, df)
+                if expected > 1e-300 and abs(chi2_upper_tail(x, df) / expected - 1) > 1e-12:
+                    far.append((df, x))
+        assert far == []
+
+    @pytest.mark.parametrize("df", [2, 3, 7, 40, 41, 199, 1000, 3001])
+    def test_skip_and_stop_leave_the_sum_unchanged(self, df):
+        rng = np.random.default_rng(df)
+        xs = np.concatenate([rng.uniform(0.0, 4.0 * df + 100.0, 40), [1e-300, 0.1, 2000.0]])
+        for x in xs.tolist():
+            assert chi2_upper_tail(x, df) == _plain_upper_tail(x, df)
+
+    def test_million_df_at_a_small_and_a_large_statistic(self):
+        # each term's exponent a*log(y) - y - lgamma(a + 1) is ~6e6 here, so
+        # its rounding limits the agreement to a few 1e-10 near the mean
+        df = 10**6
+        assert chi2_upper_tail(10.0, df) == pytest.approx(1.0, rel=1e-15)
+        x = df + 3000.0
+        assert chi2_upper_tail(x, df) == pytest.approx(float(_mp_upper_tail(x, df)), rel=1e-9)
+        assert _mp_upper_tail(2.0 * df, df) < 1e-300
+        assert chi2_upper_tail(2.0 * df, df) == 0.0
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 10])
+    def test_infinite_statistic_has_zero_tail(self, df):
+        assert chi2_upper_tail(math.inf, df) == 0.0
+
+    @pytest.mark.parametrize("x", [float("nan"), np.float64("nan"), -0.5, -math.inf])
+    def test_statistic_outside_the_domain_named(self, x):
+        with pytest.raises(ValueError) as caught:
+            chi2_upper_tail(x, 1)
+        assert str(caught.value) == f"chi-square statistic must be >= 0, got {float(x)!r}"
 
 
 class TestCsvEmitters:
