@@ -255,16 +255,27 @@ def _cmd_simulate(args, settings, config) -> int:
     return EXIT_OK
 
 
-def _panel_command(args, settings, config, panel: str, rename_from: str, rename_to: str) -> int:
-    payloads = report_mod.figure_data(
-        panel, config=config, contexts=args.context, max_lag=settings["max_lag"]
-    )
-    renamed = {
-        name.replace(rename_from, rename_to, 1): text for name, text in payloads.items()
-    }
-    for path in report_mod.write_payloads(renamed, _out_dir(args)):
+def _context_payloads(args, config, max_lag: int, *panels) -> dict:
+    """The panels cut from each context's batch; each group is simulated once."""
+    payloads = {}
+    contexts = args.context or report_mod.DEFAULT_FIGURE_CONTEXTS
+    for batch in sweep_mod.context_batches(config, contexts):
+        for panel in panels:
+            payloads.update(report_mod.figure_data(panel, max_lag=max_lag, batches=[batch]))
+        del batch  # so that a finished group is freed before the next is simulated
+    return payloads
+
+
+def _write_payloads(args, payloads) -> int:
+    for path in report_mod.write_payloads(payloads, _out_dir(args)):
         print(f"wrote {path}")
     return EXIT_OK
+
+
+def _panel_command(args, settings, config, panel: str) -> int:
+    payloads = _context_payloads(args, config, settings["max_lag"], panel)
+    # named without the figure prefix: fig6_ccf_+100+1.csv -> ccf_+100+1.csv
+    return _write_payloads(args, {n.split("_", 1)[1]: t for n, t in payloads.items()})
 
 
 def _cmd_figures(args, settings, config) -> int:
@@ -272,24 +283,18 @@ def _cmd_figures(args, settings, config) -> int:
         table = sweep_mod.read_sweep_csv(args.input, config)
     else:
         table = sweep_mod.run_sweep(config, workers=settings["workers"])
-    max_lag = settings["max_lag"]
     payloads = report_mod.figure_data("r_histogram", table=table, bins=settings["bins"])
-    contexts = args.context or report_mod.DEFAULT_FIGURE_CONTEXTS
-    for batch in sweep_mod.context_batches(config, contexts):  # one simulation, three panels
-        for panel in ("ccf_panel", "lag_panel", "trajectory_panel"):
-            payloads.update(report_mod.figure_data(panel, max_lag=max_lag, batches=[batch]))
-        del batch  # so that a finished group is freed before the next is simulated
-    for path in report_mod.write_payloads(payloads, _out_dir(args)):
-        print(f"wrote {path}")
-    return EXIT_OK
+    context_panels = report_mod.PANEL_NAMES[1:]  # every panel but the histogram
+    payloads.update(_context_payloads(args, config, settings["max_lag"], *context_panels))
+    return _write_payloads(args, payloads)
 
 
 _COMMANDS = {
     "sweep": _cmd_sweep,
     "analyze": _cmd_analyze,
     "simulate": _cmd_simulate,
-    "xcorr": lambda *given: _panel_command(*given, "ccf_panel", "fig6_ccf_", "ccf_"),
-    "lags": lambda *given: _panel_command(*given, "lag_panel", "fig7_lags_", "lags_"),
+    "xcorr": lambda *given: _panel_command(*given, "ccf_panel"),
+    "lags": lambda *given: _panel_command(*given, "lag_panel"),
     "figures": _cmd_figures,
 }
 

@@ -45,6 +45,7 @@ depend on the group or the window.
 """
 
 import math
+import numbers
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -138,9 +139,10 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("alpha", "influence", "noise_half_width"):
-            value = getattr(self, name)
+            value = _checked_float(name, getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha!r}")
         if self.influence < 0.0:
@@ -187,6 +189,17 @@ def _checked_int(name: str, value) -> int:
     if count < 1:
         raise ValueError(f"{name} must be >= 1")
     return count
+
+
+def _checked_float(name: str, value) -> float:
+    """``value`` as a Python float, or ``ValueError`` naming ``name`` if it is
+    not a real number or is a ``bool``: the one rule for float settings."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} must be finite, got {value!r}") from None
 
 
 def _checked_seed(seed) -> int:

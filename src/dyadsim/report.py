@@ -224,8 +224,6 @@ def figure_data(
     which: str,
     *,
     table: sweep_mod.SweepTable | None = None,
-    config: sweep_mod.SweepConfig | None = None,
-    contexts=None,
     max_lag: int = metrics.LagSpec.max_lag,
     bins: int = HISTOGRAM_BINS,
     batches=None,
@@ -234,12 +232,10 @@ def figure_data(
 
     Panels: ``r_histogram`` (needs ``table``), ``ccf_panel``, ``lag_panel``
     and ``trajectory_panel``.  A context panel cuts each
-    :func:`sweep.context_batches` batch into one payload, named after the
-    batch's context; the trajectory is its run 0.  It takes ``batches``, or
-    ``contexts`` (default ``DEFAULT_FIGURE_CONTEXTS``) that it simulates
-    through that generator with ``config``, in groups of whole contexts; no
-    byte depends on the grouping.  Context filenames carry the signed-digit
-    code of (s1, o1, o2, s2), e.g. ``fig6_ccf_+10+1-1.csv``.
+    :func:`sweep.context_batches` batch of ``batches`` into one payload,
+    named after the batch's context; the trajectory is its run 0.  No byte
+    depends on how the batches were grouped.  Context filenames carry the
+    signed-digit code of (s1, o1, o2, s2), e.g. ``fig6_ccf_+10+1-1.csv``.
     """
     if which not in PANEL_NAMES:
         raise ValueError(f"unknown figure panel {which!r}; expected one of {PANEL_NAMES}")
@@ -251,12 +247,7 @@ def figure_data(
         return {"fig3_hist.csv": metrics.histogram_csv_text(hist)}
 
     if batches is None:
-        if config is None:
-            raise ValueError(f"{which} needs a sweep config")
-        contexts = DEFAULT_FIGURE_CONTEXTS if contexts is None else tuple(contexts)
-        batches = sweep_mod.context_batches(config, contexts)
-    elif contexts is not None:
-        raise ValueError(f"{which} takes contexts or batches, not both")
+        raise ValueError(f"{which} needs batches from sweep.context_batches")
     # map holds no batch between calls, so a finished group is freed before the
     # generator simulates the next one; a comprehension's loop variable would keep it
     return dict(map(functools.partial(_panel_payload, which, max_lag=max_lag), batches))

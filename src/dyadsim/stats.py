@@ -411,6 +411,23 @@ def _q_half(y: float) -> float:
     return -_cephes_expm1(0.5 * log_y - _LGAM1P_HALF) - math.exp(0.5 * log_y - _LGAM_HALF) * total
 
 
+def _log_term(s: float, y: float, log_y: float) -> float:
+    """log(y**s e**-y / Gamma(s + 1)), a term of the chi-square tail's recurrence.
+
+    For s >= 100 and y >= s/2 it is Stirling's form s log1p((y - s)/s) -
+    (y - s) - log(2 pi s)/2 - sigma(s), whose parts are about |y - s| in
+    size; the plain s log y - y - lgamma(s + 1) cancels parts of size s log y.
+    Below y = s/2 a term is under 0.83**s while the sum is near 1, and
+    log1p((y - s)/s) would reach -1 for a tiny y.
+    """
+    if s < 100.0 or 2.0 * y < s:
+        return s * log_y - y - math.lgamma(s + 1.0)
+    d, inv = y - s, 1.0 / s
+    inv2 = inv * inv
+    sigma = inv * (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680)))
+    return s * math.log1p(d / s) - d - 0.5 * math.log(2.0 * math.pi * s) - sigma
+
+
 def chi2_upper_tail(x: float, df: int) -> float:
     """Upper-tail probability of the chi-square law, Q(df/2, x/2).
 
@@ -435,22 +452,18 @@ def chi2_upper_tail(x: float, df: int) -> float:
     if a == end or y == 0.0 or y == math.inf:
         return q
     log_y = math.log(y)
-
-    def log_term(s):
-        return s * log_y - y - math.lgamma(s + 1.0)
-
     # the terms grow while a + 1 <= y; bisect for the first that can be
     # nonzero (exp underflows to 0 below -745.2; -800 leaves a margin)
     lo, hi = 0, int(min(end - a, max(y - a, 0.0)))
     while lo < hi:
         mid = (lo + hi) // 2
-        if log_term(a + mid) < -800.0:
+        if _log_term(a + mid, y, log_y) < -800.0:
             lo = mid + 1
         else:
             hi = mid
     a += lo
     while a < end:
-        t = math.exp(log_term(a))
+        t = math.exp(_log_term(a, y, log_y))
         q += t
         a += 1.0
         # past a = y each ratio y / (a + j) is at most y / a, so the rest

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dyadsim.dynamics import (
-    ContextMatrix, ModelParams, _checked_int, _checked_seed, simulate_rows,
+    ContextMatrix, ModelParams, _checked_float, _checked_int, _checked_seed, simulate_rows,
 )
 from dyadsim.metrics import pearson_rows
 
@@ -85,7 +85,9 @@ class SweepConfig:
         object.__setattr__(self, "master_seed", _checked_seed(self.master_seed))
         runs = _checked_int("runs_per_context", self.runs_per_context)
         object.__setattr__(self, "runs_per_context", runs)
-        if not 0.0 < self.tail_threshold < 1.0:
+        threshold = _checked_float("tail_threshold", self.tail_threshold)
+        object.__setattr__(self, "tail_threshold", threshold)
+        if not 0.0 < threshold < 1.0:
             raise ValueError("tail_threshold must be in (0, 1)")
 
 
@@ -168,7 +170,7 @@ def _table(config: SweepConfig, run_seed: list[int], r) -> SweepTable:
 
 
 def context_batches(config: SweepConfig, contexts):
-    """Seeded runs of each context of a sequence, in order, on the sweep's seed grid.
+    """Seeded runs of each context of an iterable, in order, on the sweep's seed grid.
 
     Yields ``(context, seeds, B1, B2, finite)`` per context: the context
     itself, the per-run seeds, the (runs, turns + 1) series of both agents,
@@ -179,7 +181,7 @@ def context_batches(config: SweepConfig, contexts):
     other rows, so neither does any batch.  A group is freed before the next
     one is simulated once the caller drops its batches.
     """
-    runs, params = config.runs_per_context, config.params
+    contexts, runs, params = tuple(contexts), config.runs_per_context, config.params
     # half the budget: a group stays alive while its panels' CCF and lag temporaries are allocated
     group = max(1, _CELL_BUDGET // 2 // (runs * (params.turns + 1)))
     for g0 in range(0, len(contexts), group):

@@ -39,6 +39,7 @@ from dyadsim.stats import (
 )
 from dyadsim.sweep import (
     SweepConfig,
+    context_batches,
     derive_run_seed,
     enumerate_contexts,
     run_sweep,
@@ -267,7 +268,7 @@ class TestCriterion5:
 class TestCriterion6:
     def test_c6a_uncoupled_ccf_flat(self, default_config):
         payloadless = figure_data(
-            "ccf_panel", config=default_config, contexts=[ContextMatrix(1, 0, 0, 1)]
+            "ccf_panel", batches=context_batches(default_config, [ContextMatrix(1, 0, 0, 1)])
         )
         lines = payloadless["fig6_ccf_+100+1.csv"].strip().split("\n")[1:]
         means = np.array([float(line.split(",")[1]) for line in lines])
@@ -298,7 +299,7 @@ class TestCriterion6:
 
     def test_c6c_full_coupling_lag_mode_near_zero(self, default_config):
         payload = figure_data(
-            "lag_panel", config=default_config, contexts=[ContextMatrix(1, 1, 1, 1)]
+            "lag_panel", batches=context_batches(default_config, [ContextMatrix(1, 1, 1, 1)])
         )
         lines = payload["fig7_lags_+1+1+1+1.csv"].strip().split("\n")[1:]
         lags = np.array([int(line.split(",")[0]) for line in lines])

@@ -197,6 +197,30 @@ class TestPanelCommands:
         text = (tmp_path / "lg" / "lags_+1+1+1+1.csv").read_text()
         assert text.startswith("lag,count,rel_freq\n")
 
+    @pytest.mark.parametrize("command, prefixes", [
+        ("xcorr", ["ccf_"]), ("lags", ["lags_"]),
+        ("figures", ["fig2_traj_", "fig6_ccf_", "fig7_lags_"]),
+    ])
+    def test_default_contexts_without_context_flag(self, tmp_path, command, prefixes):
+        out = tmp_path / "out"
+        assert main([command, *SMALL, "--out", str(out)]) == 0
+        codes = [context.code() for context in report_mod.DEFAULT_FIGURE_CONTEXTS]
+        expected = {f"{prefix}{code}.csv" for prefix in prefixes for code in codes}
+        if command == "figures":
+            expected.add("fig3_hist.csv")
+        assert len(codes) == 6 and {p.name for p in out.iterdir()} == expected
+
+    def test_xcorr_and_lags_files_equal_the_figures_panels(self, tmp_path):
+        flags = [*SMALL, "--seed", "9", "--max-lag", "7", "--context", "1,0;1,-1",
+                 "--context=-1,1;0,1"]
+        for command in ("xcorr", "lags", "figures"):
+            assert main([command, *flags, "--out", str(tmp_path / command)]) == 0
+        figures = {p.name: p.read_bytes() for p in (tmp_path / "figures").iterdir()}
+        for command, prefix, stem in (("xcorr", "fig6_", "ccf_"), ("lags", "fig7_", "lags_")):
+            files = {p.name: p.read_bytes() for p in (tmp_path / command).iterdir()}
+            assert sorted(files) == [f"{stem}+10+1-1.csv", f"{stem}-1+10+1.csv"]
+            assert files == {name: figures[prefix + name] for name in files}
+
     def test_figures_writes_all_panels(self, tmp_path):
         code = main(
             ["figures", *SMALL, "--seed", "3", "--context", "0,0;0,0",
@@ -305,7 +329,9 @@ class TestOneGroupAlive:
         config = SweepConfig(master_seed=42, runs_per_context=3,
                              params=dynamics.ModelParams(turns=120))
         contexts = [parse_context(text) for text in self.CONTEXTS]
-        assert len(report_mod.figure_data(panel, config=config, contexts=contexts)) == 5
+        assert len(report_mod.figure_data(
+            panel, batches=sweep_mod.context_batches(config, contexts)
+        )) == 5
         assert len(groups) == 3
 
     @pytest.mark.parametrize("command", ["xcorr", "lags", "figures"])

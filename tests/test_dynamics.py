@@ -1,5 +1,7 @@
 import re
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,6 +121,64 @@ COUNT_ENTRY_POINTS = {
     "cli.bins": ("bins", _cli_setting("bins")),
     "cli.max_lag": ("max_lag", _cli_setting("max_lag")),
 }
+
+
+def _cli_config(key, field):
+    def call(value):
+        args = cli.build_parser().parse_args(["figures"])
+        setattr(args, key, value)
+        config = cli._settings(args)[1]
+        return getattr(config if field == "tail_threshold" else config.params, field)
+    return call
+
+
+# (name in the message, call taking the value and returning what it stores)
+# for every entry point that takes a float setting
+FLOAT_ENTRY_POINTS = {
+    "ModelParams.alpha": ("alpha", lambda v: ModelParams(alpha=v).alpha),
+    "ModelParams.influence": ("influence", lambda v: ModelParams(influence=v).influence),
+    "ModelParams.noise_half_width": (
+        "noise_half_width", lambda v: ModelParams(noise_half_width=v).noise_half_width
+    ),
+    "SweepConfig.tail_threshold": (
+        "tail_threshold", lambda v: SweepConfig(1, tail_threshold=v).tail_threshold
+    ),
+    "cli.alpha": ("alpha", _cli_config("alpha", "alpha")),
+    "cli.influence": ("influence", _cli_config("influence", "influence")),
+    "cli.noise": ("noise", _cli_config("noise", "noise_half_width")),
+    "cli.threshold": ("threshold", _cli_config("threshold", "tail_threshold")),
+}
+
+
+class TestFloatRule:
+    @pytest.mark.parametrize("entry", FLOAT_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "value", [False, True, "0.1", Decimal("0.25"), np.bool_(False), 0.1j],
+        ids=["False", "True", "str", "Decimal", "np.bool_", "complex"],
+    )
+    def test_rejected_naming_the_field(self, entry, value):
+        name, call = FLOAT_ENTRY_POINTS[entry]
+        message = f"{name} must be a real number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", FLOAT_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [0.25, np.float32(0.25), np.float64(0.25), Fraction(1, 4)],
+                             ids=["float", "np.float32", "np.float64", "Fraction"])
+    def test_real_number_stored_as_float(self, entry, value):
+        _, call = FLOAT_ENTRY_POINTS[entry]
+        stored = call(value)
+        assert type(stored) is float and stored == 0.25
+
+    @pytest.mark.parametrize("name", ["alpha", "influence", "noise_half_width"])
+    def test_int_stored_as_float(self, name):
+        stored = getattr(ModelParams(**{name: 0}), name)
+        assert type(stored) is float and stored == 0.0
+        assert ModelParams(**{name: np.int64(0)}) == ModelParams(**{name: 0.0})
+
+    def test_int_beyond_the_float_range_is_not_finite(self):
+        with pytest.raises(ValueError, match="^influence must be finite, got 1000"):
+            ModelParams(influence=10**400)
 
 
 class TestCountRule:

@@ -56,7 +56,10 @@ def outputs(default_config, default_table, default_report):
         "coefficients.csv": stats.coefficients_csv_text(default_report.fits),
     }
     for panel in report.PANEL_NAMES:
-        texts.update(report.figure_data(panel, table=default_table, config=default_config))
+        texts.update(report.figure_data(
+            panel, table=default_table,
+            batches=sweep.context_batches(default_config, report.DEFAULT_FIGURE_CONTEXTS),
+        ))
     return texts
 
 

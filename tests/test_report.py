@@ -104,7 +104,7 @@ class TestAnalyze:
 class TestFigureData:
     def test_unknown_panel_rejected(self):
         with pytest.raises(ValueError, match="unknown figure panel"):
-            figure_data("nonsense", config=PANEL_CONFIG)
+            figure_data("nonsense", batches=context_batches(PANEL_CONFIG, DEFAULT_FIGURE_CONTEXTS))
 
     def test_histogram_payload(self, default_table):
         payload = figure_data("r_histogram", table=default_table)
@@ -129,7 +129,7 @@ class TestFigureData:
 
     def test_ccf_panel_uncoupled_is_flat(self):
         payload = figure_data(
-            "ccf_panel", config=PANEL_CONFIG, contexts=[ContextMatrix(1, 0, 0, 1)]
+            "ccf_panel", batches=context_batches(PANEL_CONFIG, [ContextMatrix(1, 0, 0, 1)])
         )
         (name, text), = payload.items()
         assert name == "fig6_ccf_+100+1.csv"
@@ -146,11 +146,11 @@ class TestFigureData:
         config = SweepConfig(master_seed=42, runs_per_context=1, params=ModelParams(turns=60))
         message = r"^ccf panel, context \+100\+1: fewer than 2 finite runs$"
         with pytest.raises(AnalysisError, match=message):
-            figure_data("ccf_panel", config=config, contexts=[ContextMatrix(1, 0, 0, 1)])
+            figure_data("ccf_panel", batches=context_batches(config, [ContextMatrix(1, 0, 0, 1)]))
 
     def test_lag_panel_payload(self):
         payload = figure_data(
-            "lag_panel", config=PANEL_CONFIG, contexts=[ContextMatrix(1, 1, 1, 1)]
+            "lag_panel", batches=context_batches(PANEL_CONFIG, [ContextMatrix(1, 1, 1, 1)])
         )
         text = payload["fig7_lags_+1+1+1+1.csv"]
         lines = text.strip().split("\n")[1:]
@@ -161,19 +161,25 @@ class TestFigureData:
 
     def test_trajectory_panel_null_context_bounded(self):
         payload = figure_data(
-            "trajectory_panel", config=PANEL_CONFIG, contexts=[ContextMatrix(0, 0, 0, 0)]
+            "trajectory_panel", batches=context_batches(PANEL_CONFIG, [ContextMatrix(0, 0, 0, 0)])
         )
         b1, b2 = trajectory_from_csv(payload["fig2_traj_0000.csv"])
         values = np.concatenate([b1, b2])
         assert (np.abs(values) < 1.0).mean() >= 0.99
 
     def test_default_contexts_cover_all_panels(self):
-        payload = figure_data("trajectory_panel", config=PANEL_CONFIG)
+        payload = figure_data(
+            "trajectory_panel", batches=context_batches(PANEL_CONFIG, DEFAULT_FIGURE_CONTEXTS)
+        )
         assert len(payload) == len(DEFAULT_FIGURE_CONTEXTS)
         for context in DEFAULT_FIGURE_CONTEXTS:
             assert f"fig2_traj_{context.code()}.csv" in payload
-        contexts = iter(DEFAULT_FIGURE_CONTEXTS)  # an iterator is read once
-        assert figure_data("trajectory_panel", config=PANEL_CONFIG, contexts=contexts) == payload
+
+    @pytest.mark.parametrize("panel", ["ccf_panel", "lag_panel", "trajectory_panel"])
+    def test_context_panel_needs_batches(self, default_table, panel):
+        message = f"^{panel} needs batches from sweep.context_batches$"
+        with pytest.raises(ValueError, match=message):
+            figure_data(panel, table=default_table)
 
     @staticmethod
     def _scalar_run_zero(config, context):
@@ -188,7 +194,7 @@ class TestFigureData:
         with pytest.raises(NonFiniteStateError) as scalar:
             self._scalar_run_zero(config, context)
         with pytest.raises(NonFiniteStateError) as panel:
-            figure_data("trajectory_panel", config=config, contexts=[context])
+            figure_data("trajectory_panel", batches=context_batches(config, [context]))
         assert str(panel.value) == "trajectory panel, context +1+1+1+1: " + str(scalar.value)
 
     def test_trajectory_panel_non_finite_final_state_as_scalar_run(self):
@@ -203,14 +209,16 @@ class TestFigureData:
         config = replace(config, params=replace(config.params, turns=turns))
         trajectory = self._scalar_run_zero(config, context)
         assert not np.isfinite([trajectory.b1[-1], trajectory.b2[-1]]).all()
-        payload = figure_data("trajectory_panel", config=config, contexts=[context])
+        payload = figure_data("trajectory_panel", batches=context_batches(config, [context]))
         assert payload["fig2_traj_+1+1+1+1.csv"] == trajectory_csv_text(trajectory)
 
     def test_trajectory_panel_is_scalar_run_zero(self):
         config = SweepConfig(
             master_seed=7, runs_per_context=3, params=ModelParams(influence=0.9, turns=60)
         )
-        payload = figure_data("trajectory_panel", config=config)
+        payload = figure_data(
+            "trajectory_panel", batches=context_batches(config, DEFAULT_FIGURE_CONTEXTS)
+        )
         for context in DEFAULT_FIGURE_CONTEXTS:
             expected = trajectory_csv_text(self._scalar_run_zero(config, context))
             assert payload[f"fig2_traj_{context.code()}.csv"] == expected
@@ -219,15 +227,17 @@ class TestFigureData:
         contexts = [ContextMatrix(1, 0, 0, 1), ContextMatrix(0, 0, 0, 0)]
         config = SweepConfig(master_seed=42, runs_per_context=3, params=ModelParams(turns=60))
         batches = list(context_batches(config, contexts))
-        with pytest.raises(ValueError, match=r"^lag_panel takes contexts or batches, not both$"):
-            figure_data("lag_panel", config=config, contexts=contexts, batches=batches)
         payload = figure_data("lag_panel", batches=batches[::-1])  # no config
-        assert payload == figure_data("lag_panel", config=config, contexts=contexts)
+        assert payload == figure_data("lag_panel", batches=context_batches(config, contexts))
         assert list(payload) == ["fig7_lags_0000.csv", "fig7_lags_+100+1.csv"]
 
     def test_deterministic_payloads(self):
-        a = figure_data("ccf_panel", config=PANEL_CONFIG, contexts=[ContextMatrix(1, 0, 1, 0)])
-        b = figure_data("ccf_panel", config=PANEL_CONFIG, contexts=[ContextMatrix(1, 0, 1, 0)])
+        a = figure_data(
+            "ccf_panel", batches=context_batches(PANEL_CONFIG, [ContextMatrix(1, 0, 1, 0)])
+        )
+        b = figure_data(
+            "ccf_panel", batches=context_batches(PANEL_CONFIG, [ContextMatrix(1, 0, 1, 0)])
+        )
         assert a == b
 
 

@@ -488,7 +488,7 @@ def _plain_upper_tail(x, df):
     if y in (0.0, math.inf):
         return q
     while a < df / 2:
-        q += math.exp(a * math.log(y) - y - math.lgamma(a + 1.0))
+        q += math.exp(stats._log_term(a, y, math.log(y)))
         a += 1.0
     return q
 
@@ -546,14 +546,24 @@ class TestUpperTail:
             assert chi2_upper_tail(x, df) == _plain_upper_tail(x, df)
 
     def test_million_df_at_a_small_and_a_large_statistic(self):
-        # each term's exponent a*log(y) - y - lgamma(a + 1) is ~6e6 here, so
-        # its rounding limits the agreement to a few 1e-10 near the mean
         df = 10**6
         assert chi2_upper_tail(10.0, df) == pytest.approx(1.0, rel=1e-15)
         x = df + 3000.0
-        assert chi2_upper_tail(x, df) == pytest.approx(float(_mp_upper_tail(x, df)), rel=1e-9)
+        assert chi2_upper_tail(x, df) == pytest.approx(float(_mp_upper_tail(x, df)), rel=1e-13)
         assert _mp_upper_tail(2.0 * df, df) < 1e-300
         assert chi2_upper_tail(2.0 * df, df) == 0.0
+
+    @pytest.mark.parametrize("df", [200, 201, 1000, 3001, 10**4, 10**4 + 1, 10**5, 10**6,
+                                    10**6 + 1])
+    def test_large_df_within_1e_13_of_mpmath(self, df):
+        # Stirling's form keeps each term's exponent exact to about |y - s|·eps;
+        # the plain s·log(y) - y - lgamma(s + 1) lost 4e-10 at df = 10**6
+        far = []
+        for x in [df + k * math.sqrt(2.0 * df) for k in (-3, -1, 0, 1, 3)] + [df + 3000.0]:
+            expected = _mp_upper_tail(x, df)
+            if expected > 1e-300 and abs(chi2_upper_tail(x, df) / expected - 1) > 1e-13:
+                far.append(x)
+        assert far == []
 
     @pytest.mark.parametrize("df", [1, 2, 3, 10])
     def test_infinite_statistic_has_zero_tail(self, df):

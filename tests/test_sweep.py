@@ -4,6 +4,7 @@ import tempfile
 import warnings
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from dyadsim.dynamics import (
 )
 from dyadsim import sweep
 from dyadsim.metrics import UndefinedCorrelationError, pearson_r
-from dyadsim.report import analyze, report_json_text
+from dyadsim.report import analyze, report_json_text, write_report
 from dyadsim.sweep import (
     TAIL_LABELS,
     InvalidSweepError,
@@ -134,6 +135,21 @@ class TestSweepConfig:
         assert sweep_csv_text(table) == sweep_csv_text(reference_table)
         # the report's provenance holds the config's integers
         assert report_json_text(analyze(table)) == report_json_text(analyze(reference_table))
+
+    def test_real_float_fields_stored_as_float(self, tmp_path):
+        params = ModelParams(alpha=0, influence=np.float32(0.5), noise_half_width=Fraction(1, 2),
+                             turns=40)
+        config = SweepConfig(master_seed=1, runs_per_context=2, params=params,
+                             tail_threshold=np.float32(0.25))
+        reference = SweepConfig(master_seed=1, runs_per_context=2,
+                                params=ModelParams(alpha=0.0, turns=40))
+        table, reference_table = run_sweep(config), run_sweep(reference)
+        assert sweep_csv_text(table) == sweep_csv_text(reference_table)
+        # numpy floats reach report.json as Python floats, and an int alpha is spelled 0.0
+        write_report(analyze(table), tmp_path)
+        expected = report_json_text(analyze(reference_table))
+        assert (tmp_path / "report.json").read_text() == expected
+        assert '"alpha": 0.0,' in expected
 
     def test_numpy_integer_master_seed_accepted(self):
         config = SweepConfig(master_seed=np.uint64(3), runs_per_context=1,
@@ -294,6 +310,16 @@ class TestContextGroups:
         batches, calls = self._batches(monkeypatch, 1)
         assert calls == [self.CONFIG.runs_per_context] * 5
         assert [batch[0] for batch in batches] == self.CONTEXTS
+
+    def test_an_iterator_of_contexts_is_read_once(self, monkeypatch):
+        runs, params = self.CONFIG.runs_per_context, self.CONFIG.params
+        listed, calls = self._batches(monkeypatch, 2 * 2 * runs * (params.turns + 1))
+        read = list(sweep.context_batches(self.CONFIG, iter(self.CONTEXTS)))
+        assert calls == [2 * runs, 2 * runs, runs] * 2  # groups of two contexts, both times
+        assert [batch[0] for batch in read] == self.CONTEXTS
+        for (_, seeds, B1, B2, finite), want in zip(read, listed):
+            assert seeds == want[1] and finite.tolist() == want[4].tolist()
+            assert B1.tobytes() == want[2].tobytes() and B2.tobytes() == want[3].tobytes()
 
 
 class TestTailCounts:
