@@ -209,6 +209,11 @@ def aggregate_ccf(results: list[CcfResult]) -> CcfAggregate:
     return CcfAggregate(max_lag=max_lag, mean=mean, sd=sd, n_defined=n_def)
 
 
+# the most bins, and lags on either side, whose index an array can hold
+_MAX_BINS = np.iinfo(np.intp).max
+_MAX_LAG = (_MAX_BINS - 1) // 2
+
+
 @dataclass(frozen=True)
 class LagSpec:
     """Turn-lag extraction settings; on-states are samples strictly above
@@ -217,7 +222,10 @@ class LagSpec:
     max_lag: int = 20
 
     def __post_init__(self):
-        object.__setattr__(self, "max_lag", _checked_int("max_lag", self.max_lag))
+        max_lag = _checked_int("max_lag", self.max_lag)
+        if max_lag > _MAX_LAG:
+            raise ValueError(f"max_lag must be at most {_MAX_LAG}")
+        object.__setattr__(self, "max_lag", max_lag)
 
 
 @dataclass(frozen=True)
@@ -278,20 +286,22 @@ def turn_lags(x, y, spec: LagSpec = LagSpec()) -> LagDistribution:
     max_lag = spec.max_lag
     rows_x, rows_y = np.atleast_2d(x), np.atleast_2d(y)
     n = x.shape[-1]
-    # one time axis for all rows: row i's sample t sits at i * (2n + max_lag) + t,
-    # so an on-state of another row is farther than any of its own and than max_lag
-    on = np.zeros((2, len(rows_x), 2 * n + max_lag), dtype=bool)
+    # no lag inside a row exceeds n - 1, so lags beyond reach are another row's
+    reach = min(max_lag, n)
+    # one time axis for all rows: row i's sample t sits at i * (2n + reach) + t,
+    # so an on-state of another row is farther than any of its own and than reach
+    on = np.zeros((2, len(rows_x), 2 * n + reach), dtype=bool)
     on[0, :, :n] = _above_mean(rows_x)
     on[1, :, :n] = _above_mean(rows_y)
     on_x = np.flatnonzero(on[0])
-    # end sentinels farther than max_lag from every event give each event an
+    # end sentinels farther than reach from every event give each event an
     # on-state of y on both sides
-    on_y = np.concatenate(([-max_lag - 1], np.flatnonzero(on[1]), [on[1].size]))
+    on_y = np.concatenate(([-reach - 1], np.flatnonzero(on[1]), [on[1].size]))
     pos = np.searchsorted(on_y, on_x)
     ahead, behind = on_y[pos] - on_x, on_x - on_y[pos - 1]
     # ties go to the on-state ahead (positive lag)
     lag = np.where(ahead <= behind, ahead, -behind)
-    lag = lag[np.abs(lag) <= max_lag]
+    lag = lag[np.abs(lag) <= reach]
     counts = np.bincount(lag + max_lag, minlength=2 * max_lag + 1)
     return LagDistribution(max_lag=max_lag, counts=counts, total_events=len(lag))
 
@@ -322,6 +332,8 @@ def histogram(values, bin_count: int, lo: float, hi: float) -> HistogramResult:
     overflow count, never in a bin.
     """
     bin_count = _checked_int("bin_count", bin_count)
+    if bin_count > _MAX_BINS:
+        raise ValueError(f"bin_count must be at most {_MAX_BINS}")
     lo, hi = float(lo), float(hi)
     if not (lo < hi and math.isfinite(hi - lo)):  # an infinite width bins every value in bin 0
         raise ValueError(f"need finite lo < hi and hi - lo, got lo={lo}, hi={hi}")
@@ -330,6 +342,9 @@ def histogram(values, bin_count: int, lo: float, hi: float) -> HistogramResult:
         inside = (values >= lo) & (values <= hi)
     overflow = int((~inside).sum())
     width = (hi - lo) / bin_count
+    if width == 0.0:
+        raise ValueError(f"bin width (hi - lo) / bin_count underflows to 0: lo={lo}, hi={hi}, "
+                         f"bin_count={bin_count}")
     idx = np.floor((values[inside] - lo) / width).astype(int)
     counts = np.bincount(np.minimum(idx, bin_count - 1), minlength=bin_count)
     return HistogramResult(lo=lo, hi=hi, counts=counts, overflow=overflow)

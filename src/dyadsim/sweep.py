@@ -93,17 +93,29 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """All sweep runs in canonical order as parallel columns, plus the config.
+    """All sweep runs in canonical (context, run) order: the config and one r per run.
 
-    ``context_index`` indexes :func:`enumerate_contexts`; ``r`` is nan where
-    the correlation is undefined, and the finite flag and tail follow from it.
+    ``r`` is nan where the correlation is undefined, and the finite flag and
+    tail follow from it.  The grid columns follow from the config:
+    ``context_index`` indexes :func:`enumerate_contexts`, and ``run_seed`` is
+    :func:`derive_run_seed` of each (context, run).
     """
 
     config: SweepConfig
-    context_index: np.ndarray
-    run_index: np.ndarray
-    run_seed: np.ndarray
     r: np.ndarray
+    context_index: np.ndarray = field(init=False)
+    run_index: np.ndarray = field(init=False)
+    run_seed: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        runs = self.config.runs_per_context
+        r = np.ascontiguousarray(self.r, dtype=float)
+        if r.ndim != 1 or len(r) != 81 * runs:
+            raise ValueError(f"r must hold 81 x {runs} = {81 * runs} values, found shape {r.shape}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "context_index", np.repeat(np.arange(81), runs))
+        object.__setattr__(self, "run_index", np.tile(np.arange(runs), 81))
+        object.__setattr__(self, "run_seed", _run_seeds(self.config.master_seed, range(81), runs))
 
     def __len__(self) -> int:
         return len(self.r)
@@ -157,18 +169,6 @@ def _tail_codes(r: np.ndarray, threshold: float) -> np.ndarray:
     return codes
 
 
-def _table(config: SweepConfig, run_seed: list[int], r) -> SweepTable:
-    """Table over the canonical (context, run) grid."""
-    runs = config.runs_per_context
-    return SweepTable(
-        config=config,
-        context_index=np.repeat(np.arange(81), runs),
-        run_index=np.tile(np.arange(runs), 81),
-        run_seed=np.array(run_seed, dtype=np.uint64),
-        r=np.asarray(r, dtype=float),
-    )
-
-
 def context_batches(config: SweepConfig, contexts):
     """Seeded runs of each context of an iterable, in order, on the sweep's seed grid.
 
@@ -219,7 +219,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepTable:
         for c in range(0, len(B1), chunk):
             block_r[c:c + chunk] = pearson_rows(B1[c:c + chunk], B2[c:c + chunk])
         del B1, B2  # free this block before the next one is allocated
-    return _table(config, seeds, r)
+    return SweepTable(config, r)
 
 
 @dataclass(frozen=True)
@@ -232,8 +232,6 @@ class TailCounts:
 
 def tail_counts(table: SweepTable) -> TailCounts:
     """Exact per-tail counts and per-tail counts of contexts with a -1."""
-    if len(table) == 0:
-        raise ValueError("empty sweep table")
     codes = _tail_codes(table.r, table.config.tail_threshold)
     has_inhibition = np.array([ctx.has_inhibition for ctx in enumerate_contexts()])
     negative = codes[has_inhibition[table.context_index]]
@@ -333,8 +331,8 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
         data = None
     if data is None:
         _fail_unreadable(lines, fields)
-    seeds = _run_seeds(config.master_seed, range(81), runs)
-    r = data["r"]
+    table = SweepTable(config, data["r"])  # the grid the file must spell
+    r, seeds = table.r, table.run_seed
     codes = _tail_codes(r, config.tail_threshold)
     wrong = np.empty((len(r), 10), dtype=bool)
     wrong[:, :5] = (data["context"].reshape(81, runs, 5) != _CONTEXT_FIELDS[:, None]).reshape(-1, 5)
@@ -352,4 +350,4 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
         found = lines[row + 1].split(",")[k]
         _fail(row, f"{_FIELD_NAMES[k]} does not match: found {found!r}, "
                    f"sweep writes {writes.split(',')[k]!r}")
-    return _table(config, seeds, r.copy())
+    return table

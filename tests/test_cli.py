@@ -566,6 +566,19 @@ class TestErrorCategories:
         lines = (out / "lags_+1+1+1+1.csv").read_text().splitlines()
         assert len(lines) == 1 + 61
 
+    @pytest.mark.parametrize("command, flag, message", [
+        ("figures", ["--bins", str(10**400)], "bin_count must be at most 9223372036854775807"),
+        ("figures", ["--bins", str(10**29)], "bin_count must be at most 9223372036854775807"),
+        ("lags", ["--max-lag", str(10**29)], "max_lag must be at most 4611686018427387903"),
+    ], ids=["bins-10**400", "bins-10**29", "lags-max-lag-10**29"])
+    def test_count_beyond_an_array_index_is_usage_error(
+        self, tmp_path, capsys, command, flag, message
+    ):
+        out = tmp_path / "out"
+        assert main([command, *SMALL, *flag, "--context", "1,1;1,1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"dyadsim: error: validation: {message}\n"
+        assert not out.exists()
+
 
 class TestFlagHandling:
     # a context whose s1 is -1 reads as a flag after a space; the = form passes it

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -533,6 +534,39 @@ class TestStackedTurnLags:
         with pytest.raises(ValueError, match="lengths differ"):
             turn_lags(np.zeros((2, 5)), np.zeros((2, 6)))
 
+    @pytest.mark.parametrize("m, n", [(1, 7), (4, 30), (3, 2)])
+    def test_lags_at_and_beyond_the_series_length(self, m, n):
+        rng = np.random.default_rng(m * n)
+        x, y = rng.normal(size=(m, n)), rng.normal(size=(m, n))
+        for max_lag in sorted({1, max(1, n - 2), max(1, n - 1), n, n + 1, 2 * n, 5 * n + 3}):
+            counts, total = np.zeros(2 * max_lag + 1, dtype=int), 0
+            for row_x, row_y in zip(x, y):
+                row_counts, row_total = brute_force_lags(row_x, row_y, max_lag)
+                counts, total = counts + row_counts, total + row_total
+            dist = turn_lags(x, y, LagSpec(max_lag=max_lag))
+            assert np.array_equal(dist.counts, counts) and dist.total_events == total
+
+    def test_memory_does_not_grow_with_max_lag(self):
+        # beyond the lags a row can hold, a larger max_lag adds its counts only
+        rng = np.random.default_rng(16)
+        x, y = rng.normal(size=(100, 501)), rng.normal(size=(100, 501))
+        peaks = {}
+        for max_lag in (20, 50_000):
+            tracemalloc.start()
+            try:
+                turn_lags(x, y, LagSpec(max_lag=max_lag))
+                peaks[max_lag] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[50_000] < peaks[20] + 2 * 8 * (2 * 50_000 + 1)
+
+    @pytest.mark.parametrize(
+        "max_lag", [2**62, 10**29, 10**400], ids=["2**62", "10**29", "10**400"]
+    )
+    def test_max_lag_beyond_an_array_index_rejected(self, max_lag):
+        with pytest.raises(ValueError, match=r"^max_lag must be at most 4611686018427387903$"):
+            LagSpec(max_lag=max_lag)
+
     def test_rows_whose_mean_overflows_count_as_rescaled(self):
         # the finite runs of the diverging lag panel of `lags --influence 1.0
         # --turns 1109 --runs 30 --context=1,1;1,1`: several sum past the
@@ -589,6 +623,19 @@ class TestHistogram:
         for lo, hi in cases:
             with pytest.raises(ValueError, match=r"^need finite lo < hi"):
                 histogram([0.0, 0.5], 2, lo, hi)
+
+    @pytest.mark.parametrize(
+        "bin_count", [2**63, 10**29, 10**400], ids=["2**63", "10**29", "10**400"]
+    )
+    def test_bin_count_beyond_an_array_index_rejected(self, bin_count):
+        with pytest.raises(ValueError, match=r"^bin_count must be at most 9223372036854775807$"):
+            histogram([0.0], bin_count, -1.0, 1.0)
+
+    def test_bin_width_underflow_rejected(self):
+        # 5e-324 is the least subnormal, so half of it rounds to 0
+        with pytest.raises(ValueError, match=r"^bin width \(hi - lo\) / bin_count underflows"):
+            histogram([0.0], 2, 0.0, 5e-324)
+        assert histogram([0.0, 5e-324], 1, 0.0, 5e-324).counts.tolist() == [2]
 
 
 class TestCsvEmitters:

@@ -2,7 +2,9 @@
 
 ``perfbench/spans.py`` times the package by substituting its public
 functions by name, and ``perfbench/checks.py`` replays sweep rows through the
-scalar path.  A rename under ``src/`` that breaks either one fails here.
+scalar path.  A rename under ``src/`` that breaks either one fails here, and
+so does a call that passes by keyword an argument ``spans.py`` reads by
+position (``fit_least_squares``' columns).
 """
 
 import importlib.util
@@ -39,3 +41,18 @@ def test_traced_figures_names_every_panel_and_the_oracle_agrees(tmp_path):
     assert [panel for panel in panels if not metrics[panel + "_s"] > 0.0] == []
     config = SweepConfig(master_seed=42, runs_per_context=3, params=ModelParams(turns=60))
     assert checks.oracle_mismatches(csv, config) == []
+
+
+def test_traced_analyze_times_every_stats_stage(tmp_path):
+    spans = _load("spans")
+    csv = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", *FLAGS, "--out", str(csv)]) == 0
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert cli.main(["analyze", *FLAGS, "--input", str(csv),
+                         "--out", str(tmp_path / "report")]) == 0
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["stats.fit_calls"] == 4
+    assert metrics["stats.fit_distinct_ratio"] == 1.0
+    timed = ("stats.design_s", "stats.chi2_s", "sweep.tail_counts_s", "sweep.csv_read_s")
+    assert [key for key in timed if not metrics[key] > 0.0] == []

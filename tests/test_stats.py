@@ -24,7 +24,7 @@ from dyadsim.stats import (
     fit_summary_csv_text,
     model_spec,
 )
-from dyadsim.sweep import SweepConfig, SweepTable, derive_run_seed, enumerate_contexts
+from dyadsim.sweep import SweepConfig, SweepTable, enumerate_contexts
 
 ALL_TERMS = INDICATOR_NAMES + INTERACTION_NAMES
 
@@ -168,21 +168,10 @@ class TestBuildDesign:
         config = SweepConfig(master_seed=5, runs_per_context=runs)
         r = np.random.default_rng(model_id).uniform(-1.0, 1.0, size=81 * runs)
         r[::7] = np.nan
-        context_index = np.repeat(np.arange(81), runs)
-        run_index = np.tile(np.arange(runs), 81)
-        table = SweepTable(
-            config=config,
-            context_index=context_index,
-            run_index=run_index,
-            run_seed=np.array(
-                [derive_run_seed(5, c, j) for c, j in zip(context_index, run_index)],
-                dtype=np.uint64,
-            ),
-            r=r,
-        )
+        table = SweepTable(config, r)
         spec = model_spec(model_id)
         design = build_design(table, spec)
-        expected = _per_row_columns(context_index[~np.isnan(r)], spec.columns)
+        expected = _per_row_columns(table.context_index[~np.isnan(r)], spec.columns)
         assert design.n_excluded == int(np.isnan(r).sum())
         assert design.X.dtype == expected.dtype == np.float64
         assert design.X.shape == expected.shape

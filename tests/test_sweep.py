@@ -324,16 +324,10 @@ class TestContextGroups:
 
 class TestTailCounts:
     def _table(self, r_values):
-        rows = np.arange(len(r_values))
-        return SweepTable(
-            config=SweepConfig(master_seed=1),
-            context_index=rows % 81,
-            run_index=rows // 81,
-            run_seed=np.array(
-                [derive_run_seed(1, i % 81, i // 81) for i in rows], dtype=np.uint64
-            ),
-            r=np.array(r_values, dtype=float),
-        )
+        """A one-run-per-context table: ``r_values``, then 0.0 up to 81 runs."""
+        r = np.zeros(81)
+        r[:len(r_values)] = r_values
+        return SweepTable(SweepConfig(master_seed=1, runs_per_context=1), r)
 
     def test_all_zero_r_has_empty_tails(self):
         counts = tail_counts(self._table([0.0] * 81))
@@ -347,9 +341,22 @@ class TestTailCounts:
         assert counts.counts["synchronous"] == 1
         assert counts.counts["complementary"] == 1
 
-    def test_empty_table_rejected(self):
-        with pytest.raises(ValueError):
-            tail_counts(self._table([]))
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("shape", ["empty", "three", "short", "long", "2d"])
+    def test_r_off_the_grid_rejected(self, runs, shape):
+        config = SweepConfig(master_seed=1, runs_per_context=runs)
+        r = {"empty": [], "three": [0.1, 0.2, 0.3], "short": np.zeros(81 * runs - 1),
+             "long": np.zeros(81 * runs + 1), "2d": np.zeros((81, runs))}[shape]
+        with pytest.raises(ValueError, match=rf"81 x {runs} = {81 * runs} values, found shape"):
+            SweepTable(config, r)
+
+    def test_replaced_r_keeps_the_grid(self):
+        table = SweepTable(SweepConfig(master_seed=2, runs_per_context=2), np.zeros(162))
+        replaced = replace(table, r=np.full(162, 0.5))
+        assert replaced.r.tolist() == [0.5] * 162
+        for column in ("context_index", "run_index", "run_seed"):
+            assert getattr(replaced, column).tobytes() == getattr(table, column).tobytes()
+        assert tail_counts(replaced).counts["synchronous"] == 162
 
 
 class TestSweepCsv:
@@ -518,19 +525,7 @@ def sweep_tables(draw):
             max_size=81 * runs,
         )
     )
-    context_index = np.repeat(np.arange(81), runs)
-    run_index = np.tile(np.arange(runs), 81)
-    seeds = [
-        derive_run_seed(config.master_seed, ci, j)
-        for ci, j in zip(context_index.tolist(), run_index.tolist())
-    ]
-    return SweepTable(
-        config=config,
-        context_index=context_index,
-        run_index=run_index,
-        run_seed=np.array(seeds, dtype=np.uint64),
-        r=np.array(r, dtype=float),
-    )
+    return SweepTable(config, r)
 
 
 class TestSweepProperties:
@@ -620,13 +615,7 @@ def _read_sweep_csv_reference(path, config):
         if tail != classify_tail(r, config.tail_threshold):
             fail(row, f"tail label {tail!r} inconsistent with r={r!r}")
         rs.append(r)
-    return SweepTable(
-        config=config,
-        context_index=np.repeat(np.arange(81), runs),
-        run_index=np.tile(np.arange(runs), 81),
-        run_seed=np.array(expected_seeds, dtype=np.uint64),
-        r=np.array(rs, dtype=float),
-    )
+    return SweepTable(config, rs)
 
 
 # respellings of an integer field and of r; some keep the value, some do not
