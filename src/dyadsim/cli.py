@@ -7,6 +7,7 @@ machine-parseable line to stderr: ``dyadsim: error: <category>: <message>``.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ _TOKEN_NAMES = ("s1", "o1", "o2", "s2")
 # key -> (type, default, help) of every setting; the flag is the key with "-"
 # for "_", and a --config file sets it as "key = value"
 _KEYS = {
-    "seed": (int, 42, "master seed"),
+    "seed": (int, 42, "master seed, or simulate's run seed"),
     "runs": (int, SweepConfig.runs_per_context, "runs per context"),
     "turns": (int, ModelParams.turns, "turns per run"),
     "alpha": (float, ModelParams.alpha, "decay fraction"),
@@ -42,11 +43,13 @@ _KEYS = {
     "bins": (int, report_mod.HISTOGRAM_BINS, "histogram bins"),
     "workers": (int, 1, "accepted, no effect"),
 }
-_SWEEP_KEYS = tuple(_KEYS)[:7]  # the SweepConfig keys, taken by every command
-# the library field of each setting named otherwise, which range errors name as the setting
-_FIELD_KEYS = {
-    "runs_per_context": "runs", "noise_half_width": "noise", "tail_threshold": "threshold",
+# key -> the SweepConfig or ModelParams field it sets; a range error names the
+# field, and is reported under its key
+_FIELDS = {
+    "seed": "master_seed", "runs": "runs_per_context", "turns": "turns", "alpha": "alpha",
+    "influence": "influence", "noise": "noise_half_width", "threshold": "tail_threshold",
 }
+_PARAM_FIELDS = {f.name for f in dataclasses.fields(ModelParams)}
 _CAST_NAMES = {int: "an int", float: "a float"}
 _CONTEXT_HELP = "write --context=-1,0;1,-1 when s1 is -1"
 
@@ -107,36 +110,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dyadsim {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, text):
+    def command(name, text, *keys):  # keys: the settings the command reads
         p = commands.add_parser(name, help=text)
-        _add_keys(p, *_SWEEP_KEYS)
+        _add_keys(p, *keys)
         p.add_argument("--config", type=Path, default=None,
                        help="key = value file mirroring the flags")
         p.add_argument("--out", type=Path, default=None, help="output file or directory")
         return p
 
-    p = command("sweep", "run the 81-context sweep and write the CSV")
-    _add_keys(p, "workers")
+    command("sweep", "run the 81-context sweep and write the CSV", *_FIELDS, "workers")
 
-    p = command("analyze", "analyze a sweep CSV into report.json + table1.csv")
+    p = command("analyze", "analyze a sweep CSV into report.json + table1.csv", *_FIELDS)
     p.add_argument("--input", type=Path, required=True, help="sweep CSV to analyze")
 
-    p = command("simulate", "simulate one seeded run and write its trajectory")
+    p = command("simulate", "simulate one seeded run and write its trajectory",
+                "seed", "turns", "alpha", "influence", "noise")
     p.add_argument("--context", type=_context_arg, required=True,
                    help=f'e.g. "1,0;1,-1"; {_CONTEXT_HELP}')
 
+    panel_keys = [key for key in _FIELDS if key != "threshold"]
     for name, text in (("xcorr", "write mean cross-correlation CSVs for context batches"),
                        ("lags", "write turn-taking lag CSVs for context batches")):
-        p = command(name, text)
+        p = command(name, text, *panel_keys, "max_lag")
         p.add_argument("--context", type=_context_arg, action="append",
                        help=f"repeatable; {_CONTEXT_HELP}")
-        _add_keys(p, "max_lag")
 
-    p = command("figures", "write all figure panel payloads")
+    # threshold: --input checks the CSV's tail labels against it
+    p = command("figures", "write all figure panel payloads", *_FIELDS, "max_lag", "bins")
     p.add_argument("--input", type=Path, default=None, help="existing sweep CSV for the histogram")
     p.add_argument("--context", type=_context_arg, action="append",
                    help=f"repeatable; {_CONTEXT_HELP}")
-    _add_keys(p, "max_lag", "bins", "workers")
 
     return parser
 
@@ -169,7 +172,7 @@ def _read_config_file(path: Path) -> dict:
 
 def _settings(args) -> tuple[dict, SweepConfig]:
     """Each key the command's parser defines, flag over config file over
-    default, and the sweep config they make."""
+    default, and the sweep config they make; library defaults fill the rest."""
     file_values = _read_config_file(args.config) if args.config else {}
     settings = {}
     for key, (kind, default, _) in _KEYS.items():
@@ -185,22 +188,14 @@ def _settings(args) -> tuple[dict, SweepConfig]:
                     f"config file line {lineno}: {key} = {text!r} is not {_CAST_NAMES[kind]}"
                 ) from None
         settings[key] = default if value is None else value
+    fields = {_FIELDS[key]: value for key, value in settings.items() if key in _FIELDS}
     try:
-        params = ModelParams(
-            alpha=settings["alpha"],
-            influence=settings["influence"],
-            noise_half_width=settings["noise"],
-            turns=settings["turns"],
-        )
-        config = SweepConfig(
-            master_seed=settings["seed"],
-            runs_per_context=settings["runs"],
-            params=params,
-            tail_threshold=settings["threshold"],
-        )
+        params = ModelParams(**{f: fields.pop(f) for f in _PARAM_FIELDS & fields.keys()})
+        config = SweepConfig(params=params, **fields)
     except ValueError as exc:  # a library message starts with its field's name
         field, _, rest = str(exc).partition(" ")
-        raise ValueError(f"{_FIELD_KEYS.get(field, field)} {rest}") from None
+        key = next((k for k, name in _FIELDS.items() if name == field), field)
+        raise ValueError(f"{key} {rest}") from None
     for key in ("workers", "bins", "max_lag"):  # checked here, before any work
         if key in settings:
             settings[key] = _checked_int(key, settings[key])
@@ -282,7 +277,7 @@ def _cmd_figures(args, settings, config) -> int:
     if args.input is not None:
         table = sweep_mod.read_sweep_csv(args.input, config)
     else:
-        table = sweep_mod.run_sweep(config, workers=settings["workers"])
+        table = sweep_mod.run_sweep(config)
     payloads = report_mod.figure_data("r_histogram", table=table, bins=settings["bins"])
     context_panels = report_mod.PANEL_NAMES[1:]  # every panel but the histogram
     payloads.update(_context_payloads(args, config, settings["max_lag"], *context_panels))

@@ -224,9 +224,7 @@ def _independent_columns(A) -> list:
     norms = np.linalg.norm(A, axis=0)
     kept = np.flatnonzero(norms > 0.0)
     while kept.size:
-        # A itself while every column is kept: a copy would add n x k floats
-        B = A if kept.size == A.shape[1] else A[:, kept]
-        diag = np.abs(np.diagonal(np.linalg.qr(B, mode="r")))
+        diag = np.abs(np.diagonal(np.linalg.qr(A[:, kept], mode="r")))
         redundant = np.flatnonzero(diag <= 1e-10 * norms[kept[: len(diag)]])
         if not redundant.size:
             # R has min(n, columns) rows: once n kept columns span all n

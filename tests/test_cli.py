@@ -484,22 +484,24 @@ class TestErrorCategories:
             "dyadsim: error: validation: workers must be >= 1\n"
         )
 
-    @pytest.mark.parametrize("form", ["flag", "config"])
-    def test_zero_workers_with_input_is_usage_error(self, tmp_path, capsys, form):
-        # figures --input runs no sweep, but its workers setting is checked all the same
-        csv = tmp_path / "s.csv"
-        assert main(["sweep", *SMALL, "--out", str(csv)]) == 0
-        config = tmp_path / "run.conf"
-        config.write_text("workers = 0\n")
-        given = ["--workers", "0"] if form == "flag" else ["--config", str(config)]
-        capsys.readouterr()
-        out = tmp_path / "figs"
-        code = main(["figures", *SMALL, "--input", str(csv), *given, "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "dyadsim: error: validation: workers must be >= 1\n"
-        )
-        assert not out.exists()
+    @pytest.mark.parametrize("command, keys", [
+        (["figures", *SMALL, "--input", "s.csv"], "workers = 0\n"),
+        (["simulate", "--turns", "60", "--context", "1,0;1,-1"], "runs = 0\nthreshold = 2\n"),
+    ], ids=["figures-input", "simulate"])
+    def test_file_key_outside_its_command_is_ignored(self, tmp_path, monkeypatch, command, keys):
+        # a config file may hold keys for other commands; a command reads only its own
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", *SMALL, "--out", "s.csv"]) == 0
+        Path("run.conf").write_text(keys)
+        assert main([*command, "--out", "plain"]) == 0
+        assert main([*command, "--config", "run.conf", "--out", "file"]) == 0
+
+        def written(out):
+            if out.is_dir():
+                return {p.name: p.read_bytes() for p in out.iterdir()}
+            return out.read_bytes()
+
+        assert written(Path("file")) == written(Path("plain"))
 
     @pytest.mark.parametrize("key, value, message", [
         ("runs", "0", "runs must be >= 1"),
@@ -590,7 +592,8 @@ class TestFlagHandling:
     ])
     def test_context_with_leading_minus_in_equals_form(self, tmp_path, command, written):
         out = tmp_path / "t.csv" if command == "simulate" else tmp_path
-        assert main([command, *SMALL, "--context=-1,1;0,1", "--out", str(out)]) == 0
+        flags = ["--turns", "60"] if command == "simulate" else SMALL  # simulate has no --runs
+        assert main([command, *flags, "--context=-1,1;0,1", "--out", str(out)]) == 0
         for name in written:
             assert (tmp_path / name).exists()
 
@@ -742,8 +745,14 @@ class TestSettings:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--bins", "3"], ["analyze", "--input", "s.csv", "--workers", "2"],
         ["simulate", "--context", "0,0;0,0", "--max-lag", "3"],
+        # settings that would change no output of the command
+        ["simulate", "--context", "0,0;0,0", "--runs", "7"],
+        ["simulate", "--context", "0,0;0,0", "--threshold", "0.9"],
+        ["xcorr", "--threshold", "0.5"], ["lags", "--threshold", "0.5"],
+        ["figures", "--input", "s.csv", "--workers", "0"],
     ])
-    def test_flag_outside_its_command_is_rejected(self, argv, capsys):
+    def test_flag_outside_its_command_is_rejected(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # a command that took the flag would write here
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -91,9 +91,9 @@ class TestModelParams:
         assert type(params.turns) is int and params == ModelParams(turns=20)
 
 
-def _cli_setting(key):
+def _cli_setting(key, command="figures"):
     def call(value):
-        args = cli.build_parser().parse_args(["figures"])
+        args = cli.build_parser().parse_args([command])
         setattr(args, key, value)
         return cli._settings(args)[0][key]
     return call
@@ -117,7 +117,7 @@ COUNT_ENTRY_POINTS = {
     "LagSpec.max_lag": ("max_lag", lambda v: LagSpec(max_lag=v).max_lag),
     "cross_correlation.max_lag": ("max_lag", lambda v: cross_correlation(*_SERIES, v).max_lag),
     "histogram.bin_count": ("bin_count", lambda v: histogram([0.5], v, 0.0, 1.0).bin_count),
-    "cli.workers": ("workers", _cli_setting("workers")),
+    "cli.workers": ("workers", _cli_setting("workers", "sweep")),
     "cli.bins": ("bins", _cli_setting("bins")),
     "cli.max_lag": ("max_lag", _cli_setting("max_lag")),
 }
