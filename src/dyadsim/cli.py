@@ -245,7 +245,7 @@ def _cmd_simulate(args, settings, config) -> int:
     B1, B2 = dynamics.simulate_batch(args.context, config.params, [config.master_seed])
     trajectory = dynamics.batch_row_trajectory(args.context, config.master_seed, B1[0], B2[0])
     out = _out_file(args, "trajectory.csv")
-    out.write_text(dynamics.trajectory_csv_text(trajectory))
+    out.write_text(report_mod.trajectory_csv_text(trajectory), newline="")
     print(f"wrote {out} ({len(trajectory)} states)")
     return EXIT_OK
 

@@ -64,7 +64,6 @@ __all__ = [
     "simulate_rows",
     "simulate_batch",
     "batch_row_trajectory",
-    "trajectory_csv_text",
 ]
 
 TERNARY = (-1, 0, 1)
@@ -491,9 +490,3 @@ def batch_row_trajectory(
     if not finite.all():
         raise _left_range(int(np.argmin(finite)))
     return Trajectory(context=context, seed=int(seed), b1=b1, b2=b2)
-
-
-def trajectory_csv_text(trajectory: Trajectory) -> str:
-    """Trajectory as CSV (`t,b1,b2`), round-trip-safe decimal floats."""
-    rows = enumerate(zip(trajectory.b1.tolist(), trajectory.b2.tolist()))
-    return "\n".join(["t,b1,b2", *(f"{t},{x!r},{y!r}" for t, (x, y) in rows)]) + "\n"

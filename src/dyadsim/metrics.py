@@ -25,9 +25,6 @@ __all__ = [
     "turn_lags",
     "HistogramResult",
     "histogram",
-    "ccf_csv_text",
-    "lag_csv_text",
-    "histogram_csv_text",
 ]
 
 
@@ -349,31 +346,3 @@ def histogram(values, bin_count: int, lo: float, hi: float) -> HistogramResult:
     counts = np.bincount(np.minimum(idx, bin_count - 1), minlength=bin_count)
     return HistogramResult(lo=lo, hi=hi, counts=counts, overflow=overflow)
 
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def ccf_csv_text(agg: CcfAggregate) -> str:
-    """CCF aggregate as CSV: `lag,mean,sd,n_defined`."""
-    lines = ["lag,mean,sd,n_defined"]
-    for lag, mean, sd, n in zip(agg.lags, agg.mean, agg.sd, agg.n_defined):
-        lines.append(f"{lag},{_fmt(mean)},{_fmt(sd)},{n}")
-    return "\n".join(lines) + "\n"
-
-
-def lag_csv_text(dist: LagDistribution) -> str:
-    """Lag distribution as CSV: `lag,count,rel_freq`."""
-    lines = ["lag,count,rel_freq"]
-    for lag, count, freq in zip(dist.lags, dist.counts, dist.rel_freq):
-        lines.append(f"{lag},{count},{_fmt(freq)}")
-    return "\n".join(lines) + "\n"
-
-
-def histogram_csv_text(hist: HistogramResult) -> str:
-    """Histogram as CSV: `bin_lo,bin_hi,count`."""
-    lines = ["bin_lo,bin_hi,count"]
-    edges = hist.edges
-    for i, count in enumerate(hist.counts):
-        lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{count}")
-    return "\n".join(lines) + "\n"

@@ -3,13 +3,15 @@
 ``analyze`` condenses a sweep table into tail statistics, chi-square tests,
 and the five regression fits; ``figure_data`` renders per-panel CSV
 payloads (r histogram, per-context mean CCFs, turn-lag distributions, and
-exemplar trajectories).  Output is deterministic: regenerating from the
-same table and config is byte-identical.
+exemplar trajectories).  This module writes every output but the sweep CSV:
+each ``*_csv_text`` writer formats its floats as ``repr`` of a Python
+float.  Output is deterministic: regenerating from the same table and
+config is byte-identical.
 """
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,12 @@ __all__ = [
     "AnalysisReport",
     "analyze",
     "figure_data",
+    "trajectory_csv_text",
+    "ccf_csv_text",
+    "lag_csv_text",
+    "histogram_csv_text",
     "table1_csv_text",
+    "coefficients_csv_text",
     "report_json_text",
     "write_report",
     "write_payloads",
@@ -81,10 +88,6 @@ class AnalysisReport:
             "selected_model": self.selected_model,
             "provenance": self.provenance,
         }
-
-
-def _chi2_dict(result: stats.Chi2Result) -> dict:
-    return {"statistic": result.statistic, "df": result.df, "p_value": result.p_value}
 
 
 def _with_context(label: str, func, *args):
@@ -163,20 +166,14 @@ def analyze(table: sweep_mod.SweepTable) -> AnalysisReport:
         ),
     }
 
-    config = table.config
-    params = config.params
+    settings = asdict(table.config)
+    settings.update(settings.pop("params"))  # the dynamics beside the sweep settings
     provenance = {
         "artifact": PACKAGE_NAME,
         "artifact_version": __version__,
         "generator": dynamics.NoiseSource.ALGORITHM_ID,
         "numpy_version": np.__version__,
-        "master_seed": config.master_seed,
-        "runs_per_context": config.runs_per_context,
-        "tail_threshold": config.tail_threshold,
-        "alpha": params.alpha,
-        "influence": params.influence,
-        "noise_half_width": params.noise_half_width,
-        "turns": params.turns,
+        **settings,
     }
 
     design_n = fits[0][1].n
@@ -201,9 +198,9 @@ def analyze(table: sweep_mod.SweepTable) -> AnalysisReport:
             for label in sweep_mod.TAIL_LABELS
         },
         chi_square={
-            "complementary_vs_uniform_65_81": _chi2_dict(gof_uniform),
-            "complementary_vs_even_split": _chi2_dict(gof_even),
-            "tail_comparison": _chi2_dict(two_prop),
+            "complementary_vs_uniform_65_81": asdict(gof_uniform),
+            "complementary_vs_even_split": asdict(gof_even),
+            "tail_comparison": asdict(two_prop),
         },
         fits=fits,
         selected_model=selected,
@@ -212,12 +209,56 @@ def analyze(table: sweep_mod.SweepTable) -> AnalysisReport:
     return report
 
 
+def _csv_text(header: str, lines) -> str:
+    return "\n".join([header, *lines]) + "\n"
+
+
 def report_json_text(report: AnalysisReport) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def table1_csv_text(report: AnalysisReport) -> str:
-    return stats.fit_summary_csv_text(report.fits)
+    """Model summary CSV: `model_id,name,k_nominal,k_effective,r2,adj_r2,aic,bic`."""
+    return _csv_text("model_id,name,k_nominal,k_effective,r2,adj_r2,aic,bic", (
+        f"{spec.model_id},{spec.name},{spec.k_nominal},{fit.k_effective},"
+        f"{fit.r2!r},{fit.adj_r2!r},{fit.aic!r},{fit.bic!r}"
+        for spec, fit in report.fits
+    ))
+
+
+def coefficients_csv_text(report: AnalysisReport) -> str:
+    """Coefficient dump CSV: `model_id,term,estimate,dropped`; a dropped term's estimate is nan."""
+    return _csv_text("model_id,term,estimate,dropped", (
+        f"{spec.model_id},{term},{fit.coefficients[term]!r},false"
+        if term in fit.coefficients else f"{spec.model_id},{term},nan,true"
+        for spec, fit in report.fits
+        for term in ("intercept", *spec.columns)
+    ))
+
+
+def trajectory_csv_text(trajectory: dynamics.Trajectory) -> str:
+    """Trajectory as CSV (`t,b1,b2`), round-trip-safe decimal floats."""
+    rows = enumerate(zip(trajectory.b1.tolist(), trajectory.b2.tolist()))
+    return _csv_text("t,b1,b2", (f"{t},{x!r},{y!r}" for t, (x, y) in rows))
+
+
+def ccf_csv_text(agg: metrics.CcfAggregate) -> str:
+    """CCF aggregate as CSV: `lag,mean,sd,n_defined`."""
+    rows = zip(agg.lags.tolist(), agg.mean.tolist(), agg.sd.tolist(), agg.n_defined.tolist())
+    return _csv_text("lag,mean,sd,n_defined", (f"{lag},{m!r},{sd!r},{n}" for lag, m, sd, n in rows))
+
+
+def lag_csv_text(dist: metrics.LagDistribution) -> str:
+    """Lag distribution as CSV: `lag,count,rel_freq`."""
+    rows = zip(dist.lags.tolist(), dist.counts.tolist(), dist.rel_freq.tolist())
+    return _csv_text("lag,count,rel_freq", (f"{lag},{count},{freq!r}" for lag, count, freq in rows))
+
+
+def histogram_csv_text(hist: metrics.HistogramResult) -> str:
+    """Histogram as CSV: `bin_lo,bin_hi,count`."""
+    edges = hist.edges.tolist()
+    rows = zip(edges, edges[1:], hist.counts.tolist())
+    return _csv_text("bin_lo,bin_hi,count", (f"{lo!r},{hi!r},{c}" for lo, hi, c in rows))
 
 
 def figure_data(
@@ -244,7 +285,7 @@ def figure_data(
         if table is None:
             raise ValueError("r_histogram needs a sweep table")
         hist = metrics.histogram(table.r[table.finite], bins, -1.0, 1.0)
-        return {"fig3_hist.csv": metrics.histogram_csv_text(hist)}
+        return {"fig3_hist.csv": histogram_csv_text(hist)}
 
     if batches is None:
         raise ValueError(f"{which} needs batches from sweep.context_batches")
@@ -264,22 +305,23 @@ def _panel_payload(which: str, batch, max_lag: int) -> tuple[str, str]:
             raise dynamics.NonFiniteStateError(
                 f"trajectory panel, context {code}: {exc}"
             ) from None
-        return f"fig2_traj_{code}.csv", dynamics.trajectory_csv_text(trajectory)
+        return f"fig2_traj_{code}.csv", trajectory_csv_text(trajectory)
     if which == "ccf_panel":
         if np.count_nonzero(finite) < 2:
             raise AnalysisError(f"ccf panel, context {code}: fewer than 2 finite runs")
         result = metrics.cross_correlation(B1[finite], B2[finite], max_lag)
-        return f"fig6_ccf_{code}.csv", metrics.ccf_csv_text(metrics.aggregate_ccf([result]))
+        return f"fig6_ccf_{code}.csv", ccf_csv_text(metrics.aggregate_ccf([result]))
     dist = metrics.turn_lags(B1[finite], B2[finite], metrics.LagSpec(max_lag=max_lag))
-    return f"fig7_lags_{code}.csv", metrics.lag_csv_text(dist)
+    return f"fig7_lags_{code}.csv", lag_csv_text(dist)
 
 
 def _write_files(items, out_dir) -> list:
-    """Write (filename, text) pairs into a directory, in order; returns paths."""
+    """Write (filename, text) pairs into a directory, in order and without
+    newline translation; returns paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in items:
-        (out / name).write_text(text)
+        (out / name).write_text(text, newline="")
     return [out / name for name, _ in items]
 
 
@@ -288,7 +330,7 @@ def write_report(report: AnalysisReport, out_dir) -> list:
     return _write_files([
         ("report.json", report_json_text(report)),
         ("table1.csv", table1_csv_text(report)),
-        ("coefficients.csv", stats.coefficients_csv_text(report.fits)),
+        ("coefficients.csv", coefficients_csv_text(report)),
     ], out_dir)
 
 

@@ -51,8 +51,6 @@ __all__ = [
     "chi2_gof",
     "chi2_two_proportion",
     "chi2_upper_tail",
-    "fit_summary_csv_text",
-    "coefficients_csv_text",
 ]
 
 INDICATOR_NAMES = ("s1p", "s1n", "o1p", "o1n", "o2p", "o2n", "s2p", "s2n")
@@ -517,28 +515,3 @@ def chi2_two_proportion(count1: int, n1: int, count2: int, n2: int) -> Chi2Resul
     statistic = float(((table - expected) ** 2 / expected).sum())
     return Chi2Result(statistic=statistic, df=1, p_value=chi2_upper_tail(statistic, 1))
 
-
-def fit_summary_csv_text(fits) -> str:
-    """Model summary CSV: `model_id,name,k_nominal,k_effective,r2,adj_r2,aic,bic`.
-
-    ``fits`` is a sequence of (ModelSpec, FitResult) pairs.
-    """
-    lines = ["model_id,name,k_nominal,k_effective,r2,adj_r2,aic,bic"]
-    for spec, fit in fits:
-        lines.append(
-            f"{spec.model_id},{spec.name},{spec.k_nominal},{fit.k_effective},"
-            f"{fit.r2!r},{fit.adj_r2!r},{fit.aic!r},{fit.bic!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def coefficients_csv_text(fits) -> str:
-    """Coefficient dump CSV: `model_id,term,estimate,dropped`."""
-    lines = ["model_id,term,estimate,dropped"]
-    for spec, fit in fits:
-        for term in ("intercept",) + spec.columns:
-            if term in fit.coefficients:
-                lines.append(f"{spec.model_id},{term},{fit.coefficients[term]!r},false")
-            else:
-                lines.append(f"{spec.model_id},{term},nan,true")
-    return "\n".join(lines) + "\n"

@@ -1,7 +1,7 @@
 """Reference helpers that only the tests use.
 
 ``classify_tail`` is the per-value reference for ``sweep._tail_codes``, and
-``trajectory_from_csv`` parses what ``dynamics.trajectory_csv_text`` writes.
+``trajectory_from_csv`` parses what ``report.trajectory_csv_text`` writes.
 """
 
 from math import isnan

@@ -108,7 +108,7 @@ class TestSimulateCommand:
         assert main([*args, "--out", str(out)]) == 0
         config = _settings(build_parser().parse_args(args))[1]
         reference = simulate(parse_context(context), config.params, seed)
-        assert out.read_text() == dynamics.trajectory_csv_text(reference)
+        assert out.read_text() == report_mod.trajectory_csv_text(reference)
 
     def test_divergence_before_the_last_turn_is_analysis_error(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -296,6 +296,32 @@ class TestPanelCommands:
             payloads.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert payloads[0] == payloads[1]
         assert len(payloads[0]) == (1 + 3 * 3 if command == "figures" else 3)
+
+
+class TestLineEnds:
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "figures", "xcorr", "lags"])
+    def test_every_file_is_written_without_newline_translation(
+        self, tmp_path, monkeypatch, command
+    ):
+        # newline="" writes each "\n" as is; the default would write os.linesep
+        csv = tmp_path / "s.csv"
+        assert main(["sweep", *SMALL, "--out", str(csv)]) == 0
+        calls = []
+        write_text = Path.write_text
+
+        def recorded(self, data, encoding=None, errors=None, newline=None):
+            calls.append((self.name, newline))
+            return write_text(self, data, encoding, errors, newline)
+
+        monkeypatch.setattr(Path, "write_text", recorded)
+        args = {
+            "simulate": ["simulate", "--context", "1,0;1,-1", "--turns", "60"],
+            "analyze": ["analyze", *SMALL, "--input", str(csv)],
+        }.get(command, [command, *SMALL, "--context", "1,0;1,-1"])
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 0
+        written = sorted(p.name for p in out.iterdir()) if out.is_dir() else [out.name]
+        assert sorted(calls) == [(name, "") for name in written]
 
 
 class TestOneGroupAlive:

@@ -21,9 +21,9 @@ from dyadsim.dynamics import (
     simulate_batch,
     simulate_rows,
     step,
-    trajectory_csv_text,
 )
 from dyadsim.metrics import LagSpec, cross_correlation, histogram
+from dyadsim.report import trajectory_csv_text
 from dyadsim.sweep import SweepConfig, enumerate_contexts, run_sweep
 
 from helpers import trajectory_from_csv

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from dyadsim import ModelParams, report, stats, sweep
+from dyadsim import ModelParams, report, sweep
 
 GOLDEN_SHA256 = {
     "sweep.csv": "531ff27f2b71d8b95d871744de26a7db71d60534498f61ce1b28529f1d9c80eb",
@@ -53,7 +53,7 @@ def outputs(default_config, default_table, default_report):
         "sweep.csv": sweep.sweep_csv_text(default_table),
         "report.json": report.report_json_text(default_report),
         "table1.csv": report.table1_csv_text(default_report),
-        "coefficients.csv": stats.coefficients_csv_text(default_report.fits),
+        "coefficients.csv": report.coefficients_csv_text(default_report),
     }
     for panel in report.PANEL_NAMES:
         texts.update(report.figure_data(

@@ -13,15 +13,13 @@ from dyadsim.metrics import (
     LagSpec,
     UndefinedCorrelationError,
     aggregate_ccf,
-    ccf_csv_text,
     cross_correlation,
     histogram,
-    histogram_csv_text,
-    lag_csv_text,
     pearson_r,
     pearson_rows,
     turn_lags,
 )
+from dyadsim.report import ccf_csv_text, histogram_csv_text, lag_csv_text
 from dyadsim.sweep import SweepConfig, context_batches, enumerate_contexts
 
 

@@ -1,8 +1,9 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dyadsim import metrics
 from dyadsim.dynamics import (
@@ -10,18 +11,25 @@ from dyadsim.dynamics import (
     ModelParams,
     NonFiniteStateError,
     simulate,
-    trajectory_csv_text,
 )
+from dyadsim.metrics import CcfAggregate, HistogramResult, LagDistribution
 from dyadsim.report import (
     DEFAULT_FIGURE_CONTEXTS,
     AnalysisError,
+    AnalysisReport,
     analyze,
+    ccf_csv_text,
+    coefficients_csv_text,
     figure_data,
+    histogram_csv_text,
+    lag_csv_text,
     report_json_text,
     table1_csv_text,
+    trajectory_csv_text,
     write_payloads,
     write_report,
 )
+from dyadsim.stats import MODEL_IDS, FitResult, model_spec
 from dyadsim.sweep import (
     SweepConfig,
     context_batches,
@@ -85,6 +93,18 @@ class TestAnalyze:
         ):
             assert key in prov
         assert prov["master_seed"] == 42
+
+    def test_provenance_holds_every_setting(self):
+        params = ModelParams(alpha=0.2, influence=0.4, noise_half_width=0.7, turns=120)
+        config = SweepConfig(master_seed=2**64 - 1, runs_per_context=30, params=params,
+                             tail_threshold=0.3)
+        prov = analyze(run_sweep(config)).provenance
+        settings = {f.name: getattr(params, f.name) for f in fields(ModelParams)}
+        settings.update(master_seed=config.master_seed, runs_per_context=30, tail_threshold=0.3)
+        assert {key: prov[key] for key in settings} == settings
+        assert set(prov) - set(settings) == {
+            "artifact", "artifact_version", "generator", "numpy_version"
+        }
 
     def test_regeneration_is_byte_identical(self, default_table, default_report, tmp_path):
         direct = report_json_text(default_report)
@@ -262,3 +282,153 @@ class TestSmallSweepAnalyze:
         assert report.sweep_summary["records"] == 2430
         fits = {spec.model_id: fit for spec, fit in report.fits}
         assert fits[3].r2 >= fits[1].r2
+
+
+# The writers that moved into report, as they stood before: every float
+# through _fmt, one appended line per row.  Each new writer must match its
+# reference byte for byte.
+def _fmt(value: float) -> str:
+    return repr(float(value))
+
+
+def _ccf_csv_reference(agg) -> str:
+    lines = ["lag,mean,sd,n_defined"]
+    for lag, mean, sd, n in zip(agg.lags, agg.mean, agg.sd, agg.n_defined):
+        lines.append(f"{lag},{_fmt(mean)},{_fmt(sd)},{n}")
+    return "\n".join(lines) + "\n"
+
+
+def _lag_csv_reference(dist) -> str:
+    lines = ["lag,count,rel_freq"]
+    for lag, count, freq in zip(dist.lags, dist.counts, dist.rel_freq):
+        lines.append(f"{lag},{count},{_fmt(freq)}")
+    return "\n".join(lines) + "\n"
+
+
+def _histogram_csv_reference(hist) -> str:
+    lines = ["bin_lo,bin_hi,count"]
+    edges = hist.edges
+    for i, count in enumerate(hist.counts):
+        lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{count}")
+    return "\n".join(lines) + "\n"
+
+
+def _table1_csv_reference(fits) -> str:
+    lines = ["model_id,name,k_nominal,k_effective,r2,adj_r2,aic,bic"]
+    for spec, fit in fits:
+        lines.append(
+            f"{spec.model_id},{spec.name},{spec.k_nominal},{fit.k_effective},"
+            f"{fit.r2!r},{fit.adj_r2!r},{fit.aic!r},{fit.bic!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _coefficients_csv_reference(fits) -> str:
+    lines = ["model_id,term,estimate,dropped"]
+    for spec, fit in fits:
+        for term in ("intercept",) + spec.columns:
+            if term in fit.coefficients:
+                lines.append(f"{spec.model_id},{term},{fit.coefficients[term]!r},false")
+            else:
+                lines.append(f"{spec.model_id},{term},nan,true")
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1.7976931348623157e308, -1.7976931348623157e308)
+_floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+_int_dtypes = st.sampled_from([np.int64, np.int32, np.uint16, np.intp])
+
+
+def _float_array(draw, n):
+    return np.array(draw(st.lists(_floats, min_size=n, max_size=n)), dtype=float)
+
+
+def _count_array(draw, n, dtype):
+    high = min(np.iinfo(dtype).max, 2**40)
+    return np.array(draw(st.lists(st.integers(0, high), min_size=n, max_size=n)), dtype=dtype)
+
+
+@st.composite
+def _ccf_aggregates(draw):
+    max_lag, dtype = draw(st.integers(0, 8)), draw(_int_dtypes)
+    n = 2 * max_lag + 1
+    return CcfAggregate(max_lag=max_lag, mean=_float_array(draw, n), sd=_float_array(draw, n),
+                        n_defined=_count_array(draw, n, dtype))
+
+
+@st.composite
+def _lag_distributions(draw):
+    max_lag, dtype = draw(st.integers(0, 8)), draw(_int_dtypes)
+    counts = _count_array(draw, 2 * max_lag + 1, dtype)
+    return LagDistribution(max_lag=max_lag, counts=counts,
+                           total_events=draw(st.sampled_from([0, int(counts.sum()), 7])))
+
+
+@st.composite
+def _histograms(draw):
+    dtype = draw(_int_dtypes)
+    counts = _count_array(draw, draw(st.integers(1, 12)), dtype)
+    return HistogramResult(lo=draw(_floats), hi=draw(_floats), counts=counts,
+                           overflow=draw(st.integers(0, 10)))
+
+
+@st.composite
+def _fit_lists(draw):
+    """(ModelSpec, FitResult) pairs with any floats, each term kept or dropped."""
+    fits = []
+    for model_id in draw(st.lists(st.sampled_from(MODEL_IDS), max_size=5)):
+        spec = model_spec(model_id)
+        terms = ("intercept", *spec.columns)
+        kept = draw(st.lists(st.booleans(), min_size=len(terms), max_size=len(terms)))
+        coefficients = {term: draw(_floats) for term, keep in zip(terms, kept) if keep}
+        fit = FitResult(
+            coefficients=coefficients,
+            dropped=tuple(term for term, keep in zip(terms, kept) if not keep),
+            rss=draw(_floats), n=draw(st.integers(0, 10**6)), k_effective=len(coefficients),
+            r2=draw(_floats), adj_r2=draw(_floats), aic=draw(_floats), bic=draw(_floats),
+        )
+        fits.append((spec, fit))
+    return fits
+
+
+def _report_with(fits) -> AnalysisReport:
+    return AnalysisReport(sweep_summary={}, tails={}, chi_square={}, fits=fits,
+                          selected_model={}, provenance={})
+
+
+class TestWritersMatchTheirReferences:
+    @settings(max_examples=200, deadline=None)
+    @given(_ccf_aggregates())
+    @example(CcfAggregate(max_lag=1, mean=np.array(EDGE_FLOATS[:3]), sd=np.array(EDGE_FLOATS[3:6]),
+                          n_defined=np.array([0, 2**40, 7], dtype=np.int64)))
+    def test_ccf(self, agg):
+        assert ccf_csv_text(agg) == _ccf_csv_reference(agg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_lag_distributions())
+    @example(LagDistribution(max_lag=1, counts=np.array([1, 0, 2], dtype=np.uint16),
+                             total_events=3))
+    @example(LagDistribution(max_lag=0, counts=np.array([5]), total_events=0))
+    def test_lags(self, dist):
+        assert lag_csv_text(dist) == _lag_csv_reference(dist)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_histograms())
+    @example(HistogramResult(lo=-1.7976931348623157e308, hi=1.7976931348623157e308,
+                             counts=np.array([1, 2, 3], dtype=np.int32), overflow=0))
+    @example(HistogramResult(lo=-0.0, hi=5e-324, counts=np.array([4]), overflow=1))
+    def test_histogram(self, hist):
+        with np.errstate(all="ignore"):  # edges of infinite or nan bounds
+            assert histogram_csv_text(hist) == _histogram_csv_reference(hist)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_fit_lists())
+    @example([(model_spec(4), FitResult(
+        coefficients={"intercept": -0.0, "s1p": 5e-324}, dropped=("s1n",), rss=0.0, n=3,
+        k_effective=2, r2=np.nan, adj_r2=-np.inf, aic=-np.inf, bic=np.inf,
+    ))])
+    def test_table1_and_coefficients(self, fits):
+        report = _report_with(fits)
+        assert table1_csv_text(report) == _table1_csv_reference(fits)
+        assert coefficients_csv_text(report) == _coefficients_csv_reference(fits)

@@ -18,12 +18,11 @@ from dyadsim.stats import (
     chi2_gof,
     chi2_two_proportion,
     chi2_upper_tail,
-    coefficients_csv_text,
     encode_dummies,
     fit_least_squares,
-    fit_summary_csv_text,
     model_spec,
 )
+from dyadsim.report import coefficients_csv_text, table1_csv_text
 from dyadsim.sweep import SweepConfig, SweepTable, enumerate_contexts
 
 ALL_TERMS = INDICATOR_NAMES + INTERACTION_NAMES
@@ -567,14 +566,14 @@ class TestUpperTail:
 
 class TestCsvEmitters:
     def test_fit_summary_and_coefficients(self, default_report):
-        summary = fit_summary_csv_text(default_report.fits)
+        summary = table1_csv_text(default_report)
         lines = summary.strip().split("\n")
         assert lines[0] == "model_id,name,k_nominal,k_effective,r2,adj_r2,aic,bic"
         assert len(lines) == 6
         ids = [line.split(",")[0] for line in lines[1:]]
         assert ids == ["1", "2", "3", "4", "5"]
 
-        coeffs = coefficients_csv_text(default_report.fits)
+        coeffs = coefficients_csv_text(default_report)
         clines = coeffs.strip().split("\n")
         assert clines[0] == "model_id,term,estimate,dropped"
         # every model lists intercept plus every spec column exactly once
