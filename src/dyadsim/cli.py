@@ -243,7 +243,7 @@ def _cmd_analyze(args, settings, config) -> int:
 
 def _cmd_simulate(args, settings, config) -> int:
     B1, B2 = dynamics.simulate_batch(args.context, config.params, [config.master_seed])
-    trajectory = dynamics.batch_row_trajectory(args.context, config.master_seed, B1[0], B2[0])
+    trajectory = dynamics.Trajectory(args.context, config.master_seed, B1[0], B2[0])
     out = _out_file(args, "trajectory.csv")
     out.write_text(report_mod.trajectory_csv_text(trajectory), newline="")
     print(f"wrote {out} ({len(trajectory)} states)")
@@ -256,7 +256,7 @@ def _context_payloads(args, config, max_lag: int, *panels) -> dict:
     contexts = args.context or report_mod.DEFAULT_FIGURE_CONTEXTS
     for batch in sweep_mod.context_batches(config, contexts):
         for panel in panels:
-            payloads.update(report_mod.figure_data(panel, max_lag=max_lag, batches=[batch]))
+            payloads.update(report_mod.figure_data(panel, max_lag=max_lag, batch=batch))
         del batch  # so that a finished group is freed before the next is simulated
     return payloads
 
@@ -307,6 +307,8 @@ def main(argv=None) -> int:
         return _error("validation", str(exc), EXIT_USAGE)
     except OSError as exc:
         return _error("io", str(exc), EXIT_IO)
+    except MemoryError as exc:  # numpy's refused allocation; a larger one is its ValueError
+        return _error("validation", f"out of memory: {exc}", EXIT_USAGE)
 
 
 if __name__ == "__main__":

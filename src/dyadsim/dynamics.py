@@ -63,7 +63,6 @@ __all__ = [
     "simulate",
     "simulate_rows",
     "simulate_batch",
-    "batch_row_trajectory",
 ]
 
 TERNARY = (-1, 0, 1)
@@ -269,12 +268,19 @@ def step(
     return BehaviorState(a11 * b1 + a12 * b2 + n1, a21 * b1 + a22 * b2 + n2)
 
 
+def _left_range(turn: int) -> NonFiniteStateError:
+    return NonFiniteStateError(f"behavior state left double-precision range at turn {turn}")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """One simulated interaction: turn-indexed series for both agents.
 
     ``b1`` and ``b2`` have length turns + 1; index 0 is the initial
-    condition drawn from the seeded stream.
+    condition drawn from the seeded stream.  Raises the
+    :class:`NonFiniteStateError` that :func:`simulate` would: a state
+    before the final turn is non-finite.  A non-finite final state alone
+    does not raise.
     """
 
     context: ContextMatrix
@@ -282,16 +288,17 @@ class Trajectory:
     b1: np.ndarray
     b2: np.ndarray
 
+    def __post_init__(self):
+        finite = np.isfinite(self.b1[:-1]) & np.isfinite(self.b2[:-1])
+        if not finite.all():
+            raise _left_range(int(np.argmin(finite)))
+
     def __len__(self) -> int:
         return len(self.b1)
 
     @property
     def turns(self) -> int:
         return len(self.b1) - 1
-
-
-def _left_range(turn: int) -> NonFiniteStateError:
-    return NonFiniteStateError(f"behavior state left double-precision range at turn {turn}")
 
 
 def simulate(context: ContextMatrix, params: ModelParams, seed: int) -> Trajectory:
@@ -474,19 +481,3 @@ def _step_columns(A: np.ndarray, columns: np.ndarray) -> None:
 def simulate_batch(context: ContextMatrix, params: ModelParams, seeds: list[int]):
     """:func:`simulate_rows` for seeded runs of one context."""
     return simulate_rows([params.coefficients(context)] * len(seeds), params, seeds)
-
-
-def batch_row_trajectory(
-    context: ContextMatrix, seed: int, b1: np.ndarray, b2: np.ndarray
-) -> Trajectory:
-    """One :func:`simulate_batch` row as the :class:`Trajectory` that
-    :func:`simulate` returns for its seed.
-
-    Raises the :class:`NonFiniteStateError` that :func:`simulate` would:
-    a state before the final turn is non-finite.  A non-finite final state
-    alone does not raise.
-    """
-    finite = np.isfinite(b1[:-1]) & np.isfinite(b2[:-1])
-    if not finite.all():
-        raise _left_range(int(np.argmin(finite)))
-    return Trajectory(context=context, seed=int(seed), b1=b1, b2=b2)

@@ -206,8 +206,9 @@ def aggregate_ccf(results: list[CcfResult]) -> CcfAggregate:
     return CcfAggregate(max_lag=max_lag, mean=mean, sd=sd, n_defined=n_def)
 
 
-# the most bins, and lags on either side, whose index an array can hold
-_MAX_BINS = np.iinfo(np.intp).max
+# the most bins, and lags on either side, whose 8-byte counts and bin_count + 1
+# float edges numpy can size in bytes
+_MAX_BINS = np.iinfo(np.intp).max // 8 - 1
 _MAX_LAG = (_MAX_BINS - 1) // 2
 
 

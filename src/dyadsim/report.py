@@ -9,7 +9,6 @@ float.  Output is deterministic: regenerating from the same table and
 config is byte-identical.
 """
 
-import functools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -267,16 +266,16 @@ def figure_data(
     table: sweep_mod.SweepTable | None = None,
     max_lag: int = metrics.LagSpec.max_lag,
     bins: int = HISTOGRAM_BINS,
-    batches=None,
+    batch=None,
 ) -> dict:
-    """CSV payloads for one figure panel, keyed by output filename.
+    """CSV payload for one figure panel, keyed by output filename.
 
     Panels: ``r_histogram`` (needs ``table``), ``ccf_panel``, ``lag_panel``
-    and ``trajectory_panel``.  A context panel cuts each
-    :func:`sweep.context_batches` batch of ``batches`` into one payload,
-    named after the batch's context; the trajectory is its run 0.  No byte
-    depends on how the batches were grouped.  Context filenames carry the
-    signed-digit code of (s1, o1, o2, s2), e.g. ``fig6_ccf_+10+1-1.csv``.
+    and ``trajectory_panel``.  A context panel cuts one
+    :func:`sweep.context_batches` ``batch`` into one payload, named after
+    the batch's context; the trajectory is its run 0.  Context filenames
+    carry the signed-digit code of (s1, o1, o2, s2), e.g.
+    ``fig6_ccf_+10+1-1.csv``.
     """
     if which not in PANEL_NAMES:
         raise ValueError(f"unknown figure panel {which!r}; expected one of {PANEL_NAMES}")
@@ -287,32 +286,25 @@ def figure_data(
         hist = metrics.histogram(table.r[table.finite], bins, -1.0, 1.0)
         return {"fig3_hist.csv": histogram_csv_text(hist)}
 
-    if batches is None:
-        raise ValueError(f"{which} needs batches from sweep.context_batches")
-    # map holds no batch between calls, so a finished group is freed before the
-    # generator simulates the next one; a comprehension's loop variable would keep it
-    return dict(map(functools.partial(_panel_payload, which, max_lag=max_lag), batches))
-
-
-def _panel_payload(which: str, batch, max_lag: int) -> tuple[str, str]:
-    """(filename, CSV text) of one context's batch cut into a panel."""
+    if batch is None:
+        raise ValueError(f"{which} needs a batch from sweep.context_batches")
     context, seeds, B1, B2, finite = batch
     code = context.code()
     if which == "trajectory_panel":
         try:
-            trajectory = dynamics.batch_row_trajectory(context, seeds[0], B1[0], B2[0])
+            trajectory = dynamics.Trajectory(context, seeds[0], B1[0], B2[0])
         except dynamics.NonFiniteStateError as exc:
             raise dynamics.NonFiniteStateError(
                 f"trajectory panel, context {code}: {exc}"
             ) from None
-        return f"fig2_traj_{code}.csv", trajectory_csv_text(trajectory)
+        return {f"fig2_traj_{code}.csv": trajectory_csv_text(trajectory)}
     if which == "ccf_panel":
         if np.count_nonzero(finite) < 2:
             raise AnalysisError(f"ccf panel, context {code}: fewer than 2 finite runs")
         result = metrics.cross_correlation(B1[finite], B2[finite], max_lag)
-        return f"fig6_ccf_{code}.csv", ccf_csv_text(metrics.aggregate_ccf([result]))
+        return {f"fig6_ccf_{code}.csv": ccf_csv_text(metrics.aggregate_ccf([result]))}
     dist = metrics.turn_lags(B1[finite], B2[finite], metrics.LagSpec(max_lag=max_lag))
-    return f"fig7_lags_{code}.csv", lag_csv_text(dist)
+    return {f"fig7_lags_{code}.csv": lag_csv_text(dist)}
 
 
 def _write_files(items, out_dir) -> list:

@@ -120,9 +120,6 @@ class SweepTable:
     def __len__(self) -> int:
         return len(self.r)
 
-    def r_array(self) -> np.ndarray:
-        return self.r
-
     @property
     def finite(self) -> np.ndarray:
         return ~np.isnan(self.r)

@@ -268,7 +268,7 @@ class TestCriterion5:
 class TestCriterion6:
     def test_c6a_uncoupled_ccf_flat(self, default_config):
         payloadless = figure_data(
-            "ccf_panel", batches=context_batches(default_config, [ContextMatrix(1, 0, 0, 1)])
+            "ccf_panel", batch=next(context_batches(default_config, [ContextMatrix(1, 0, 0, 1)]))
         )
         lines = payloadless["fig6_ccf_+100+1.csv"].strip().split("\n")[1:]
         means = np.array([float(line.split(",")[1]) for line in lines])
@@ -299,7 +299,7 @@ class TestCriterion6:
 
     def test_c6c_full_coupling_lag_mode_near_zero(self, default_config):
         payload = figure_data(
-            "lag_panel", batches=context_batches(default_config, [ContextMatrix(1, 1, 1, 1)])
+            "lag_panel", batch=next(context_batches(default_config, [ContextMatrix(1, 1, 1, 1)]))
         )
         lines = payload["fig7_lags_+1+1+1+1.csv"].strip().split("\n")[1:]
         lags = np.array([int(line.split(",")[0]) for line in lines])
@@ -378,7 +378,7 @@ class TestCriterion7:
         check("7d", "OLS residual orthogonality and nesting monotonicity", nesting and ortho)
 
     def test_c7e_correlation_range_bounds(self, default_table):
-        r = default_table.r_array()
+        r = default_table.r
         finite = r[np.isfinite(r)]
         in_range = bool((np.abs(finite) <= 1.0 + 1e-12).all())
         rng = np.random.default_rng(71)

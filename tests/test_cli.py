@@ -350,16 +350,6 @@ class TestOneGroupAlive:
         monkeypatch.setattr(sweep_mod, "simulate_rows", spied)
         return refs
 
-    @pytest.mark.parametrize("panel", ["ccf_panel", "lag_panel", "trajectory_panel"])
-    def test_figure_data(self, groups, panel):
-        config = SweepConfig(master_seed=42, runs_per_context=3,
-                             params=dynamics.ModelParams(turns=120))
-        contexts = [parse_context(text) for text in self.CONTEXTS]
-        assert len(report_mod.figure_data(
-            panel, batches=sweep_mod.context_batches(config, contexts)
-        )) == 5
-        assert len(groups) == 3
-
     @pytest.mark.parametrize("command", ["xcorr", "lags", "figures"])
     def test_command(self, tmp_path, command, groups):
         args = [command, *self.FLAGS, *(f"--context={text}" for text in self.CONTEXTS)]
@@ -373,6 +363,18 @@ class TestOneGroupAlive:
 
 
 class TestErrorCategories:
+    # each allocation, 7 PiB to 8 EiB, is refused at once, so no memory is touched
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--runs", "1000000000000000", "--turns", "10"],
+        ["simulate", "--context=1,0;0,1", "--turns", "1000000000000000"],
+        ["figures", *SMALL, "--bins", "1152921504606846974"],
+    ], ids=["sweep", "simulate", "figures-bins"])
+    def test_out_of_memory_is_usage_error(self, tmp_path, capsys, args):
+        assert main([*args, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dyadsim: error: validation: out of memory: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     @pytest.mark.parametrize("command", ["xcorr", "figures"])
     def test_all_runs_diverging_is_analysis_error(self, tmp_path, capsys, command):
         # every run of this context leaves double range, so no CCF can be averaged
@@ -595,10 +597,13 @@ class TestErrorCategories:
         assert len(lines) == 1 + 61
 
     @pytest.mark.parametrize("command, flag, message", [
-        ("figures", ["--bins", str(10**400)], "bin_count must be at most 9223372036854775807"),
-        ("figures", ["--bins", str(10**29)], "bin_count must be at most 9223372036854775807"),
-        ("lags", ["--max-lag", str(10**29)], "max_lag must be at most 4611686018427387903"),
-    ], ids=["bins-10**400", "bins-10**29", "lags-max-lag-10**29"])
+        ("figures", ["--bins", str(10**400)], "bin_count must be at most 1152921504606846974"),
+        ("figures", ["--bins", str(10**29)], "bin_count must be at most 1152921504606846974"),
+        ("figures", ["--bins", str(2**60 - 1)], "bin_count must be at most 1152921504606846974"),
+        ("lags", ["--max-lag", str(10**29)], "max_lag must be at most 576460752303423486"),
+        ("lags", ["--max-lag", str(2**59 - 1)], "max_lag must be at most 576460752303423486"),
+    ], ids=["bins-10**400", "bins-10**29", "bins-2**60-1", "lags-max-lag-10**29",
+            "lags-max-lag-2**59-1"])
     def test_count_beyond_an_array_index_is_usage_error(
         self, tmp_path, capsys, command, flag, message
     ):

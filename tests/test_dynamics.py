@@ -320,6 +320,25 @@ class TestSimulate:
             simulate(ContextMatrix(1, 1, 1, 1), params, 3)
 
 
+class TestTrajectory:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("agent", [0, 1])
+    @pytest.mark.parametrize("k", [0, 3, 4])
+    def test_non_finite_state_before_the_last_raises(self, k, agent, bad):
+        series = np.zeros((2, 6))
+        series[agent, k] = bad
+        series[1 - agent, k + 1:] = np.inf  # a later non-finite state is not named
+        message = f"^behavior state left double-precision range at turn {k}$"
+        with pytest.raises(NonFiniteStateError, match=message):
+            Trajectory(ContextMatrix(1, 1, 1, 1), 0, *series)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_final_state_alone_passes(self, bad):
+        series = np.zeros((2, 6))
+        series[:, -1] = bad
+        assert Trajectory(ContextMatrix(1, 1, 1, 1), 0, *series).turns == 5
+
+
 class TestSimulateBatch:
     def test_bitwise_equal_to_scalar_path(self):
         params = ModelParams(turns=200)
@@ -668,7 +687,7 @@ def _trajectory_csv_reference(trajectory: Trajectory) -> str:
 @st.composite
 def _series_pairs(draw):
     """Two float64 series of one length whose last state alone may be
-    non-finite, as batch_row_trajectory allows."""
+    non-finite, as Trajectory allows."""
     turns = draw(st.integers(0, 40))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     return [np.array(draw(st.lists(finite, min_size=turns, max_size=turns)) + [draw(st.floats())])

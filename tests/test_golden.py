@@ -55,11 +55,10 @@ def outputs(default_config, default_table, default_report):
         "table1.csv": report.table1_csv_text(default_report),
         "coefficients.csv": report.coefficients_csv_text(default_report),
     }
-    for panel in report.PANEL_NAMES:
-        texts.update(report.figure_data(
-            panel, table=default_table,
-            batches=sweep.context_batches(default_config, report.DEFAULT_FIGURE_CONTEXTS),
-        ))
+    texts.update(report.figure_data("r_histogram", table=default_table))
+    for batch in sweep.context_batches(default_config, report.DEFAULT_FIGURE_CONTEXTS):
+        for panel in report.PANEL_NAMES[1:]:  # the context panels
+            texts.update(report.figure_data(panel, batch=batch))
     return texts
 
 

@@ -45,6 +45,14 @@ from helpers import trajectory_from_csv
 PANEL_CONFIG = SweepConfig(master_seed=42, runs_per_context=40, params=ModelParams(turns=200))
 
 
+def _cut(which, config, contexts):
+    """One panel's payloads cut from each context's batch, in context order."""
+    payload = {}
+    for batch in context_batches(config, contexts):
+        payload.update(figure_data(which, batch=batch))
+    return payload
+
+
 class TestAnalyze:
     def test_counts_internally_consistent(self, default_table, default_report):
         report = default_report
@@ -124,7 +132,9 @@ class TestAnalyze:
 class TestFigureData:
     def test_unknown_panel_rejected(self):
         with pytest.raises(ValueError, match="unknown figure panel"):
-            figure_data("nonsense", batches=context_batches(PANEL_CONFIG, DEFAULT_FIGURE_CONTEXTS))
+            figure_data(
+                "nonsense", batch=next(context_batches(PANEL_CONFIG, DEFAULT_FIGURE_CONTEXTS))
+            )
 
     def test_histogram_payload(self, default_table):
         payload = figure_data("r_histogram", table=default_table)
@@ -149,7 +159,7 @@ class TestFigureData:
 
     def test_ccf_panel_uncoupled_is_flat(self):
         payload = figure_data(
-            "ccf_panel", batches=context_batches(PANEL_CONFIG, [ContextMatrix(1, 0, 0, 1)])
+            "ccf_panel", batch=next(context_batches(PANEL_CONFIG, [ContextMatrix(1, 0, 0, 1)]))
         )
         (name, text), = payload.items()
         assert name == "fig6_ccf_+100+1.csv"
@@ -166,11 +176,13 @@ class TestFigureData:
         config = SweepConfig(master_seed=42, runs_per_context=1, params=ModelParams(turns=60))
         message = r"^ccf panel, context \+100\+1: fewer than 2 finite runs$"
         with pytest.raises(AnalysisError, match=message):
-            figure_data("ccf_panel", batches=context_batches(config, [ContextMatrix(1, 0, 0, 1)]))
+            figure_data(
+                "ccf_panel", batch=next(context_batches(config, [ContextMatrix(1, 0, 0, 1)]))
+            )
 
     def test_lag_panel_payload(self):
         payload = figure_data(
-            "lag_panel", batches=context_batches(PANEL_CONFIG, [ContextMatrix(1, 1, 1, 1)])
+            "lag_panel", batch=next(context_batches(PANEL_CONFIG, [ContextMatrix(1, 1, 1, 1)]))
         )
         text = payload["fig7_lags_+1+1+1+1.csv"]
         lines = text.strip().split("\n")[1:]
@@ -181,23 +193,22 @@ class TestFigureData:
 
     def test_trajectory_panel_null_context_bounded(self):
         payload = figure_data(
-            "trajectory_panel", batches=context_batches(PANEL_CONFIG, [ContextMatrix(0, 0, 0, 0)])
+            "trajectory_panel",
+            batch=next(context_batches(PANEL_CONFIG, [ContextMatrix(0, 0, 0, 0)])),
         )
         b1, b2 = trajectory_from_csv(payload["fig2_traj_0000.csv"])
         values = np.concatenate([b1, b2])
         assert (np.abs(values) < 1.0).mean() >= 0.99
 
     def test_default_contexts_cover_all_panels(self):
-        payload = figure_data(
-            "trajectory_panel", batches=context_batches(PANEL_CONFIG, DEFAULT_FIGURE_CONTEXTS)
-        )
+        payload = _cut("trajectory_panel", PANEL_CONFIG, DEFAULT_FIGURE_CONTEXTS)
         assert len(payload) == len(DEFAULT_FIGURE_CONTEXTS)
         for context in DEFAULT_FIGURE_CONTEXTS:
             assert f"fig2_traj_{context.code()}.csv" in payload
 
     @pytest.mark.parametrize("panel", ["ccf_panel", "lag_panel", "trajectory_panel"])
     def test_context_panel_needs_batches(self, default_table, panel):
-        message = f"^{panel} needs batches from sweep.context_batches$"
+        message = f"^{panel} needs a batch from sweep.context_batches$"
         with pytest.raises(ValueError, match=message):
             figure_data(panel, table=default_table)
 
@@ -214,7 +225,7 @@ class TestFigureData:
         with pytest.raises(NonFiniteStateError) as scalar:
             self._scalar_run_zero(config, context)
         with pytest.raises(NonFiniteStateError) as panel:
-            figure_data("trajectory_panel", batches=context_batches(config, [context]))
+            figure_data("trajectory_panel", batch=next(context_batches(config, [context])))
         assert str(panel.value) == "trajectory panel, context +1+1+1+1: " + str(scalar.value)
 
     def test_trajectory_panel_non_finite_final_state_as_scalar_run(self):
@@ -229,16 +240,14 @@ class TestFigureData:
         config = replace(config, params=replace(config.params, turns=turns))
         trajectory = self._scalar_run_zero(config, context)
         assert not np.isfinite([trajectory.b1[-1], trajectory.b2[-1]]).all()
-        payload = figure_data("trajectory_panel", batches=context_batches(config, [context]))
+        payload = figure_data("trajectory_panel", batch=next(context_batches(config, [context])))
         assert payload["fig2_traj_+1+1+1+1.csv"] == trajectory_csv_text(trajectory)
 
     def test_trajectory_panel_is_scalar_run_zero(self):
         config = SweepConfig(
             master_seed=7, runs_per_context=3, params=ModelParams(influence=0.9, turns=60)
         )
-        payload = figure_data(
-            "trajectory_panel", batches=context_batches(config, DEFAULT_FIGURE_CONTEXTS)
-        )
+        payload = _cut("trajectory_panel", config, DEFAULT_FIGURE_CONTEXTS)
         for context in DEFAULT_FIGURE_CONTEXTS:
             expected = trajectory_csv_text(self._scalar_run_zero(config, context))
             assert payload[f"fig2_traj_{context.code()}.csv"] == expected
@@ -247,16 +256,18 @@ class TestFigureData:
         contexts = [ContextMatrix(1, 0, 0, 1), ContextMatrix(0, 0, 0, 0)]
         config = SweepConfig(master_seed=42, runs_per_context=3, params=ModelParams(turns=60))
         batches = list(context_batches(config, contexts))
-        payload = figure_data("lag_panel", batches=batches[::-1])  # no config
-        assert payload == figure_data("lag_panel", batches=context_batches(config, contexts))
+        payload = {}
+        for batch in batches[::-1]:  # no config
+            payload.update(figure_data("lag_panel", batch=batch))
+        assert payload == _cut("lag_panel", config, contexts)
         assert list(payload) == ["fig7_lags_0000.csv", "fig7_lags_+100+1.csv"]
 
     def test_deterministic_payloads(self):
         a = figure_data(
-            "ccf_panel", batches=context_batches(PANEL_CONFIG, [ContextMatrix(1, 0, 1, 0)])
+            "ccf_panel", batch=next(context_batches(PANEL_CONFIG, [ContextMatrix(1, 0, 1, 0)]))
         )
         b = figure_data(
-            "ccf_panel", batches=context_batches(PANEL_CONFIG, [ContextMatrix(1, 0, 1, 0)])
+            "ccf_panel", batch=next(context_batches(PANEL_CONFIG, [ContextMatrix(1, 0, 1, 0)]))
         )
         assert a == b
 
