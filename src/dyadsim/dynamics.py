@@ -89,7 +89,8 @@ class ContextMatrix:
 
     Row 1 collects influences on Person 1 (s1 from self, o1 from Person 2);
     row 2 collects influences on Person 2 (o2 from Person 1, s2 from self).
-    Entries: +1 active, 0 inactive, -1 inhibitory.
+    Entries: +1 active, 0 inactive, -1 inhibitory, each stored as a Python
+    int (a numpy integer is converted; a bool or a float is rejected).
     """
 
     s1: int
@@ -100,8 +101,10 @@ class ContextMatrix:
     def __post_init__(self):
         for name in ("s1", "o1", "o2", "s2"):
             value = getattr(self, name)
-            if value not in TERNARY:
+            entry = _integer(value)
+            if entry not in TERNARY:
                 raise ValueError(f"context entry {name}={value!r} not in {{-1, 0, 1}}")
+            object.__setattr__(self, name, entry)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.s1, self.o1, self.o2, self.s2)
@@ -175,15 +178,21 @@ class BehaviorState(tuple):
         return self[1]
 
 
-def _checked_int(name: str, value) -> int:
-    """``value`` as an int, or ``ValueError`` naming ``name`` if it is not a
-    Python or numpy integer, is a ``bool`` or is below 1: the one rule for counts."""
+def _integer(value):
+    """``value`` as a Python int, or ``None`` if it is not a Python or numpy
+    integer or is a ``bool``: the one rule for integer entries."""
     try:
-        if isinstance(value, bool):
-            raise TypeError
-        count = operator.index(value)
+        return None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        return None
+
+
+def _checked_int(name: str, value) -> int:
+    """``value`` as an int, or ``ValueError`` naming ``name`` if it fails
+    :func:`_integer` or is below 1: the one rule for counts."""
+    count = _integer(value)
+    if count is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if count < 1:
         raise ValueError(f"{name} must be >= 1")
     return count

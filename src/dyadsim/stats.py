@@ -26,6 +26,7 @@ Q(1/2, y) is a port of Cephes' ``igamc`` (the code behind scipy's
 ``log``, ``exp`` and ``pow``.
 """
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -53,22 +54,14 @@ __all__ = [
     "chi2_upper_tail",
 ]
 
-INDICATOR_NAMES = ("s1p", "s1n", "o1p", "o1n", "o2p", "o2n", "s2p", "s2n")
-
 _PARAMS = ("s1", "o1", "o2", "s2")
-_PARAM_PAIRS = tuple(
-    (_PARAMS[i], _PARAMS[j]) for i in range(4) for j in range(i + 1, 4)
-)
+# two indicators per parameter: p for +1, n for -1 (0 is the reference)
+INDICATOR_NAMES = tuple(param + level for param in _PARAMS for level in "pn")
 
 # 24 unique cross-parameter products in canonical order
 INTERACTION_NAMES = tuple(
-    f"{a}{sa}:{b}{sb}"
-    for a, b in _PARAM_PAIRS
-    for sa in ("p", "n")
-    for sb in ("p", "n")
+    f"{a}{sa}:{b}{sb}" for a, b in itertools.combinations(_PARAMS, 2) for sa in "pn" for sb in "pn"
 )
-
-MODEL_IDS = (1, 2, 3, 4, 5)
 
 
 @dataclass(frozen=True)
@@ -90,11 +83,7 @@ class DummyEncoding:
 
 def encode_dummies(context: ContextMatrix) -> DummyEncoding:
     """Dummy-code a context: Xp = [value == +1], Xn = [value == -1]."""
-    flags = {}
-    for param, value in zip(_PARAMS, context.as_tuple()):
-        flags[param + "p"] = 1 if value == 1 else 0
-        flags[param + "n"] = 1 if value == -1 else 0
-    return DummyEncoding(**flags)
+    return DummyEncoding(*(int(value == sign) for value in context.as_tuple() for sign in (1, -1)))
 
 
 @dataclass(frozen=True)
@@ -112,22 +101,26 @@ class ModelSpec:
         return self.main_terms + self.interaction_terms
 
 
+# model 3 is the union of the model-1 and model-2 column sets
+_MODELS = {
+    spec.model_id: spec
+    for spec in (
+        ModelSpec(1, "main-effects", INDICATOR_NAMES, (), 8),
+        ModelSpec(2, "interactions", INDICATOR_NAMES, INTERACTION_NAMES, 48),
+        ModelSpec(3, "overall", INDICATOR_NAMES, INTERACTION_NAMES, 56),
+        ModelSpec(4, "initiator-focused", ("s1p", "s1n", "o2p", "o2n"), INTERACTION_NAMES, 28),
+        ModelSpec(5, "self-influence", ("s1p", "s1n", "s2p", "s2n"), INTERACTION_NAMES, 28),
+    )
+}
+MODEL_IDS = tuple(_MODELS)
+
+
 def model_spec(model_id: int) -> ModelSpec:
     """Canonical column recipe for regression models 1-5."""
-    mains = INDICATOR_NAMES
-    ints = INTERACTION_NAMES
-    if model_id == 1:
-        return ModelSpec(1, "main-effects", mains, (), 8)
-    if model_id == 2:
-        return ModelSpec(2, "interactions", mains, ints, 48)
-    if model_id == 3:
-        # union of the model-1 and model-2 column sets
-        return ModelSpec(3, "overall", mains, ints, 56)
-    if model_id == 4:
-        return ModelSpec(4, "initiator-focused", ("s1p", "s1n", "o2p", "o2n"), ints, 28)
-    if model_id == 5:
-        return ModelSpec(5, "self-influence", ("s1p", "s1n", "s2p", "s2n"), ints, 28)
-    raise ValueError(f"unknown model id {model_id!r}")
+    try:
+        return _MODELS[model_id]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown model id {model_id!r}") from None
 
 
 def _cell_terms() -> dict:
@@ -190,24 +183,15 @@ class FitResult:
 
 
 def _distinct_rows(A):
-    """The distinct rows of ``A``, each scaled by the square root of its
-    count, or ``A`` itself when every row is distinct.
+    """One row per run of equal adjacent rows of ``A``, scaled by the square
+    root of the run's length.
 
     The scaled rows have the same Gram matrix ``A.T @ A``, so a QR of them
-    has the same ``|R_jj|`` and column norms up to rounding.  Rows are
-    grouped by the key ``A @ 2**-j``, exact and injective for 0/1 rows of
-    up to 53 columns; since other rows can share a key, the grouping is
-    checked one column at a time, stopping at the first that breaks it,
-    and ``A`` returned when it does not hold.
+    has the same ``|R_jj|`` and column norms up to rounding.  A sweep's
+    design lists its rows context by context, so it collapses to at most 81.
     """
-    key = A @ 2.0 ** -np.arange(A.shape[1])
-    _, first, inverse, counts = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True
-    )
-    group_first = first[inverse]  # each row's group representative
-    if len(first) == len(A) or not all((col[group_first] == col).all() for col in A.T):
-        return A
-    return A[first] * np.sqrt(counts)[:, None]
+    starts = np.flatnonzero(np.r_[len(A) > 0, (A[1:] != A[:-1]).any(axis=1)])
+    return A[starts] * np.sqrt(np.diff(np.r_[starts, len(A)]))[:, None]
 
 
 def _independent_columns(A) -> list:
@@ -240,9 +224,10 @@ def fit_least_squares(X, y, columns=None) -> FitResult:
     it is all zero or ``|R_jj| <= 1e-10 * ||column j||``, where ``|R_jj|``
     is the norm of its residual against the retained columns before it.
     Each redundant column found is removed and the QR repeated, so a
-    full-rank design takes one QR.  The QR runs on the design's distinct
-    rows, each weighted by the square root of its count, which have the
-    same Gram matrix as the full design: a sweep's design has at most 81.
+    full-rank design takes one QR.  The QR runs on one row per run of equal
+    adjacent design rows, weighted by the square root of the run's length,
+    which has the same Gram matrix as the full design: a sweep's design,
+    listed context by context, has at most 81 runs.
     The retained set is then solved exactly on every row, which equals the
     minimum-norm solution restricted to those columns.
 
@@ -257,9 +242,7 @@ def fit_least_squares(X, y, columns=None) -> FitResult:
     if X.ndim != 2 or len(y) != X.shape[0]:
         raise ValueError("X must be (n, k) with len(y) == n")
     n, k = X.shape
-    if columns is None:
-        columns = tuple(f"x{j}" for j in range(k))
-    columns = tuple(columns)
+    columns = tuple(f"x{j}" for j in range(k)) if columns is None else tuple(columns)
     if len(columns) != k:
         raise ValueError("column name count does not match X")
 
@@ -297,17 +280,8 @@ def fit_least_squares(X, y, columns=None) -> FitResult:
         bic = float(base + np.log(n) * (k_eff + 1))
     else:
         aic = bic = float("-inf")
-    return FitResult(
-        coefficients=coefficients,
-        dropped=dropped,
-        rss=rss,
-        n=n,
-        k_effective=k_eff,
-        r2=float(r2),
-        adj_r2=float(adj_r2),
-        aic=aic,
-        bic=bic,
-    )
+    return FitResult(coefficients=coefficients, dropped=dropped, rss=rss, n=n, k_effective=k_eff,
+                     r2=float(r2), adj_r2=float(adj_r2), aic=aic, bic=bic)
 
 
 @dataclass(frozen=True)
@@ -469,6 +443,14 @@ def chi2_upper_tail(x: float, df: int) -> float:
     return q
 
 
+def _check_counts(counts) -> None:
+    """``ValueError`` naming the first of ``counts`` that is not a finite
+    non-negative integer: the one rule for counts and group sizes."""
+    for count in np.asarray(counts, dtype=float):
+        if not (np.isfinite(count) and count >= 0 and count == int(count)):
+            raise ValueError(f"count {count} is not a non-negative integer")
+
+
 def chi2_gof(observed, expected_probs) -> Chi2Result:
     """Pearson goodness-of-fit test of counts against given probabilities.
 
@@ -479,9 +461,7 @@ def chi2_gof(observed, expected_probs) -> Chi2Result:
     probs = np.asarray(expected_probs, dtype=float)
     if observed.shape != probs.shape or observed.ndim != 1 or len(observed) < 2:
         raise ValueError("need matching 1-D counts and probabilities (>= 2 categories)")
-    for count in observed:
-        if not (np.isfinite(count) and count >= 0 and count == int(count)):
-            raise ValueError(f"count {count} is not a non-negative integer")
+    _check_counts(observed)
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
     total = observed.sum()
@@ -501,14 +481,13 @@ def chi2_two_proportion(count1: int, n1: int, count2: int, n2: int) -> Chi2Resul
     No continuity correction.  Errors if any expected cell count is zero
     (all-success or all-failure margins).
     """
+    _check_counts((count1, n1, count2, n2))
     for count, n in ((count1, n1), (count2, n2)):
         if n < 1:
             raise ValueError("group sizes must be >= 1")
         if not 0 <= count <= n:
             raise ValueError(f"count {count} outside [0, {n}]")
-    table = np.array(
-        [[count1, n1 - count1], [count2, n2 - count2]], dtype=float
-    )
+    table = np.array([[count1, n1 - count1], [count2, n2 - count2]], dtype=float)
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
     if (expected == 0).any():
         raise ValueError("zero expected cell count")

@@ -761,6 +761,13 @@ class TestFlagHandling:
         assert result.returncode == 0
         assert "dyadsim" in result.stdout
 
+    def test_package_version_is_the_project_version(self):
+        # report.json records __version__ as its artifact_version
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == dyadsim.__version__
+
 
 class TestSettings:
     def test_bare_sweep_settings_are_the_library_defaults(self):

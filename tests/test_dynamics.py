@@ -42,6 +42,22 @@ class TestContextMatrix:
         with pytest.raises(ValueError, match="context entry"):
             ContextMatrix(bad, 0, 0, 0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("s1", True), ("o1", 0.0), ("o2", 1.0), ("s2", np.float64(-1.0)), ("s1", np.bool_(True)),
+        ("o1", Fraction(1)), ("o2", "1"), ("s2", None),
+    ])
+    def test_rejects_non_integer_entries(self, name, value):
+        entries = {"s1": 0, "o1": 0, "o2": 0, "s2": 0, name: value}
+        with pytest.raises(ValueError) as caught:
+            ContextMatrix(**entries)
+        assert str(caught.value) == f"context entry {name}={value!r} not in {{-1, 0, 1}}"
+
+    def test_entries_are_stored_as_python_ints(self):
+        ctx = ContextMatrix(np.int8(1), np.int64(0), np.uint8(0), -1)
+        assert ctx == ContextMatrix(1, 0, 0, -1)
+        assert [type(v) for v in ctx.as_tuple()] == [int] * 4
+        assert ctx.code() == "+100-1"
+
     def test_swapped_relabels_agents(self):
         ctx = ContextMatrix(1, 0, -1, 1)
         assert ctx.swapped().as_tuple() == (1, -1, 0, 1)

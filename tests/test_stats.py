@@ -4,7 +4,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import expm1 as scipy_expm1, gammaincc, gammaln
 
 from dyadsim import analyze, stats
@@ -84,6 +84,18 @@ def cell_designs(draw):
     return X, np.random.default_rng(y_seed).normal(size=len(X)), tuple(names)
 
 
+@st.composite
+def run_matrices(draw):
+    """Small float or 0/1 matrices built from runs of one repeated row; a row
+    can come back after others, so equal rows need not be adjacent."""
+    k = draw(st.integers(1, 6))
+    values = st.integers(0, 1) if draw(st.booleans()) else st.integers(-40, 40).map(lambda v: v / 8)
+    pool = draw(st.lists(st.lists(values, min_size=k, max_size=k), min_size=1, max_size=5))
+    runs = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 4)),
+                         min_size=1, max_size=12))
+    return np.array([pool[i] for i, length in runs for _ in range(length)], dtype=float)
+
+
 class TestEncodeDummies:
     def test_reference_level_all_zero(self):
         enc = encode_dummies(ContextMatrix(0, 0, 0, 0))
@@ -99,6 +111,13 @@ class TestEncodeDummies:
             enc = encode_dummies(ctx)
             for param in ("s1", "o1", "o2", "s2"):
                 assert getattr(enc, param + "p") * getattr(enc, param + "n") == 0
+
+    def test_every_context_matches_the_definition(self):
+        for ctx in enumerate_contexts():
+            enc = encode_dummies(ctx)
+            expected = [int(v == sign) for v in ctx.as_tuple() for sign in (1, -1)]
+            assert [getattr(enc, name) for name in INDICATOR_NAMES] == expected
+            assert {type(getattr(enc, name)) for name in INDICATOR_NAMES} == {int}
 
     def test_each_indicator_sums_to_27_over_enumeration(self):
         total = np.zeros(8)
@@ -136,6 +155,12 @@ class TestModelSpecs:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             model_spec(6)
+
+    @pytest.mark.parametrize("model_id", [0, 6, -1, "1", None, 1.5, [1], {}])
+    def test_unknown_model_id_is_named(self, model_id):
+        with pytest.raises(ValueError) as caught:
+            model_spec(model_id)
+        assert str(caught.value) == f"unknown model id {model_id!r}"
 
 
 class TestBuildDesign:
@@ -331,15 +356,18 @@ class TestDistinctRows:
         assert D.shape == (81, A.shape[1])
         assert np.allclose(D.T @ D, A.T @ A, rtol=1e-12, atol=0.0)
 
-    def test_all_distinct_rows_return_the_input(self):
-        A = np.random.default_rng(30).normal(size=(20, 4))
-        assert _distinct_rows(A) is A
-
-    @pytest.mark.parametrize("rows", [[[1, 0], [0, 2]], [[1, 0], [0, 2], [1, 0]]])
-    def test_rows_sharing_a_key_return_the_input(self, rows):
-        # [1, 0] and [0, 2] both have key 1
-        A = np.array(rows, dtype=float)
-        assert _distinct_rows(A) is A
+    @settings(deadline=None, max_examples=200)
+    @given(run_matrices())
+    # [1, 0] and [0, 2] share the key A @ 2**-j: equal keys, adjacent and not
+    @example(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    @example(np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 0.0]]))
+    def test_collapsed_runs_keep_the_gram_matrix_and_the_rank_pass(self, A):
+        D = _distinct_rows(A)
+        rows = A.tolist()
+        assert len(D) == 1 + sum(a != b for a, b in zip(rows, rows[1:]))
+        gram, scale = A.T @ A, np.abs(A).T @ np.abs(A)
+        assert (np.abs(D.T @ D - gram) <= 1e-12 * scale).all()
+        assert stats._independent_columns(D) == stats._independent_columns(A)
 
     def test_fit_bits_do_not_depend_on_the_layout_of_x(self, default_table):
         design = build_design(default_table, model_spec(4))
@@ -411,6 +439,19 @@ class TestChiSquare:
         a = chi2_two_proportion(37, 120, 61, 150)
         b = chi2_two_proportion(61, 150, 37, 120)
         assert a.statistic == pytest.approx(b.statistic, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.5, 3.5, float("nan"), float("inf"), -1])
+    def test_both_tests_share_one_count_rule(self, bad):
+        # counts and group sizes alike
+        calls = (lambda: chi2_gof((bad, 3), (0.5, 0.5)),
+                 lambda: chi2_two_proportion(bad, 3, 1, 3),
+                 lambda: chi2_two_proportion(1, 3, 1, bad))
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError) as caught:
+                call()
+            messages.add(str(caught.value))
+        assert messages == {f"count {float(bad)} is not a non-negative integer"}
 
     def test_two_proportion_validation(self):
         with pytest.raises(ValueError):
