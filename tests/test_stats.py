@@ -356,6 +356,16 @@ class TestDistinctRows:
         assert D.shape == (81, A.shape[1])
         assert np.allclose(D.T @ D, A.T @ A, rtol=1e-12, atol=0.0)
 
+    def test_all_distinct_rows_return_the_input(self):
+        A = np.random.default_rng(30).normal(size=(20, 4))
+        assert np.array_equal(_distinct_rows(A), A)
+
+    @pytest.mark.parametrize("rows", [[[1, 0], [0, 2]], [[1, 0], [0, 2], [1, 0]]])
+    def test_rows_sharing_a_key_return_the_input(self, rows):
+        # [1, 0] and [0, 2] both have key A @ 2**-j; no two adjacent rows are equal
+        A = np.array(rows, dtype=float)
+        assert np.array_equal(_distinct_rows(A), A)
+
     @settings(deadline=None, max_examples=200)
     @given(run_matrices())
     # [1, 0] and [0, 2] share the key A @ 2**-j: equal keys, adjacent and not
