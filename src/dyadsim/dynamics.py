@@ -22,15 +22,15 @@ onto its range as ``low + (high - low) * u``; ``Generator.uniform`` is that
 same map over the same stream of doubles, so this equals the scalar path's
 two ``uniform`` calls bit for bit.  The kernel does not construct one
 ``PCG64(seed)`` per run: it computes numpy's ``SeedSequence`` seeding of every
-row's PCG64 ``(state, inc)`` on arrays at once -- the hashing on uint32 words,
-PCG64's 128-bit seeding step on pairs of uint64 limbs -- and reseeds one
-reused generator per row through numpy's ``state`` setter, so each row reads
-numpy's own PCG64 stream for its seed.  :class:`NoiseSource` keeps numpy's
-constructor as the reference.
+row's PCG64 ``(state, inc)`` on arrays at once, one LCG step early, reseeds
+one reused generator per row through numpy's ``state`` setter and drops each
+row's first draw, which takes that step, so each row reads numpy's own PCG64
+stream for its seed.  :class:`NoiseSource` keeps numpy's constructor as the
+reference.
 
-The kernel draws rows in groups into a small (group, turns + 1, 2) scratch
-of at most ``_WINDOW_CELLS`` cells (one row, if a row is larger), maps the
-draws onto their ranges there, and copies each group transposed into a
+The kernel draws rows in groups into a small scratch of about
+``_WINDOW_CELLS`` cells (one row, if a row is larger), maps the draws onto
+their ranges there, and copies each group transposed into a
 row-major (2, rows, turns + 1) buffer.  It then steps the recurrence on
 time-major windows: turns [t0, t1) of every row are copied
 into a small (t1 - t0, 2, rows) scratch, stepped there on contiguous
@@ -68,11 +68,10 @@ __all__ = [
 TERNARY = (-1, 0, 1)
 
 _MASK32 = (1 << 32) - 1
-# numpy's SeedSequence hash constants and the PCG64 LCG multiplier
+# numpy's SeedSequence hash constants
 _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # simulate_rows steps m rows on a time-major (turns, 2, m) scratch of at most
 # _WINDOW_CELLS cells, or _MIN_WINDOW_TURNS turns deep when m is too wide for that
 _WINDOW_CELLS = 1 << 16
@@ -210,17 +209,14 @@ def _checked_float(name: str, value) -> float:
 
 
 def _checked_seed(seed) -> int:
-    """``seed`` as an int, or ``ValueError`` naming it if it is not a Python
-    or numpy integer, is a ``bool`` or lies outside [0, 2**64)."""
-    try:
-        if isinstance(seed, bool):
-            raise TypeError
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValueError(f"seed {seed!r} is not an integer") from None
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed {seed} outside [0, 2**64)")
-    return seed
+    """``seed`` as an int, or ``ValueError`` naming it if it fails
+    :func:`_integer` or lies outside [0, 2**64)."""
+    value = _integer(seed)
+    if value is None:
+        raise ValueError(f"seed {seed!r} is not an integer")
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"seed {value} outside [0, 2**64)")
+    return value
 
 
 class NoiseSource:
@@ -331,15 +327,16 @@ def simulate(context: ContextMatrix, params: ModelParams, seed: int) -> Trajecto
 
 
 def _pcg64_states(seeds) -> Iterator[tuple[int, int]]:
-    """``(state, inc)`` of ``np.random.PCG64(seed)`` for each seed of a
-    sequence or uint64 array of seeds in [0, 2**64).
+    """``(state, inc)`` one LCG step before ``np.random.PCG64(seed)`` for
+    each seed of a sequence or uint64 array of seeds in [0, 2**64): a
+    generator set to it must drop its first draw, which takes that step.
 
     The seed's two 32-bit words go through ``SeedSequence``'s 4-word pool
     hashing and ``generate_state(4, np.uint64)``, as uint32 arithmetic over
-    all seeds at once.  PCG64's 128-bit seeding step then runs on the same
-    arrays, as (high, low) pairs of uint64 limbs.  The limbs of every
-    ``state`` and of every ``inc`` are joined into Python ints in one
-    object-dtype pass each, and the pairs are returned as a ``zip``.
+    all seeds at once; the state is (w0:w1) + inc, added on (high, low) pairs
+    of uint64 limbs.  The limbs of every ``state`` and of every ``inc`` are
+    joined into Python ints in one object-dtype pass each, and the pairs are
+    returned as a ``zip``.
     """
     words = np.asarray(seeds, dtype=np.uint64)
     zero = np.zeros(len(words), dtype=np.uint32)
@@ -370,24 +367,13 @@ def _pcg64_states(seeds) -> Iterator[tuple[int, int]]:
         value = value * hash_const
         out[:, i] = value ^ value >> 16
     # generate_state(4, np.uint64) reads the 8 words as 4 little-endian uint64;
-    # inc = (w2:w3) << 1 | 1 and state = ((w0:w1) + inc) * _PCG64_MULT + inc,
-    # mod 2**128, where (hi:lo) is hi << 64 | lo; uint64 arithmetic wraps, and
-    # each low-word add carries into the high word when its sum wraps
+    # inc = (w2:w3) << 1 | 1 and state = (w0:w1) + inc mod 2**128, where (hi:lo)
+    # is hi << 64 | lo; the low-word add carries when its uint64 sum wraps
     w0, w1, w2, w3 = out.view("<u8").T
-    one, half, low_half = np.uint64(1), np.uint64(32), np.uint64(_MASK32)
+    one = np.uint64(1)
     inc_hi, inc_lo = w2 << one | w3 >> np.uint64(63), w3 << one | one
-    lo = w1 + inc_lo
-    hi = w0 + inc_hi + (lo < w1)
-    mult_hi, mult_lo = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT % (1 << 64))
-    # the high word of lo * mult_lo, from 32-bit halves: neither partial sum
-    # exceeds (2**32 - 1)**2 + 2**32 - 1 < 2**64
-    a1, a0, b1, b0 = lo >> half, lo & low_half, mult_lo >> half, mult_lo & low_half
-    upper = a1 * b0 + (a0 * b0 >> half)
-    middle = (upper & low_half) + a0 * b1
-    hi = a1 * b1 + (upper >> half) + (middle >> half) + lo * mult_hi + hi * mult_lo
-    lo = lo * mult_lo
-    state_lo = lo + inc_lo
-    state_hi = hi + inc_hi + (state_lo < lo)
+    state_lo = w1 + inc_lo
+    state_hi = w0 + inc_hi + (state_lo < w1)
     states = (state_hi.astype(object) << 64 | state_lo.astype(object)).tolist()
     incs = (inc_hi.astype(object) << 64 | inc_lo.astype(object)).tolist()
     return zip(states, incs)
@@ -406,7 +392,7 @@ def simulate_rows(
     valid seed, or any other sequence of integers in [0, 2**64), checked one
     by one; a bool or any other seed raises ``ValueError`` naming it.
 
-    Rows are drawn through a scratch of at most ``_WINDOW_CELLS`` cells, or
+    Rows are drawn through a scratch of about ``_WINDOW_CELLS`` cells, or
     of one row when a row is larger (see :func:`_draw_rows`).  The
     recurrence steps on a time-major window (see the module docstring) of at
     most ``_WINDOW_CELLS`` cells, but at least ``_MIN_WINDOW_TURNS`` and at
@@ -436,18 +422,20 @@ def _draw_rows(params: ModelParams, seeds) -> np.ndarray:
     mapped onto their ranges, for seeds already checked: a uint64 array or a
     list of ints.
 
-    Rows are drawn in groups into a (group, turns + 1, 2) scratch of at most
-    ``_WINDOW_CELLS`` cells, or of one row when a row is larger: each row is
-    one contiguous ``random`` call, the uniform maps run in the scratch, and
-    each group goes into the buffer in one transposed copy.  Each row's
-    generator is reseeded from :func:`_pcg64_states`, computed for all rows
-    before the first draw.  The scratch and the seeding lists are freed on
-    return, before the recurrence's window is allocated.
+    Rows are drawn in groups of ``_WINDOW_CELLS // (2 * (turns + 1))`` rows,
+    at least one, each by one ``random`` call into all but the last column
+    of a scratch row of 2 * (turns + 1) + 2 columns (an even count keeps
+    each row 16-byte aligned); the uniform maps run in the scratch, and each
+    group goes into the buffer in one transposed copy.  Each row's generator
+    is reseeded from :func:`_pcg64_states`, computed for all rows before the
+    first draw, one LCG step early; the row's first draw takes that step and
+    is dropped.  The scratch and the seeding lists are freed on return,
+    before the recurrence's window is allocated.
     """
     m, width = len(seeds), params.turns + 1
     B = np.empty((2, m, width))
     group = max(_WINDOW_CELLS // (2 * width), 1)
-    scratch = np.empty((min(group, m), width, 2))
+    scratch = np.empty((min(group, m), 2 * width + 2))[:, :-1]
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     lcg = {}  # one setter value for every row; only its state and inc change
@@ -459,6 +447,7 @@ def _draw_rows(params: ModelParams, seeds) -> np.ndarray:
             lcg["state"], lcg["inc"] = next(states)
             bit_generator.state = state
             rng.random(out=row)
+        draws = draws[:, 1:].reshape(len(draws), width, 2)  # drop each first draw
         for part, h in ((draws[:, :1], 0.5), (draws[:, 1:], params.noise_half_width)):
             part *= h - -h  # uniform(-h, h) is -h + (h - -h) * u
             part += -h

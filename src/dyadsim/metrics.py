@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dyadsim.dynamics import _checked_int
+from dyadsim.dynamics import _checked_float, _checked_int
 
 __all__ = [
     "UndefinedCorrelationError",
@@ -249,10 +249,11 @@ def _above_mean(rows) -> np.ndarray:
 
     A finite row whose sum overflows is compared after an exact rescale by
     2**-e, where n < 2**e, which keeps its sum finite and leaves every
-    comparison as it would be without the overflow.
+    comparison as it would be without the overflow.  The mean is the row's
+    sum over n, as ``mean`` computes it; for n = 0 it is nan, with no warning.
     """
-    with np.errstate(over="ignore"):
-        mean = rows.mean(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.sum(axis=1, keepdims=True) / rows.shape[1]
     above = rows > mean
     big = np.isinf(mean[:, 0])
     if big.any():
@@ -332,7 +333,7 @@ def histogram(values, bin_count: int, lo: float, hi: float) -> HistogramResult:
     bin_count = _checked_int("bin_count", bin_count)
     if bin_count > _MAX_BINS:
         raise ValueError(f"bin_count must be at most {_MAX_BINS}")
-    lo, hi = float(lo), float(hi)
+    lo, hi = _checked_float("lo", lo), _checked_float("hi", hi)
     if not (lo < hi and math.isfinite(hi - lo)):  # an infinite width bins every value in bin 0
         raise ValueError(f"need finite lo < hi and hi - lo, got lo={lo}, hi={hi}")
     values = np.asarray(values, dtype=float).ravel()

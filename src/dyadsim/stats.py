@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dyadsim.dynamics import ContextMatrix
+from dyadsim.dynamics import ContextMatrix, _checked_float, _integer
 from dyadsim.sweep import enumerate_contexts
 
 __all__ = [
@@ -118,8 +118,8 @@ MODEL_IDS = tuple(_MODELS)
 def model_spec(model_id: int) -> ModelSpec:
     """Canonical column recipe for regression models 1-5."""
     try:
-        return _MODELS[model_id]
-    except (KeyError, TypeError):
+        return _MODELS[_integer(model_id)]
+    except KeyError:
         raise ValueError(f"unknown model id {model_id!r}") from None
 
 
@@ -411,9 +411,10 @@ def chi2_upper_tail(x: float, df: int) -> float:
         raise ValueError(f"df must be an integer, got {df!r}")
     if df < 1:
         raise ValueError("df must be >= 1")
+    x = _checked_float("chi-square statistic", x)
     if not x >= 0:
-        raise ValueError(f"chi-square statistic must be >= 0, got {float(x)!r}")
-    y = float(x) / 2.0
+        raise ValueError(f"chi-square statistic must be >= 0, got {x!r}")
+    y = x / 2.0
     if df % 2:
         q, a = _q_half(y), 0.5
     else:
@@ -444,11 +445,14 @@ def chi2_upper_tail(x: float, df: int) -> float:
 
 
 def _check_counts(counts) -> None:
-    """``ValueError`` naming the first of ``counts`` that is not a finite
-    non-negative integer: the one rule for counts and group sizes."""
-    for count in np.asarray(counts, dtype=float):
-        if not (np.isfinite(count) and count >= 0 and count == int(count)):
-            raise ValueError(f"count {count} is not a non-negative integer")
+    """``ValueError`` naming the first of ``counts``, checked as given, that
+    is not a finite non-negative integer (an integral float passes; a bool
+    does not): the one rule for counts and group sizes."""
+    for count in counts:
+        if isinstance(count, bool) or not isinstance(count, numbers.Real):
+            raise ValueError(f"count {count!r} is not a non-negative integer")
+        if not (count >= 0 and (isinstance(count, numbers.Integral) or float(count).is_integer())):
+            raise ValueError(f"count {float(count)} is not a non-negative integer")
 
 
 def chi2_gof(observed, expected_probs) -> Chi2Result:
@@ -457,11 +461,11 @@ def chi2_gof(observed, expected_probs) -> Chi2Result:
     ``observed`` are integer category counts; ``expected_probs`` must sum
     to 1 (within 1e-9) and every expected count must be positive.
     """
-    observed = np.asarray(observed, dtype=float)
     probs = np.asarray(expected_probs, dtype=float)
-    if observed.shape != probs.shape or observed.ndim != 1 or len(observed) < 2:
+    if np.shape(observed) != probs.shape or probs.ndim != 1 or len(probs) < 2:
         raise ValueError("need matching 1-D counts and probabilities (>= 2 categories)")
     _check_counts(observed)
+    observed = np.asarray(observed, dtype=float)
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
     total = observed.sum()

@@ -471,6 +471,14 @@ class TestTurnLags:
         assert dist.total_events == 0
         assert dist.counts.sum() == 0
 
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_zero_length_series_empty_distribution(self, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = turn_lags(np.zeros(shape), np.zeros(shape), LagSpec(max_lag=4))
+        assert dist.total_events == 0
+        assert dist.counts.tolist() == [0] * 9
+
     def test_events_beyond_max_lag_discarded(self):
         x = np.zeros(50)
         x[0] = 1.0
@@ -622,6 +630,18 @@ class TestHistogram:
         for lo, hi in cases:
             with pytest.raises(ValueError, match=r"^need finite lo < hi"):
                 histogram([0.0, 0.5], 2, lo, hi)
+
+    @pytest.mark.parametrize("bad", ["0", False, True, np.True_, None],
+                             ids=["str", "False", "True", "np.True_", "None"])
+    def test_range_ends_must_be_real_numbers(self, bad):
+        for name, lo, hi in (("lo", bad, 2.0), ("hi", -1.0, bad)):
+            with pytest.raises(ValueError) as caught:
+                histogram([0.5], 2, lo, hi)
+            assert str(caught.value) == f"{name} must be a real number, got {bad!r}"
+
+    def test_numpy_range_ends_are_taken(self):
+        hist = histogram([0.5], 2, np.float32(0.0), np.int64(1))
+        assert (hist.lo, hist.hi, hist.counts.tolist()) == (0.0, 1.0, [0, 1])
 
     @pytest.mark.parametrize(
         "bin_count", [2**60 - 1, 2**63, 10**29, 10**400],

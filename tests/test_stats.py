@@ -156,11 +156,15 @@ class TestModelSpecs:
         with pytest.raises(ValueError):
             model_spec(6)
 
-    @pytest.mark.parametrize("model_id", [0, 6, -1, "1", None, 1.5, [1], {}])
+    @pytest.mark.parametrize("model_id", [0, 6, -1, "1", None, 1.5, [1], {},
+                                          True, 1.0, np.float64(4.0)])
     def test_unknown_model_id_is_named(self, model_id):
         with pytest.raises(ValueError) as caught:
             model_spec(model_id)
         assert str(caught.value) == f"unknown model id {model_id!r}"
+
+    def test_numpy_integer_model_id(self):
+        assert model_spec(np.int64(4)) is model_spec(4)
 
 
 class TestBuildDesign:
@@ -463,6 +467,24 @@ class TestChiSquare:
             messages.add(str(caught.value))
         assert messages == {f"count {float(bad)} is not a non-negative integer"}
 
+    @pytest.mark.parametrize("bad", [True, False, np.True_, "3", None, b"1"],
+                             ids=["True", "False", "np.True_", "str", "None", "bytes"])
+    def test_counts_are_checked_as_given(self, bad):
+        calls = (lambda: chi2_gof((bad, 3), (0.5, 0.5)),
+                 lambda: chi2_gof(np.array([3, bad], dtype=object), (0.5, 0.5)),
+                 lambda: chi2_two_proportion(bad, 3, 1, 3),
+                 lambda: chi2_two_proportion(1, 3, 1, bad))
+        for call in calls:
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert str(caught.value) == f"count {bad!r} is not a non-negative integer"
+
+    def test_integral_floats_and_numpy_integers_are_counts(self):
+        assert chi2_gof((50.0, np.int64(50)), (0.5, 0.5)).statistic == 0.0
+        assert chi2_gof(np.array([99, 1]), (0.5, 0.5)) == chi2_gof((99, 1), (0.5, 0.5))
+        assert chi2_two_proportion(np.uint8(90), 100.0, 10, np.int32(100)) == \
+            chi2_two_proportion(90, 100, 10, 100)
+
     def test_two_proportion_validation(self):
         with pytest.raises(ValueError):
             chi2_two_proportion(5, 0, 1, 10)
@@ -607,6 +629,13 @@ class TestUpperTail:
     @pytest.mark.parametrize("df", [1, 2, 3, 10])
     def test_infinite_statistic_has_zero_tail(self, df):
         assert chi2_upper_tail(math.inf, df) == 0.0
+
+    @pytest.mark.parametrize("x", [True, False, np.True_, "3", None, 1j],
+                             ids=["True", "False", "np.True_", "str", "None", "complex"])
+    def test_statistic_must_be_a_real_number(self, x):
+        with pytest.raises(ValueError) as caught:
+            chi2_upper_tail(x, 1)
+        assert str(caught.value) == f"chi-square statistic must be a real number, got {x!r}"
 
     @pytest.mark.parametrize("x", [float("nan"), np.float64("nan"), -0.5, -math.inf])
     def test_statistic_outside_the_domain_named(self, x):
