@@ -224,8 +224,8 @@ class NoiseSource:
 
     Wraps numpy's PCG64 bit generator; ``ALGORITHM_ID`` names the generator
     and draw discipline so identical (seed, algorithm_id) pairs replay the
-    same sequence on every platform.  Draw order: initial b1, initial b2,
-    then one (n1, n2) pair per turn, drawn as a single (turns, 2) block.
+    same sequence on every platform.  :func:`draw_run_inputs` draws initial
+    b1, initial b2, then one (n1, n2) pair per turn as one (turns, 2) block.
     Seeds must be integers in [0, 2**64); any other seed raises ``ValueError``.
     """
 
@@ -235,21 +235,13 @@ class NoiseSource:
         self.seed = _checked_seed(seed)
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
 
-    def initial_state(self) -> BehaviorState:
-        """Initial condition, both components uniform on [-0.5, 0.5]."""
-        b1, b2 = self._rng.uniform(-0.5, 0.5, 2)
-        return BehaviorState(b1, b2)
-
-    def turn_noise(self, turns: int, half_width: float) -> np.ndarray:
-        """(turns, 2) array of per-turn per-agent draws on [-h, +h]."""
-        return self._rng.uniform(-half_width, half_width, (_checked_int("turns", turns), 2))
-
 
 def draw_run_inputs(params: ModelParams, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Initial state (2,) and noise block (turns, 2) for one seeded run."""
-    source = NoiseSource(seed)
-    init = np.asarray(source.initial_state(), dtype=float)
-    noise = source.turn_noise(params.turns, params.noise_half_width)
+    """Initial state (2,) on [-0.5, 0.5] and noise block (turns, 2) on [-h, h],
+    h = ``params.noise_half_width``, drawn from a fresh ``NoiseSource(seed)``."""
+    rng, h = NoiseSource(seed)._rng, params.noise_half_width
+    init = rng.uniform(-0.5, 0.5, 2)
+    noise = rng.uniform(-h, h, (params.turns, 2))
     return init, noise
 
 
@@ -300,10 +292,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.b1)
-
-    @property
-    def turns(self) -> int:
-        return len(self.b1) - 1
 
 
 def simulate(context: ContextMatrix, params: ModelParams, seed: int) -> Trajectory:

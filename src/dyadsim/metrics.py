@@ -29,7 +29,7 @@ __all__ = [
 
 
 class UndefinedCorrelationError(ValueError):
-    """Correlation undefined (a series has zero variance)."""
+    """Correlation undefined (a series has zero variance or a non-finite value)."""
 
 
 def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -81,9 +81,9 @@ def pearson_r(x, y) -> float:
     Raises
     ------
     UndefinedCorrelationError
-        If either series has zero variance (or non-finite values), so the
-        coefficient is undefined; callers that tabulate results should
-        record an undefined marker instead.
+        If either series holds a nan or inf ("non-finite value") or has zero
+        variance, so the coefficient is undefined; callers that tabulate
+        results should record an undefined marker instead.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -93,7 +93,9 @@ def pearson_r(x, y) -> float:
         raise ValueError("pearson_r needs length >= 2")
     r = pearson_rows(x[None, :], y[None, :])[0]
     if np.isnan(r):
-        raise UndefinedCorrelationError("correlation undefined: zero variance")
+        finite = np.isfinite(x).all() and np.isfinite(y).all()
+        cause = "zero variance" if finite else "non-finite value"
+        raise UndefinedCorrelationError(f"correlation undefined: {cause}")
     return float(r)
 
 
@@ -239,9 +241,6 @@ class LagDistribution(_LagAxis):
         if self.total_events == 0:
             return np.zeros_like(self.counts, dtype=float)
         return self.counts / self.total_events
-
-    def mode_lag(self) -> int:
-        return int(self.lags[np.argmax(self.counts)])
 
 
 def _above_mean(rows) -> np.ndarray:

@@ -88,28 +88,23 @@ def encode_dummies(context: ContextMatrix) -> DummyEncoding:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Column recipe for one regression model (intercept always added)."""
+    """Column recipe for one regression model: mains, then interactions (intercept added)."""
 
     model_id: int
     name: str
-    main_terms: tuple
-    interaction_terms: tuple
+    columns: tuple
     k_nominal: int
-
-    @property
-    def columns(self) -> tuple:
-        return self.main_terms + self.interaction_terms
 
 
 # model 3 is the union of the model-1 and model-2 column sets
 _MODELS = {
     spec.model_id: spec
     for spec in (
-        ModelSpec(1, "main-effects", INDICATOR_NAMES, (), 8),
-        ModelSpec(2, "interactions", INDICATOR_NAMES, INTERACTION_NAMES, 48),
-        ModelSpec(3, "overall", INDICATOR_NAMES, INTERACTION_NAMES, 56),
-        ModelSpec(4, "initiator-focused", ("s1p", "s1n", "o2p", "o2n"), INTERACTION_NAMES, 28),
-        ModelSpec(5, "self-influence", ("s1p", "s1n", "s2p", "s2n"), INTERACTION_NAMES, 28),
+        ModelSpec(1, "main-effects", INDICATOR_NAMES, 8),
+        ModelSpec(2, "interactions", INDICATOR_NAMES + INTERACTION_NAMES, 48),
+        ModelSpec(3, "overall", INDICATOR_NAMES + INTERACTION_NAMES, 56),
+        ModelSpec(4, "initiator-focused", ("s1p", "s1n", "o2p", "o2n") + INTERACTION_NAMES, 28),
+        ModelSpec(5, "self-influence", ("s1p", "s1n", "s2p", "s2n") + INTERACTION_NAMES, 28),
     )
 }
 MODEL_IDS = tuple(_MODELS)
@@ -458,14 +453,18 @@ def _check_counts(counts) -> None:
 def chi2_gof(observed, expected_probs) -> Chi2Result:
     """Pearson goodness-of-fit test of counts against given probabilities.
 
-    ``observed`` are integer category counts; ``expected_probs`` must sum
-    to 1 (within 1e-9) and every expected count must be positive.
+    ``observed`` are integer category counts; ``expected_probs`` are finite
+    real numbers (a bool or a string is not) that must sum to 1 (within
+    1e-9), and every expected count must be positive.
     """
-    probs = np.asarray(expected_probs, dtype=float)
-    if np.shape(observed) != probs.shape or probs.ndim != 1 or len(probs) < 2:
+    shape = np.shape(observed)
+    if shape != np.shape(expected_probs) or len(shape) != 1 or shape[0] < 2:
         raise ValueError("need matching 1-D counts and probabilities (>= 2 categories)")
     _check_counts(observed)
     observed = np.asarray(observed, dtype=float)
+    probs = np.array([_checked_float("probability", p) for p in expected_probs])
+    if not np.isfinite(probs).all():
+        raise ValueError(f"probabilities must be finite, got {probs.tolist()!r}")
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
     total = observed.sum()

@@ -1,4 +1,4 @@
-"""Mutation run: which Tier-1 tests catch a broken seeding or drawing contract.
+"""Mutation run: which Tier-1 tests catch a broken pipeline contract.
 
 Run from anywhere, with the test dependencies installed:
 
@@ -17,7 +17,7 @@ fail under the mutant, then a summary table.  A mutant that no
 digest-blind test catches is marked ``SURVIVES``.
 
 pytest does not collect this file.  It writes only under its temporary
-directories, and takes about 13 Tier-1 runs of wall time.
+directories, and takes about 21 Tier-1 runs of wall time.
 """
 
 import os
@@ -33,7 +33,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 DIGEST_FILES = ("tests/test_golden.py", "tests/test_determinism.py")
-DYNAMICS, SWEEP = "src/dyadsim/dynamics.py", "src/dyadsim/sweep.py"
+DYNAMICS, METRICS = "src/dyadsim/dynamics.py", "src/dyadsim/metrics.py"
+SWEEP = "src/dyadsim/sweep.py"
 
 
 class Mutant(NamedTuple):
@@ -51,10 +52,9 @@ def kernel_noise(line: str) -> tuple:
 
 
 def scalar_noise(line: str) -> tuple:
-    """Edit running ``line`` on the (turns, 2) ``noise`` of ``NoiseSource.turn_noise``."""
-    call = 'self._rng.uniform(-half_width, half_width, (_checked_int("turns", turns), 2))'
-    new = f"        noise = {call}\n        {line}\n        return noise\n"
-    return DYNAMICS, f"        return {call}\n", new
+    """Edit running ``line`` on the (turns, 2) ``noise`` of ``draw_run_inputs``."""
+    draw = "    noise = rng.uniform(-h, h, (params.turns, 2))\n"
+    return DYNAMICS, draw, f"{draw}    {line}\n"
 
 
 MUTANTS = (
@@ -78,6 +78,21 @@ MUTANTS = (
     Mutant("one-seed-per-context", "each run of a context has its own seed", (
         (SWEEP, "z = _mix64(z ^ int(run_index))", "z = _mix64(z)"),
         (SWEEP, "np.arange(runs, dtype=np.uint64)", "np.zeros(runs, dtype=np.uint64)"),
+    )),
+    Mutant("reassociated-recurrence",
+           "the kernel adds each turn as step does, noise + (a_i1 * b1 + a_i2 * b2)", (
+        (DYNAMICS, "        add(first, second, coupled)\n        add(state, coupled, state)\n",
+         "        add(state, first, state)\n        add(state, second, state)\n"),
+    )),
+    Mutant("global-pearson-scale", "pearson_rows scales each row by its own largest deviation", (
+        (METRICS, "        xm /= xs[:, None]\n        ym /= ys[:, None]\n",
+         "        xm /= np.fmax.reduce(xs)\n        ym /= np.fmax.reduce(ys)\n"),
+    )),
+    Mutant("short-csv-float", "the sweep CSV writes every r round-trip safe", (
+        (SWEEP, "{run_seed},{r!r},", "{run_seed},{r:.15g},"),
+    )),
+    Mutant("closed-lower-tail", "r = -threshold is neutral, not complementary", (
+        (SWEEP, "np.where(r < -threshold,", "np.where(r <= -threshold,"),
     )),
 )
 

@@ -12,6 +12,8 @@ from dyadsim import dynamics, report as report_mod, sweep as sweep_mod
 from dyadsim.cli import _settings, build_parser, main, parse_context
 from dyadsim.sweep import SweepConfig
 
+from helpers import assert_same_text
+
 SMALL = ["--runs", "2", "--turns", "60"]
 
 # absolute, so the child finds the package whatever its working directory
@@ -76,7 +78,8 @@ class TestSweepCommand:
         assert main(["sweep", *SMALL, "--seed", "4", "--out", str(a)]) == 0
         assert main(["sweep", *SMALL, "--seed", "4", "--out", str(b)]) == 0
         assert main(["sweep", *SMALL, "--seed", "4", "--workers", "3", "--out", str(c)]) == 0
-        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+        assert_same_text(b.read_bytes(), a.read_bytes())
+        assert_same_text(c.read_bytes(), a.read_bytes())
 
 
 class TestSimulateCommand:
@@ -85,7 +88,7 @@ class TestSimulateCommand:
         args = ["simulate", "--context", "1,1;1,1", "--turns", "500", "--seed", "7"]
         assert main([*args, "--out", str(a)]) == 0
         assert main([*args, "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert_same_text(b.read_bytes(), a.read_bytes())
         assert len(a.read_text().strip().split("\n")) == 502
 
     @pytest.mark.parametrize("context, seed, flags", [
@@ -108,7 +111,7 @@ class TestSimulateCommand:
         assert main([*args, "--out", str(out)]) == 0
         config = _settings(build_parser().parse_args(args))[1]
         reference = simulate(parse_context(context), config.params, seed)
-        assert out.read_text() == report_mod.trajectory_csv_text(reference)
+        assert_same_text(out.read_text(), report_mod.trajectory_csv_text(reference))
 
     def test_divergence_before_the_last_turn_is_analysis_error(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -644,7 +647,7 @@ class TestFlagHandling:
         assert main(["sweep", "--config", str(config), "--out", str(a)]) == 0
         b = tmp_path / "b.csv"
         assert main(["sweep", *SMALL, "--seed", "5", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert_same_text(b.read_bytes(), a.read_bytes())
         # flag overrides the file value
         c = tmp_path / "c.csv"
         assert main(["sweep", "--config", str(config), "--seed", "6", "--out", str(c)]) == 0
@@ -666,7 +669,7 @@ class TestFlagHandling:
         assert main([*xcorr, "--config", str(config), "--out", str(tmp_path / "file")]) == 0
         assert main([*xcorr, "--max-lag", "5", "--out", str(tmp_path / "flag")]) == 0
         from_file = (tmp_path / "file" / "ccf_+100+1.csv").read_bytes()
-        assert from_file == (tmp_path / "flag" / "ccf_+100+1.csv").read_bytes()
+        assert_same_text(from_file, (tmp_path / "flag" / "ccf_+100+1.csv").read_bytes())
         assert len(from_file.splitlines()) == 1 + 11
 
     def test_config_file_bins_and_flag_override(self, tmp_path):

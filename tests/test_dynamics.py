@@ -26,7 +26,7 @@ from dyadsim.metrics import LagSpec, cross_correlation, histogram
 from dyadsim.report import trajectory_csv_text
 from dyadsim.sweep import SweepConfig, enumerate_contexts, run_sweep
 
-from helpers import trajectory_from_csv
+from helpers import assert_same_text, trajectory_from_csv
 
 UNIT_GAIN = ModelParams(influence=1.0)
 # PCG64's 128-bit LCG multiplier (O'Neill 2014), as numpy's pcg64.h defines it
@@ -136,7 +136,6 @@ COUNT_ENTRY_POINTS = {
         "runs_per_context", lambda v: SweepConfig(1, runs_per_context=v).runs_per_context
     ),
     "run_sweep.workers": ("workers", _sweep_workers),
-    "NoiseSource.turn_noise": ("turns", lambda v: NoiseSource(1).turn_noise(v, 0.5).shape[0]),
     "LagSpec.max_lag": ("max_lag", lambda v: LagSpec(max_lag=v).max_lag),
     "cross_correlation.max_lag": ("max_lag", lambda v: cross_correlation(*_SERIES, v).max_lag),
     "histogram.bin_count": ("bin_count", lambda v: histogram([0.5], v, 0.0, 1.0).bin_count),
@@ -265,16 +264,18 @@ class TestStep:
 
 class TestNoiseSource:
     def test_reproducible_stream(self):
-        a, b = NoiseSource(123), NoiseSource(123)
-        assert a.initial_state() == b.initial_state()
-        assert np.array_equal(a.turn_noise(10, 0.5), b.turn_noise(10, 0.5))
+        params = ModelParams(turns=10)
+        (init_a, noise_a), (init_b, noise_b) = (draw_run_inputs(params, 123) for _ in range(2))
+        assert np.array_equal(init_a, init_b) and np.array_equal(noise_a, noise_b)
 
     def test_bounds(self):
-        noise = NoiseSource(7).turn_noise(10_000, 0.25)
+        _, noise = draw_run_inputs(ModelParams(noise_half_width=0.25, turns=10_000), 7)
+        assert noise.shape == (10_000, 2)
         assert (noise >= -0.25).all() and (noise <= 0.25).all()
 
     def test_zero_half_width(self):
-        assert (NoiseSource(7).turn_noise(100, 0.0) == 0.0).all()
+        _, noise = draw_run_inputs(ModelParams(noise_half_width=0.0, turns=100), 7)
+        assert noise.shape == (100, 2) and (noise == 0.0).all()
 
     def test_algorithm_id_pinned(self):
         assert NoiseSource.ALGORITHM_ID == "numpy-pcg64-uniform/1"
@@ -359,7 +360,7 @@ class TestTrajectory:
     def test_non_finite_final_state_alone_passes(self, bad):
         series = np.zeros((2, 6))
         series[:, -1] = bad
-        assert Trajectory(ContextMatrix(1, 1, 1, 1), 0, *series).turns == 5
+        assert len(Trajectory(ContextMatrix(1, 1, 1, 1), 0, *series)) - 1 == 5
 
 
 class TestSimulateBatch:
@@ -724,7 +725,7 @@ class TestTrajectoryCsv:
     @example([np.array([0.1, np.nan]), np.array([-0.0, -np.inf])])
     def test_matches_the_per_element_writer(self, pair):
         trajectory = Trajectory(ContextMatrix(1, 0, 1, -1), 0, *pair)
-        assert trajectory_csv_text(trajectory) == _trajectory_csv_reference(trajectory)
+        assert_same_text(trajectory_csv_text(trajectory), _trajectory_csv_reference(trajectory))
 
     def test_round_trip(self):
         traj = simulate(ContextMatrix(1, 0, 1, -1), ModelParams(turns=25), 4)

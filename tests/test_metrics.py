@@ -61,8 +61,16 @@ class TestPearson:
         assert pearson_r([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8, abs=1e-15)
 
     def test_zero_variance_raises(self):
-        with pytest.raises(UndefinedCorrelationError):
+        with pytest.raises(UndefinedCorrelationError,
+                           match="^correlation undefined: zero variance$"):
             pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_is_named(self, bad):
+        for x, y in (([1, 2, 3], [1, 2, bad]), ([bad, 2, 3], [1, 1, 1])):
+            with pytest.raises(UndefinedCorrelationError,
+                               match="^correlation undefined: non-finite value$"):
+                pearson_r(x, y)
 
     def test_length_checks(self):
         with pytest.raises(ValueError):
@@ -441,7 +449,7 @@ class TestTurnLags:
         x = rng.normal(size=100)
         dist = turn_lags(x, x, LagSpec(max_lag=5))
         assert dist.counts[5] == dist.total_events > 0
-        assert dist.mode_lag() == 0
+        assert dist.lags[np.argmax(dist.counts)] == 0
 
     def test_shifted_impulse_train_mode(self):
         # one on-sample per period of 10; y delayed by 3 -> every lag is +3
@@ -451,7 +459,7 @@ class TestTurnLags:
         y = np.zeros(n)
         y[3::10] = 1.0
         dist = turn_lags(x, y, LagSpec(max_lag=20))
-        assert dist.mode_lag() == 3
+        assert dist.lags[np.argmax(dist.counts)] == 3
         expected_counts, expected_total = brute_force_lags(x, y, 20)
         assert np.array_equal(dist.counts, expected_counts)
         assert dist.total_events == expected_total

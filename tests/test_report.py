@@ -40,7 +40,7 @@ from dyadsim.sweep import (
     write_sweep_csv,
 )
 
-from helpers import trajectory_from_csv
+from helpers import assert_same_text, trajectory_from_csv
 
 PANEL_CONFIG = SweepConfig(master_seed=42, runs_per_context=40, params=ModelParams(turns=200))
 
@@ -117,12 +117,12 @@ class TestAnalyze:
     def test_regeneration_is_byte_identical(self, default_table, default_report, tmp_path):
         direct = report_json_text(default_report)
         again = report_json_text(analyze(default_table))
-        assert direct == again
+        assert_same_text(again, direct)
         # and through a CSV round trip
         path = tmp_path / "sweep.csv"
         write_sweep_csv(default_table, path)
         loaded = read_sweep_csv(path, default_table.config)
-        assert report_json_text(analyze(loaded)) == direct
+        assert_same_text(report_json_text(analyze(loaded)), direct)
 
     def test_json_parses(self, default_report):
         payload = json.loads(report_json_text(default_report))
@@ -241,7 +241,7 @@ class TestFigureData:
         trajectory = self._scalar_run_zero(config, context)
         assert not np.isfinite([trajectory.b1[-1], trajectory.b2[-1]]).all()
         payload = figure_data("trajectory_panel", batch=next(context_batches(config, [context])))
-        assert payload["fig2_traj_+1+1+1+1.csv"] == trajectory_csv_text(trajectory)
+        assert_same_text(payload["fig2_traj_+1+1+1+1.csv"], trajectory_csv_text(trajectory))
 
     def test_trajectory_panel_is_scalar_run_zero(self):
         config = SweepConfig(
@@ -250,7 +250,7 @@ class TestFigureData:
         payload = _cut("trajectory_panel", config, DEFAULT_FIGURE_CONTEXTS)
         for context in DEFAULT_FIGURE_CONTEXTS:
             expected = trajectory_csv_text(self._scalar_run_zero(config, context))
-            assert payload[f"fig2_traj_{context.code()}.csv"] == expected
+            assert_same_text(payload[f"fig2_traj_{context.code()}.csv"], expected)
 
     def test_batches_carry_their_contexts(self):
         contexts = [ContextMatrix(1, 0, 0, 1), ContextMatrix(0, 0, 0, 0)]
@@ -278,7 +278,7 @@ class TestWriters:
         names = {p.name for p in written}
         assert names == {"report.json", "table1.csv", "coefficients.csv"}
         table1 = (tmp_path / "table1.csv").read_text()
-        assert table1 == table1_csv_text(default_report)
+        assert_same_text(table1, table1_csv_text(default_report))
 
     def test_write_payloads(self, tmp_path):
         paths = write_payloads({"a.csv": "x\n", "b.csv": "y\n"}, tmp_path)
@@ -414,7 +414,7 @@ class TestWritersMatchTheirReferences:
     @example(CcfAggregate(max_lag=1, mean=np.array(EDGE_FLOATS[:3]), sd=np.array(EDGE_FLOATS[3:6]),
                           n_defined=np.array([0, 2**40, 7], dtype=np.int64)))
     def test_ccf(self, agg):
-        assert ccf_csv_text(agg) == _ccf_csv_reference(agg)
+        assert_same_text(ccf_csv_text(agg), _ccf_csv_reference(agg))
 
     @settings(max_examples=200, deadline=None)
     @given(_lag_distributions())
@@ -422,7 +422,7 @@ class TestWritersMatchTheirReferences:
                              total_events=3))
     @example(LagDistribution(max_lag=0, counts=np.array([5]), total_events=0))
     def test_lags(self, dist):
-        assert lag_csv_text(dist) == _lag_csv_reference(dist)
+        assert_same_text(lag_csv_text(dist), _lag_csv_reference(dist))
 
     @settings(max_examples=200, deadline=None)
     @given(_histograms())
@@ -431,7 +431,7 @@ class TestWritersMatchTheirReferences:
     @example(HistogramResult(lo=-0.0, hi=5e-324, counts=np.array([4]), overflow=1))
     def test_histogram(self, hist):
         with np.errstate(all="ignore"):  # edges of infinite or nan bounds
-            assert histogram_csv_text(hist) == _histogram_csv_reference(hist)
+            assert_same_text(histogram_csv_text(hist), _histogram_csv_reference(hist))
 
     @settings(max_examples=200, deadline=None)
     @given(_fit_lists())
@@ -441,5 +441,5 @@ class TestWritersMatchTheirReferences:
     ))])
     def test_table1_and_coefficients(self, fits):
         report = _report_with(fits)
-        assert table1_csv_text(report) == _table1_csv_reference(fits)
-        assert coefficients_csv_text(report) == _coefficients_csv_reference(fits)
+        assert_same_text(table1_csv_text(report), _table1_csv_reference(fits))
+        assert_same_text(coefficients_csv_text(report), _coefficients_csv_reference(fits))

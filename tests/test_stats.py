@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -149,8 +150,8 @@ class TestModelSpecs:
             assert left[:2] != right[:2]
 
     def test_focus_models_keep_their_mains(self):
-        assert model_spec(4).main_terms == ("s1p", "s1n", "o2p", "o2n")
-        assert model_spec(5).main_terms == ("s1p", "s1n", "s2p", "s2n")
+        assert model_spec(4).columns[:4] == ("s1p", "s1n", "o2p", "o2n")
+        assert model_spec(5).columns[:4] == ("s1p", "s1n", "s2p", "s2n")
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
@@ -478,6 +479,27 @@ class TestChiSquare:
             with pytest.raises(ValueError) as caught:
                 call()
             assert str(caught.value) == f"count {bad!r} is not a non-negative integer"
+
+    @pytest.mark.parametrize("bad", [True, np.True_, "0.5", None, b"1", 0.5j],
+                             ids=["True", "np.True_", "str", "None", "bytes", "complex"])
+    def test_probabilities_are_checked_as_given(self, bad):
+        with pytest.raises(ValueError) as caught:
+            chi2_gof((3, 3), (bad, 0.5))
+        assert str(caught.value) == f"probability must be a real number, got {bad!r}"
+
+    @pytest.mark.parametrize("probs", [(np.nan, np.nan), (np.nan, 1.0), (np.inf, 0.5),
+                                       (-np.inf, np.inf)],
+                             ids=["nan-nan", "nan-1", "inf-0.5", "-inf-inf"])
+    def test_non_finite_probability_is_named(self, probs):
+        with pytest.raises(ValueError) as caught:
+            chi2_gof((3, 3), probs)
+        assert str(caught.value) == f"probabilities must be finite, got {list(probs)!r}"
+
+    def test_numpy_and_fraction_probabilities_are_taken(self):
+        want = chi2_gof((99, 1), (0.5, 0.5))
+        assert chi2_gof((99, 1), np.array([0.5, 0.5])) == want
+        assert chi2_gof((99, 1), (np.float32(0.5), np.float64(0.5))) == want
+        assert chi2_gof((99, 1), (Fraction(1, 2), 0.5)) == want
 
     def test_integral_floats_and_numpy_integers_are_counts(self):
         assert chi2_gof((50.0, np.int64(50)), (0.5, 0.5)).statistic == 0.0

@@ -31,7 +31,7 @@ from dyadsim.sweep import (
     write_sweep_csv,
 )
 
-from helpers import classify_tail
+from helpers import assert_same_text, classify_tail
 
 SMALL = SweepConfig(master_seed=7, runs_per_context=2, params=ModelParams(turns=60))
 
@@ -132,9 +132,10 @@ class TestSweepConfig:
         reference = SweepConfig(master_seed=1, runs_per_context=2, params=ModelParams(turns=40))
         assert type(config.master_seed) is int and type(config.runs_per_context) is int
         table, reference_table = run_sweep(config), run_sweep(reference)
-        assert sweep_csv_text(table) == sweep_csv_text(reference_table)
+        assert_same_text(sweep_csv_text(table), sweep_csv_text(reference_table))
         # the report's provenance holds the config's integers
-        assert report_json_text(analyze(table)) == report_json_text(analyze(reference_table))
+        assert_same_text(report_json_text(analyze(table)),
+                         report_json_text(analyze(reference_table)))
 
     def test_real_float_fields_stored_as_float(self, tmp_path):
         params = ModelParams(alpha=0, influence=np.float32(0.5), noise_half_width=Fraction(1, 2),
@@ -144,18 +145,18 @@ class TestSweepConfig:
         reference = SweepConfig(master_seed=1, runs_per_context=2,
                                 params=ModelParams(alpha=0.0, turns=40))
         table, reference_table = run_sweep(config), run_sweep(reference)
-        assert sweep_csv_text(table) == sweep_csv_text(reference_table)
+        assert_same_text(sweep_csv_text(table), sweep_csv_text(reference_table))
         # numpy floats reach report.json as Python floats, and an int alpha is spelled 0.0
         write_report(analyze(table), tmp_path)
         expected = report_json_text(analyze(reference_table))
-        assert (tmp_path / "report.json").read_text() == expected
+        assert_same_text((tmp_path / "report.json").read_text(), expected)
         assert '"alpha": 0.0,' in expected
 
     def test_numpy_integer_master_seed_accepted(self):
         config = SweepConfig(master_seed=np.uint64(3), runs_per_context=1,
                              params=ModelParams(turns=40))
         reference = replace(config, master_seed=3)
-        assert sweep_csv_text(run_sweep(config)) == sweep_csv_text(run_sweep(reference))
+        assert_same_text(sweep_csv_text(run_sweep(config)), sweep_csv_text(run_sweep(reference)))
 
 
 class TestClassifyTail:
@@ -204,7 +205,7 @@ class TestRunSweep:
     def test_schedule_independence(self):
         serial = run_sweep(SMALL, workers=1)
         threaded = run_sweep(SMALL, workers=4)
-        assert sweep_csv_text(serial) == sweep_csv_text(threaded)
+        assert_same_text(sweep_csv_text(threaded), sweep_csv_text(serial))
 
     def test_null_context_runs_are_uncorrelated(self, default_table):
         rows = default_table.r[default_table.context_index == 40]
@@ -539,7 +540,7 @@ class TestSweepProperties:
             written = path.read_text()
         for column in ("context_index", "run_index", "run_seed", "r"):
             assert getattr(loaded, column).tobytes() == getattr(table, column).tobytes()
-        assert sweep_csv_text(loaded) == written
+        assert_same_text(sweep_csv_text(loaded), written)
 
     @settings(deadline=None, max_examples=60)
     @given(sweep_tables())
