@@ -14,7 +14,7 @@ from pathlib import Path
 
 from dyadsim import __version__, dynamics, report as report_mod, sweep as sweep_mod
 from dyadsim.dynamics import ContextMatrix, ModelParams, _checked_int
-from dyadsim.metrics import LagSpec, _check_ccf_length
+from dyadsim.metrics import _MAX_BINS, LagSpec, _check_ccf_length
 from dyadsim.sweep import InvalidSweepError, SweepConfig
 
 __all__ = ["parse_context", "build_parser", "main"]
@@ -196,9 +196,13 @@ def _settings(args) -> tuple[dict, SweepConfig]:
         field, _, rest = str(exc).partition(" ")
         key = next((k for k, name in _FIELDS.items() if name == field), field)
         raise ValueError(f"{key} {rest}") from None
-    for key in ("workers", "bins", "max_lag"):  # checked here, before any work
+    for key in ("workers", "bins"):  # checked here, before any work
         if key in settings:
             settings[key] = _checked_int(key, settings[key])
+    if settings.get("bins", 0) > _MAX_BINS:
+        raise ValueError(f"bins must be at most {_MAX_BINS}")
+    if "max_lag" in settings:
+        settings["max_lag"] = LagSpec(settings["max_lag"]).max_lag
     if args.command in ("xcorr", "figures"):  # these cut CCFs of series of turns + 1 samples
         turns, lag = params.turns, settings["max_lag"]
         _check_ccf_length(turns + 1, lag, f": turns = {turns} is too few for max_lag = {lag}")

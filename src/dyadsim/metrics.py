@@ -32,21 +32,13 @@ class UndefinedCorrelationError(ValueError):
     """Correlation undefined (a series has zero variance or a non-finite value)."""
 
 
-def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise sample Pearson r for paired (m, n) arrays.
+def _scaled_down(rows) -> np.ndarray:
+    """The (m, n) ``rows`` times 2**-e, where n < 2**e: exact unless a sample
+    underflows, and a finite row's sum and deviations from its mean stay finite."""
+    return np.ldexp(rows, -np.frexp(rows.shape[1])[1])
 
-    Returns an (m,) array with nan marking undefined rows (zero variance or
-    non-finite input).  Each row is centered and rescaled by its max
-    absolute deviation before the dot products, so series spanning hundreds
-    of orders of magnitude (diverging trajectories) stay in range.  That
-    maximum is one row reduction over ``abs`` of the deviations, taken in
-    the buffer that then holds the products of the three row sums.  Every
-    row goes through the same arithmetic, and an undefined row's r is then
-    set to nan.  Row results do not depend on which other rows are present,
-    which keeps batched and one-at-a-time evaluation bitwise identical.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+
+def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # huge, non-finite or constant rows overflow, meet inf - inf or 0 / 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xm = x - x.mean(axis=1, keepdims=True)
@@ -63,6 +55,32 @@ def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         den = np.sqrt(sxx * np.multiply(ym, ym, out=products).sum(axis=1))
         r = np.clip(num / den, -1.0, 1.0)
     r[~((xs > 0) & (ys > 0))] = np.nan
+    return r
+
+
+def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise sample Pearson r for paired (m, n) arrays.
+
+    Returns an (m,) array with nan marking undefined rows (zero variance or
+    non-finite input).  Each row is centered and rescaled by its max
+    absolute deviation before the dot products, so series spanning hundreds
+    of orders of magnitude (diverging trajectories) stay in range.  That
+    maximum is one row reduction over ``abs`` of the deviations, taken in
+    the buffer that then holds the products of the three row sums.  Every
+    row goes through the same arithmetic, and an undefined row's r is then
+    set to nan.  A finite row whose sum or deviations overflow comes out nan
+    that way, so each all-finite pair that does is computed again on its
+    rows times 2**-e, where n < 2**e; r does not depend on that scale.  Row
+    results do not depend on which other rows are present, which keeps
+    batched and one-at-a-time evaluation bitwise identical.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    r = _pearson_rows(x, y)
+    redo = np.flatnonzero(np.isnan(r))
+    if redo.size:
+        redo = redo[np.isfinite(x[redo]).all(axis=1) & np.isfinite(y[redo]).all(axis=1)]
+        r[redo] = _pearson_rows(_scaled_down(x[redo]), _scaled_down(y[redo]))
     return r
 
 
@@ -246,8 +264,8 @@ class LagDistribution(_LagAxis):
 def _above_mean(rows) -> np.ndarray:
     """Whether each sample of the (m, n) ``rows`` exceeds its row's mean.
 
-    A finite row whose sum overflows is compared after an exact rescale by
-    2**-e, where n < 2**e, which keeps its sum finite and leaves every
+    A finite row whose sum overflows is compared after the exact rescale of
+    :func:`_scaled_down`, which keeps its sum finite and leaves every
     comparison as it would be without the overflow.  The mean is the row's
     sum over n, as ``mean`` computes it; for n = 0 it is nan, with no warning.
     """
@@ -257,7 +275,7 @@ def _above_mean(rows) -> np.ndarray:
     big = np.isinf(mean[:, 0])
     if big.any():
         big &= np.isfinite(rows).all(axis=1)
-        scaled = np.ldexp(rows[big], -np.frexp(rows.shape[1])[1])
+        scaled = _scaled_down(rows[big])
         above[big] = scaled > scaled.mean(axis=1, keepdims=True)
     return above
 

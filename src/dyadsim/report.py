@@ -106,36 +106,22 @@ def analyze(table: sweep_mod.SweepTable) -> AnalysisReport:
     five regression fits (model 3 reuses model 2's) with an AIC/BIC note.
     """
     counts = sweep_mod.tail_counts(table)
-    n_total = len(table)
-    n_undefined = counts.counts["undefined"]
-
-    n_comp = counts.counts["complementary"]
-    n_sync = counts.counts["synchronous"]
-    neg_comp = counts.with_negative["complementary"]
-    neg_sync = counts.with_negative["synchronous"]
-    if n_comp == 0 or n_sync == 0:
+    n, neg = counts.counts, counts.with_negative
+    if n["complementary"] == 0 or n["synchronous"] == 0:
         raise AnalysisError("tail statistics: a tail is empty; sweep too small")
 
-    gof_uniform = _with_context(
-        "complementary-vs-uniform chi-square",
-        stats.chi2_gof,
-        (neg_comp, n_comp - neg_comp),
-        (UNIFORM_NEGATIVE_PROB, 1.0 - UNIFORM_NEGATIVE_PROB),
+    comp = (neg["complementary"], n["complementary"] - neg["complementary"])
+    # report.json key, error label, test and its arguments, in run order
+    tests = (
+        ("complementary_vs_uniform_65_81", "complementary-vs-uniform", stats.chi2_gof,
+         comp, (UNIFORM_NEGATIVE_PROB, 1.0 - UNIFORM_NEGATIVE_PROB)),
+        ("complementary_vs_even_split", "complementary-vs-even-split", stats.chi2_gof,
+         comp, (0.5, 0.5)),
+        ("tail_comparison", "tail-comparison", stats.chi2_two_proportion,
+         neg["complementary"], n["complementary"], neg["synchronous"], n["synchronous"]),
     )
-    gof_even = _with_context(
-        "complementary-vs-even-split chi-square",
-        stats.chi2_gof,
-        (neg_comp, n_comp - neg_comp),
-        (0.5, 0.5),
-    )
-    two_prop = _with_context(
-        "tail-comparison chi-square",
-        stats.chi2_two_proportion,
-        neg_comp,
-        n_comp,
-        neg_sync,
-        n_sync,
-    )
+    chi_square = {key: asdict(_with_context(f"{label} chi-square", test, *args))
+                  for key, label, test, *args in tests}
 
     fits = []
     fitted = {}  # column set -> FitResult
@@ -144,68 +130,49 @@ def analyze(table: sweep_mod.SweepTable) -> AnalysisReport:
         if spec.columns not in fitted:
             design = stats.build_design(table, spec)
             fitted[spec.columns] = _with_context(
-                f"model {model_id} fit",
-                stats.fit_least_squares,
-                design.X,
-                design.y,
-                design.columns,
+                f"model {model_id} fit", stats.fit_least_squares, design.X, design.y, design.columns
             )
         fits.append((spec, fitted[spec.columns]))
 
-    best_aic = min(fit.aic for _, fit in fits)
-    best_bic = min(fit.bic for _, fit in fits)
-    by_aic = [spec.model_id for spec, fit in fits if fit.aic == best_aic]
-    by_bic = [spec.model_id for spec, fit in fits if fit.bic == best_bic]
-    selected = {
-        "by_aic": by_aic,
-        "by_bic": by_bic,
-        "note": (
-            "lowest information criteria: models "
-            + "/".join(str(m) for m in sorted(set(by_aic + by_bic)))
-        ),
-    }
+    selected = {}
+    for criterion in ("aic", "bic"):
+        scores = [getattr(fit, criterion) for _, fit in fits]
+        best = min(scores)
+        selected[f"by_{criterion}"] = [
+            spec.model_id for (spec, _), score in zip(fits, scores) if score == best
+        ]
+    lowest = sorted(set(selected["by_aic"] + selected["by_bic"]))
+    selected["note"] = "lowest information criteria: models " + "/".join(map(str, lowest))
 
     settings = asdict(table.config)
     settings.update(settings.pop("params"))  # the dynamics beside the sweep settings
-    provenance = {
-        "artifact": PACKAGE_NAME,
-        "artifact_version": __version__,
-        "generator": dynamics.NoiseSource.ALGORITHM_ID,
-        "numpy_version": np.__version__,
-        **settings,
-    }
-
-    design_n = fits[0][1].n
-    report = AnalysisReport(
+    return AnalysisReport(
         sweep_summary={
-            "records": n_total,
-            "finite": n_total - n_undefined,
-            "undefined": n_undefined,
-            "regression_rows": design_n,
-            "regression_excluded": n_total - design_n,
+            "records": len(table),
+            "finite": len(table) - n["undefined"],
+            "undefined": n["undefined"],
+            "regression_rows": fits[0][1].n,
+            "regression_excluded": len(table) - fits[0][1].n,
         },
         tails={
             label: {
-                "count": counts.counts[label],
-                "with_negative_entry": counts.with_negative[label],
-                "negative_rate": (
-                    counts.with_negative[label] / counts.counts[label]
-                    if counts.counts[label]
-                    else None
-                ),
+                "count": n[label],
+                "with_negative_entry": neg[label],
+                "negative_rate": neg[label] / n[label] if n[label] else None,
             }
             for label in sweep_mod.TAIL_LABELS
         },
-        chi_square={
-            "complementary_vs_uniform_65_81": asdict(gof_uniform),
-            "complementary_vs_even_split": asdict(gof_even),
-            "tail_comparison": asdict(two_prop),
-        },
+        chi_square=chi_square,
         fits=fits,
         selected_model=selected,
-        provenance=provenance,
+        provenance={
+            "artifact": PACKAGE_NAME,
+            "artifact_version": __version__,
+            "generator": dynamics.NoiseSource.ALGORITHM_ID,
+            "numpy_version": np.__version__,
+            **settings,
+        },
     )
-    return report
 
 
 def _csv_text(header: str, lines) -> str:

@@ -134,32 +134,30 @@ _CELL_TERMS = _cell_terms()
 
 @dataclass(frozen=True)
 class Design:
-    """Regression design: predictor matrix, response, names, exclusions."""
+    """Regression design: predictor matrix, response and column names."""
 
     X: np.ndarray
     y: np.ndarray
     columns: tuple
-    n_excluded: int
 
 
 def build_design(table, spec: ModelSpec) -> Design:
     """Design matrix and response for one model over a sweep table.
 
-    Rows with an undefined correlation are excluded and counted.  Predictor
+    Rows with an undefined correlation are excluded.  Predictor
     columns follow ``spec.columns``; the intercept is added at fit time.
     ``X`` is Fortran-ordered, the layout :func:`fit_least_squares` copies it
     into, so that copy runs over contiguous columns.
     """
     finite = table.finite
-    n_excluded = len(table) - int(finite.sum())
-    if n_excluded == len(table):
+    if not finite.any():
         raise ValueError("no finite records to regress on")
     # the (k, 81) term table gathered by context and transposed: products of
     # 0/1 values are exact, so X equals the per-row products bit for bit;
     # np.take returns the (k, n) gather C-ordered (terms[:, rows] would not)
     terms = np.vstack([_CELL_TERMS[term] for term in spec.columns])
     X = np.take(terms, table.context_index[finite], axis=1).T
-    return Design(X=X, y=table.r[finite], columns=spec.columns, n_excluded=n_excluded)
+    return Design(X=X, y=table.r[finite], columns=spec.columns)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ fail under the mutant, then a summary table.  A mutant that no
 digest-blind test catches is marked ``SURVIVES``.
 
 pytest does not collect this file.  It writes only under its temporary
-directories, and takes about 21 Tier-1 runs of wall time.
+directories, and takes about 39 Tier-1 runs of wall time.
 """
 
 import os
@@ -34,7 +34,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 DIGEST_FILES = ("tests/test_golden.py", "tests/test_determinism.py")
 DYNAMICS, METRICS = "src/dyadsim/dynamics.py", "src/dyadsim/metrics.py"
-SWEEP = "src/dyadsim/sweep.py"
+SWEEP, STATS = "src/dyadsim/sweep.py", "src/dyadsim/stats.py"
+REPORT = "src/dyadsim/report.py"
 
 
 class Mutant(NamedTuple):
@@ -93,6 +94,34 @@ MUTANTS = (
     )),
     Mutant("closed-lower-tail", "r = -threshold is neutral, not complementary", (
         (SWEEP, "np.where(r < -threshold,", "np.where(r <= -threshold,"),
+    )),
+    Mutant("aic-no-intercept", "AIC counts the intercept among the parameters", (
+        (STATS, "aic = float(base + 2 * (k_eff + 1))", "aic = float(base + 2 * k_eff)"),
+    )),
+    Mutant("gof-df", "a goodness-of-fit test has one df fewer than categories", (
+        (STATS, "df = len(observed) - 1", "df = len(observed)"),
+    )),
+    Mutant("uncentred-tss", "R^2 compares the RSS with the sum of squares about the mean", (
+        (STATS, "tss = float(((y - y.mean()) ** 2).sum())", "tss = float((y ** 2).sum())"),
+    )),
+    Mutant("provenance-no-dynamics", "report.json's provenance holds the dynamics settings", (
+        (REPORT, 'settings.update(settings.pop("params"))', 'settings.pop("params")'),
+    )),
+    Mutant("q-half-branch", "Q(1/2, y) takes Cephes' continued fraction for y > 1.1", (
+        (STATS, "if y > 1.1:", "if y > 1.5:"),
+    )),
+    Mutant("adj-r2-df", "adjusted R^2 divides the RSS by n - k_effective - 1", (
+        (STATS, "(n - 1) / (n - k_eff - 1)", "(n - 1) / (n - k_eff)"),
+    )),
+    Mutant("rate-over-all", "a tail's negative rate is over that tail's records", (
+        (REPORT, "neg[label] / n[label]", "neg[label] / len(table)"),
+    )),
+    Mutant("bic-selects-by-aic", "by_bic lists the models of lowest BIC", (
+        (REPORT, "scores = [getattr(fit, criterion) for _, fit in fits]",
+         "scores = [fit.aic for _, fit in fits]"),
+    )),
+    Mutant("rank-tol-1e-6", "a column is redundant at a residual of 1e-10 of its norm", (
+        (STATS, "diag <= 1e-10 * norms", "diag <= 1e-6 * norms"),
     )),
 )
 

@@ -10,6 +10,7 @@ import pytest
 import dyadsim
 from dyadsim import dynamics, report as report_mod, sweep as sweep_mod
 from dyadsim.cli import _settings, build_parser, main, parse_context
+from dyadsim.metrics import _MAX_BINS, _MAX_LAG
 from dyadsim.sweep import SweepConfig
 
 from helpers import assert_same_text
@@ -573,6 +574,24 @@ class TestErrorCategories:
         assert capsys.readouterr().err == f"dyadsim: error: validation: {key} must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, limit", [
+        ("xcorr", "max_lag", _MAX_LAG), ("lags", "max_lag", _MAX_LAG),
+        ("figures", "max_lag", _MAX_LAG), ("figures", "bins", _MAX_BINS),
+    ])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_panel_setting_above_its_limit_found_before_work(
+        self, tmp_path, capsys, no_work, command, key, limit, form
+    ):
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = {limit + 1}\n")
+        flag = "--" + key.replace("_", "-")
+        given = [flag, str(limit + 1)] if form == "flag" else ["--config", str(config)]
+        out = tmp_path / "out"
+        assert main([command, *SMALL, *given, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"dyadsim: error: validation: {key} must be at most {limit}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["xcorr"], ["figures"], ["figures", "--input", "s.csv"]],
                              ids=["xcorr", "figures", "figures-input"])
@@ -600,9 +619,9 @@ class TestErrorCategories:
         assert len(lines) == 1 + 61
 
     @pytest.mark.parametrize("command, flag, message", [
-        ("figures", ["--bins", str(10**400)], "bin_count must be at most 1152921504606846974"),
-        ("figures", ["--bins", str(10**29)], "bin_count must be at most 1152921504606846974"),
-        ("figures", ["--bins", str(2**60 - 1)], "bin_count must be at most 1152921504606846974"),
+        ("figures", ["--bins", str(10**400)], "bins must be at most 1152921504606846974"),
+        ("figures", ["--bins", str(10**29)], "bins must be at most 1152921504606846974"),
+        ("figures", ["--bins", str(2**60 - 1)], "bins must be at most 1152921504606846974"),
         ("lags", ["--max-lag", str(10**29)], "max_lag must be at most 576460752303423486"),
         ("lags", ["--max-lag", str(2**59 - 1)], "max_lag must be at most 576460752303423486"),
     ], ids=["bins-10**400", "bins-10**29", "bins-2**60-1", "lags-max-lag-10**29",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
-from dyadsim.dynamics import ModelParams, simulate_rows
+from dyadsim.dynamics import ContextMatrix, ModelParams, simulate_batch, simulate_rows
 from dyadsim.metrics import (
     CcfResult,
     LagDistribution,
@@ -184,9 +184,19 @@ def _deviation_extremes(x):
 
 def _pearson_rows_two_reductions(x, y):
     """``pearson_rows`` with each max |deviation| taken as two row
-    reductions, max(row max, -row min), and a fresh product temporary."""
+    reductions, max(row max, -row min), and a fresh product temporary.  An
+    all-finite pair whose r comes out nan is computed again on its rows
+    times 2**-e, where n < 2**e."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    r = _two_reductions(x, y)
+    redo = np.isnan(r) & np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
+    scale = 2.0 ** -x.shape[1].bit_length()
+    r[redo] = _two_reductions(x[redo] * scale, y[redo] * scale)
+    return r
+
+
+def _two_reductions(x, y):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xm = x - x.mean(axis=1, keepdims=True)
         ym = y - y.mean(axis=1, keepdims=True)
@@ -284,6 +294,43 @@ class TestPearsonRowsNonFinite:
             warnings.simplefilter("error")
             whole = pearson_rows(B1, B2)
         assert whole.tobytes() == masked.tobytes()
+
+
+class TestPearsonRowsSumOverflow:
+    """A finite pair whose row sums overflow has an r: the one of the pair
+    scaled by 2**-11 (the series have 1,108 < 2**11 samples)."""
+
+    @pytest.fixture(scope="class")
+    def edge_pair(self):
+        # unit gain, full coupling: both series stay finite to turn 1,107 and
+        # end at 1.12e308, so each row's sum is inf
+        B1, B2 = simulate_batch(ContextMatrix(1, 1, 1, 1),
+                                ModelParams(influence=1.0, turns=1107), [42])
+        assert np.isfinite(B1).all() and np.isfinite(B2).all()
+        with np.errstate(over="ignore"):
+            assert np.isinf(B1.sum()) and np.isinf(B2.sum())
+        return B1, B2
+
+    def test_row_equals_scaled_row(self, edge_pair):
+        B1, B2 = edge_pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = pearson_rows(B1, B2)
+        assert np.isfinite(r).all()
+        assert r.tobytes() == pearson_rows(B1 * 2.0**-11, B2 * 2.0**-11).tobytes()
+        assert r[0] == pytest.approx(np.corrcoef(B1[0] * 1e-300, B2[0] * 1e-300)[0, 1])
+
+    def test_pearson_r_is_defined(self, edge_pair):
+        B1, B2 = edge_pair
+        r = pearson_r(B1[0], B2[0])
+        assert r == pearson_rows(B1 * 2.0**-11, B2 * 2.0**-11)[0]
+
+    def test_ccf_equals_scaled_ccf(self, edge_pair):
+        B1, B2 = edge_pair
+        values = cross_correlation(B1[0], B2[0], 20).values
+        assert np.isfinite(values).all()
+        scaled = cross_correlation(B1[0] * 2.0**-11, B2[0] * 2.0**-11, 20).values
+        assert values.tobytes() == scaled.tobytes()
 
 
 class TestCrossCorrelation:

@@ -82,9 +82,28 @@ class TestAnalyze:
     def test_five_fits_in_model_order(self, default_report):
         assert [spec.model_id for spec, _ in default_report.fits] == [1, 2, 3, 4, 5]
 
+    def test_negative_rate_is_per_tail(self, default_report):
+        for tail in default_report.tails.values():
+            expected = tail["with_negative_entry"] / tail["count"] if tail["count"] else None
+            assert tail["negative_rate"] == expected
+
     def test_selected_model_note(self, default_report):
         assert default_report.selected_model["by_aic"]
         assert default_report.selected_model["by_bic"]
+
+    def test_aic_and_bic_each_pick_their_own_minimum(self):
+        # at this small sweep the criteria disagree: BIC's larger penalty
+        # picks model 4 (28 columns) over models 2 and 3 (32)
+        config = SweepConfig(master_seed=1, runs_per_context=5, params=ModelParams(turns=100))
+        report = analyze(run_sweep(config))
+        fits = {spec.model_id: fit for spec, fit in report.fits}
+        assert min(fits, key=lambda m: fits[m].aic) == 2 and fits[3].aic == fits[2].aic
+        assert min(fits, key=lambda m: fits[m].bic) == 4
+        assert report.selected_model == {
+            "by_aic": [2, 3],
+            "by_bic": [4],
+            "note": "lowest information criteria: models 2/3/4",
+        }
 
     def test_provenance_sufficient_to_reproduce(self, default_report):
         prov = default_report.provenance

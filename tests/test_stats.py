@@ -172,7 +172,7 @@ class TestBuildDesign:
     def test_model1_shape(self, default_table):
         design = build_design(default_table, model_spec(1))
         assert design.X.shape == (8100, 8)
-        assert design.n_excluded == 0
+        assert len(default_table) - len(design.y) == 0
 
     def test_zero_context_rows_all_zero(self, default_table):
         design = build_design(default_table, model_spec(3))
@@ -201,7 +201,7 @@ class TestBuildDesign:
         spec = model_spec(model_id)
         design = build_design(table, spec)
         expected = _per_row_columns(table.context_index[~np.isnan(r)], spec.columns)
-        assert design.n_excluded == int(np.isnan(r).sum())
+        assert len(table) - len(design.y) == int(np.isnan(r).sum())
         assert design.X.dtype == expected.dtype == np.float64
         assert design.X.shape == expected.shape
         assert design.X.tobytes() == expected.tobytes()
@@ -322,6 +322,29 @@ class TestFitLeastSquares:
         base = n * np.log(fit.rss / n)
         assert fit.aic == pytest.approx(base + 2 * (k + 1), rel=1e-12)
         assert fit.bic == pytest.approx(base + np.log(n) * (k + 1), rel=1e-12)
+
+    def test_adjusted_r2_hand_computed(self):
+        rng = np.random.default_rng(29)
+        X = rng.normal(size=(30, 3))
+        y = X @ np.array([0.5, -1.0, 0.25]) + rng.normal(size=30)
+        fit = fit_least_squares(X, y)
+        A = np.column_stack([np.ones(30), X])
+        residuals = y - A @ np.linalg.lstsq(A, y, rcond=None)[0]
+        rss, tss = residuals @ residuals, ((y - y.mean()) ** 2).sum()
+        # 30 rows, an intercept and 3 predictors: 26 residual degrees of freedom
+        assert fit.adj_r2 == pytest.approx(1.0 - (rss / 26) / (tss / 29), rel=1e-12)
+
+    def test_near_collinear_column_is_kept(self):
+        # x2's residual against (1, x1) is about 1e-8 of its norm: above the
+        # 1e-10 rank tolerance, so x2 is estimated, not dropped
+        rng = np.random.default_rng(30)
+        x1, noise = rng.normal(size=(2, 50))
+        X = np.column_stack([x1, x1 + 1e-8 * noise])
+        A = np.column_stack([np.ones(50), x1])
+        residual = X[:, 1] - A @ np.linalg.lstsq(A, X[:, 1], rcond=None)[0]
+        assert 1e-10 < np.linalg.norm(residual) / np.linalg.norm(X[:, 1]) < 1e-6
+        fit = fit_least_squares(X, rng.normal(size=50))
+        assert fit.dropped == () and fit.k_effective == 2
 
     def test_nesting_monotonicity_on_sweep(self, default_report):
         fits = {spec.model_id: fit for spec, fit in default_report.fits}

@@ -159,20 +159,24 @@ class TestSweepConfig:
         assert_same_text(sweep_csv_text(run_sweep(config)), sweep_csv_text(run_sweep(reference)))
 
 
+_TAIL_CASES = [
+    (-0.9, "complementary"),
+    (-0.25, "neutral"),  # strict inequality
+    (0.0, "neutral"),
+    (0.25, "neutral"),
+    (0.26, "synchronous"),
+    (float("nan"), "undefined"),
+]
+
+
 class TestClassifyTail:
-    @pytest.mark.parametrize(
-        "r,expected",
-        [
-            (-0.9, "complementary"),
-            (-0.25, "neutral"),  # strict inequality
-            (0.0, "neutral"),
-            (0.25, "neutral"),
-            (0.26, "synchronous"),
-            (float("nan"), "undefined"),
-        ],
-    )
+    @pytest.mark.parametrize("r,expected", _TAIL_CASES)
     def test_thresholds(self, r, expected):
         assert classify_tail(r, 0.25) == expected
+
+    @pytest.mark.parametrize("r,expected", _TAIL_CASES)
+    def test_product_tail_codes(self, r, expected):
+        assert TAIL_LABELS[sweep._tail_codes(np.array([r]), 0.25)[0]] == expected
 
 
 class TestRunSweep:
@@ -224,6 +228,21 @@ class TestRunSweep:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             run_sweep(SMALL, workers=0)
+
+
+class TestDivergenceEdge:
+    """At unit gain and 1,107 turns some series stay finite while their sums
+    overflow; such a run has an r, and only diverged runs are undefined."""
+
+    CONFIG = SweepConfig(42, 5, ModelParams(influence=1.0, turns=1107))
+
+    def test_undefined_runs_are_the_diverged_runs(self):
+        table = run_sweep(self.CONFIG)
+        diverged = np.concatenate([
+            ~finite for *_, finite in sweep.context_batches(self.CONFIG, enumerate_contexts())
+        ])
+        assert np.array_equal(~table.finite, diverged)
+        assert np.count_nonzero(~table.finite) == 10
 
 
 class TestRowBlocks:
