@@ -145,19 +145,20 @@ def build_design(table, spec: ModelSpec) -> Design:
     """Design matrix and response for one model over a sweep table.
 
     Rows with an undefined correlation are excluded.  Predictor
-    columns follow ``spec.columns``; the intercept is added at fit time.
-    ``X`` is Fortran-ordered, the layout :func:`fit_least_squares` copies it
-    into, so that copy runs over contiguous columns.
+    columns follow ``spec.columns``.  ``X`` is the trailing k columns of a
+    Fortran-ordered (n, k + 1) buffer whose column 0 is the intercept, so
+    :func:`fit_least_squares` fits that buffer without copying it.
     """
     finite = table.finite
     if not finite.any():
         raise ValueError("no finite records to regress on")
-    # the (k, 81) term table gathered by context and transposed: products of
-    # 0/1 values are exact, so X equals the per-row products bit for bit;
-    # np.take returns the (k, n) gather C-ordered (terms[:, rows] would not)
-    terms = np.vstack([_CELL_TERMS[term] for term in spec.columns])
-    X = np.take(terms, table.context_index[finite], axis=1).T
-    return Design(X=X, y=table.r[finite], columns=spec.columns)
+    # the (k + 1, 81) term table, intercept first, gathered by context and
+    # transposed: products of 0/1 values are exact, so X equals the per-row
+    # products bit for bit; np.take returns the (k + 1, n) gather C-ordered
+    # (terms[:, rows] would not), so its transpose is Fortran-ordered
+    terms = np.vstack([np.ones(81), *(_CELL_TERMS[term] for term in spec.columns)])
+    A = np.take(terms, table.context_index[finite], axis=1).T
+    return Design(X=A[:, 1:], y=table.r[finite], columns=spec.columns)
 
 
 @dataclass(frozen=True)
@@ -209,8 +210,31 @@ def _independent_columns(A) -> list:
     return []
 
 
+def _intercept_led(X):
+    """The Fortran-ordered (n, k + 1) array whose trailing k columns are
+    exactly ``X`` and whose column 0 is all 1.0, over the memory that
+    ``X``'s owner holds; None when there is no such array."""
+    owner = X.base
+    n, k = X.shape
+    if (not isinstance(owner, np.ndarray) or not owner.flags.forc
+            or owner.dtype != X.dtype or owner.size != n * (k + 1)):
+        return None
+    # the owner's elements in memory order, as a view
+    A = owner.ravel(order="K").reshape((n, k + 1), order="F")
+    trailing = A[:, 1:]
+    if (trailing.ctypes.data, trailing.strides) != (X.ctypes.data, X.strides):
+        return None
+    return A if (A[:, 0] == 1.0).all() else None
+
+
 def fit_least_squares(X, y, columns=None) -> FitResult:
     """Least-squares fit of ``y`` on an intercept plus the columns of ``X``.
+
+    ``X`` must be 2-D (n, k) and ``y`` 1-D of length n, both finite;
+    otherwise ``ValueError`` names the fault.  An ``X`` that is the trailing
+    k columns of a Fortran-ordered (n, k + 1) array whose column 0 is all
+    1.0, as :func:`build_design` returns it, is fitted in that array; any
+    other ``X`` is first copied into a new one.
 
     The rank-revealing pass is an unpivoted Householder QR of the design
     (intercept first): column j is redundant, and reported as dropped, when
@@ -232,19 +256,27 @@ def fit_least_squares(X, y, columns=None) -> FitResult:
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or len(y) != X.shape[0]:
-        raise ValueError("X must be (n, k) with len(y) == n")
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D (n, k), got shape {X.shape}")
     n, k = X.shape
+    if y.shape != (n,):
+        raise ValueError(f"y must be 1-D of length n = {n}, got shape {y.shape}")
+    for name, values in (("X", X), ("y", y)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} holds a non-finite value")
     columns = tuple(f"x{j}" for j in range(k)) if columns is None else tuple(columns)
     if len(columns) != k:
         raise ValueError("column name count does not match X")
 
     names = ("intercept",) + columns
     # Fortran order, the layout of the A[:, retained] copy: the bits of
-    # lstsq's residual depend on it
-    A = np.empty((n, k + 1), order="F")
-    A[:, 0] = 1.0
-    A[:, 1:] = X
+    # lstsq's residual depend on it.  build_design's X is already the
+    # trailing columns of such an array, which is fitted as it is.
+    A = _intercept_led(X)
+    if A is None:
+        A = np.empty((n, k + 1), order="F")
+        A[:, 0] = 1.0
+        A[:, 1:] = X
 
     retained = _independent_columns(_distinct_rows(A))
     if not retained:

@@ -2,22 +2,25 @@
 
 Run from anywhere, with the test dependencies installed:
 
-    python tests/mutants.py
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME...      # only the named mutants
 
 ``MUTANTS`` lists each mutant as exact-text edits and the contract it
-breaks.  Each run copies ``src/``, ``tests/``, ``perfbench/`` and
-``pyproject.toml`` to a temporary directory, so that the tests which start
-subprocesses load the copy too, and runs the Tier-1 command there with
-plain asserts and a JUnit report.  The script runs an unmutated copy once.
-Then, for each mutant, it applies the edits to a fresh copy (an old text
-not found exactly once stops the script) and runs Tier-1 twice: in full,
-and "digest-blind", without ``tests/test_golden.py`` and
-``tests/test_determinism.py``.  It prints the tests that pass unmutated and
-fail under the mutant, then a summary table.  A mutant that no
-digest-blind test catches is marked ``SURVIVES``.
+breaks; an unknown NAME exits with code 2 and lists the known names.  Each
+run copies ``src/``, ``tests/``, ``perfbench/`` and ``pyproject.toml`` to a
+temporary directory, so that the tests which start subprocesses load the
+copy too, and runs the Tier-1 command there with plain asserts and a JUnit
+report.  The script runs an unmutated copy once.  Then, for each selected
+mutant, it applies the edits to a fresh copy (an old text not found exactly
+once stops the script) and runs Tier-1 twice: in full, and "digest-blind",
+without ``tests/test_golden.py`` and ``tests/test_determinism.py``.  It
+prints the tests that pass unmutated and fail under the mutant, then a
+summary table.  A mutant that no digest-blind test catches is marked
+``SURVIVES``.
 
 pytest does not collect this file.  It writes only under its temporary
-directories, and takes about 39 Tier-1 runs of wall time.
+directories, and takes 2N + 1 Tier-1 runs of wall time for N mutants
+(70-90 s each on a 2-CPU machine).
 """
 
 import os
@@ -123,6 +126,13 @@ MUTANTS = (
     Mutant("rank-tol-1e-6", "a column is redundant at a residual of 1e-10 of its norm", (
         (STATS, "diag <= 1e-10 * norms", "diag <= 1e-6 * norms"),
     )),
+    Mutant("reuse-without-ones-check",
+           "only a buffer whose column 0 is all ones is fitted in place", (
+        (STATS, "return A if (A[:, 0] == 1.0).all() else None", "return A"),
+    )),
+    Mutant("no-finite-check", "fit_least_squares rejects a non-finite X or y", (
+        (STATS, "if not np.isfinite(values).all():", "if False:"),
+    )),
 )
 
 
@@ -165,7 +175,20 @@ def tier1(tree: Path, ignore=()) -> dict[str, str]:
     return outcomes
 
 
-def main() -> None:
+def selected(names) -> tuple:
+    """The mutants named in ``names``, in ``MUTANTS``' order; every mutant
+    when no name is given.  An unknown name exits with code 2."""
+    known = [mutant.name for mutant in MUTANTS]
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutant: {' '.join(unknown)}\nknown mutants: {' '.join(known)}",
+              file=sys.stderr)
+        sys.exit(2)
+    return tuple(mutant for mutant in MUTANTS if not names or mutant.name in names)
+
+
+def main(names) -> None:
+    mutants = selected(names)
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="dyadsim-mutants-") as scratch:
         parent = Path(scratch) / "parent"
@@ -173,7 +196,7 @@ def main() -> None:
         baseline = {test for test, outcome in tier1(parent).items() if outcome == "passed"}
         print(f"unmutated tree: {len(baseline)} tests pass", flush=True)
         rows = []
-        for mutant in MUTANTS:
+        for mutant in mutants:
             tree = Path(scratch) / mutant.name
             copy_tree(tree, mutant.edits)
             caught = []
@@ -192,4 +215,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

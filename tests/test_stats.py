@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import expm1 as scipy_expm1, gammaincc, gammaln
 
-from dyadsim import analyze, stats
-from dyadsim.dynamics import ContextMatrix
+from dyadsim import analyze, run_sweep, stats
+from dyadsim.dynamics import ContextMatrix, ModelParams
 from dyadsim.stats import (
     INDICATOR_NAMES,
     INTERACTION_NAMES,
@@ -308,6 +309,32 @@ class TestFitLeastSquares:
             fit_least_squares(X, np.array([0.1, 0.5, -0.2]))
         assert str(caught.value) == "need at least rank + 1 = 4 rows, got 3"
 
+    @pytest.mark.parametrize("y, shape", [
+        (np.zeros((20, 1)), "(20, 1)"), (3.0, "()"), (np.zeros(19), "(19,)"),
+    ], ids=["column", "scalar", "short"])
+    def test_y_must_hold_one_value_per_row(self, y, shape):
+        X = np.random.default_rng(32).normal(size=(20, 2))
+        with pytest.raises(ValueError) as caught:
+            fit_least_squares(X, y)
+        assert str(caught.value) == f"y must be 1-D of length n = 20, got shape {shape}"
+
+    def test_x_must_be_two_dimensional(self):
+        with pytest.raises(ValueError) as caught:
+            fit_least_squares(np.zeros(20), np.zeros(20))
+        assert str(caught.value) == "X must be 2-D (n, k), got shape (20,)"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["X", "y"])
+    def test_non_finite_entry_is_named(self, name, value):
+        # unchecked, a nan in y gave r2 = nan and an inf in a column of X
+        # made its norm inf, so the rank pass dropped it as redundant
+        rng = np.random.default_rng(33)
+        X, y = rng.normal(size=(20, 2)), rng.normal(size=20)
+        (X[:, 1] if name == "X" else y)[5] = value
+        with pytest.raises(ValueError) as caught:
+            fit_least_squares(X, y)
+        assert str(caught.value) == f"{name} holds a non-finite value"
+
     def test_constant_response_rejected(self):
         X = np.random.default_rng(27).normal(size=(20, 2))
         with pytest.raises(ValueError, match="constant response"):
@@ -429,6 +456,65 @@ class TestDistinctRows:
         )
         assert dup.dropped == ("copy",)
         assert _fit_bits(replace(dup, dropped=())) == _fit_bits(base)
+
+
+@pytest.fixture(scope="module")
+def short_table():
+    """A second sweep shape: 7 runs of 60 turns per context."""
+    return run_sweep(SweepConfig(master_seed=3, runs_per_context=7, params=ModelParams(turns=60)))
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes traced by ``tracemalloc`` while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDesignBuffer:
+    """build_design's X is the trailing columns of an intercept-led Fortran
+    buffer, and fit_least_squares fits that buffer in place."""
+
+    def test_fit_allocates_no_design_copy(self, default_table):
+        design = build_design(default_table, model_spec(2))
+        a_bytes = len(design.y) * (len(design.columns) + 1) * 8
+        in_place = _traced_peak(fit_least_squares, design.X, design.y, design.columns)
+        copied = _traced_peak(fit_least_squares, np.array(design.X), design.y, design.columns)
+        assert in_place < a_bytes / 2 <= a_bytes <= copied
+
+    @pytest.mark.parametrize("table_name", ["default_table", "short_table"])
+    @pytest.mark.parametrize("model_id", MODEL_IDS)
+    def test_in_place_fit_equals_the_copy_path(self, request, table_name, model_id):
+        design = build_design(request.getfixturevalue(table_name), model_spec(model_id))
+        copy = np.array(design.X)
+        assert stats._intercept_led(design.X) is not None and stats._intercept_led(copy) is None
+        in_place = fit_least_squares(design.X, design.y, design.columns)
+        assert _fit_bits(in_place) == _fit_bits(fit_least_squares(copy, design.y, design.columns))
+
+    @pytest.mark.parametrize("layout", [
+        "first column not ones", "one entry not one", "C-ordered", "leading columns",
+        "wider buffer",
+    ])
+    def test_look_alike_buffer_is_fitted_as_a_copy(self, layout):
+        rng = np.random.default_rng(34)
+        M = np.asfortranarray(rng.normal(size=(40, 5)))
+        M[:, 0] = 1.0
+        X = M[:, 1:]
+        if layout == "first column not ones":
+            M[:, 0] = rng.normal(size=40)
+        elif layout == "one entry not one":
+            M[7, 0] = 1.5
+        elif layout == "C-ordered":
+            X = np.ascontiguousarray(M)[:, 1:]
+        elif layout == "leading columns":
+            X = M[:, :-1]
+        elif layout == "wider buffer":
+            X = M[:, 1:-1]
+        y = rng.normal(size=40)
+        assert _fit_bits(fit_least_squares(X, y)) == _fit_bits(fit_least_squares(np.array(X), y))
 
 
 class TestChiSquare:
