@@ -47,6 +47,7 @@ depend on the group or the window.
 import math
 import numbers
 import operator
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -149,6 +150,9 @@ class ModelParams:
             raise ValueError(f"influence must be >= 0, got {self.influence!r}")
         if self.noise_half_width < 0.0:
             raise ValueError(f"noise_half_width must be >= 0, got {self.noise_half_width!r}")
+        widest = sys.float_info.max / 2  # the noise range h - -h must be finite
+        if self.noise_half_width > widest:
+            raise ValueError(f"noise_half_width must be <= {widest!r}, got {self.noise_half_width!r}")
         object.__setattr__(self, "turns", _checked_int("turns", self.turns))
 
     def coefficients(self, context: ContextMatrix) -> tuple[float, float, float, float]:

@@ -56,14 +56,9 @@ _CONTEXT_PREFIXES = tuple(
     f"{ci},{ctx.s1},{ctx.o1},{ctx.o2},{ctx.s2}," for ci, ctx in enumerate(_CONTEXTS)
 )
 
-# the writer's spellings as bytes: each context's first five fields, and the
-# finite flag and tail label per tail code
-_CONTEXT_FIELDS = np.array([p.split(",")[:5] for p in _CONTEXT_PREFIXES], dtype="S3")
-_LABEL_FIELDS = np.array([s.split(",") for s in _ROW_SUFFIXES], dtype="S14")
-
-# characters sweep never writes that np.loadtxt would hide: it ends a line at
-# "\r", drops a bytes field's trailing NULs and strips \x1c-\x1f around a
-# float; read_sweep_csv rejects them, non-ASCII text and an empty line
+# characters sweep never writes, rejected anywhere in the file along with
+# non-ASCII text and an empty line: float() strips "\r" around r as
+# whitespace, and a NUL or 0x1c-0x1f separator is named as what it is
 _STRAY = "\r\x00\x1c\x1d\x1e\x1f"
 
 
@@ -238,19 +233,20 @@ def tail_counts(table: SweepTable) -> TailCounts:
     )
 
 
+def _record_lines(table: SweepTable, r_texts):
+    """Each record line of ``table``'s sweep CSV, in order, spelling each r
+    as the matching entry of ``r_texts``: the one definition of a record."""
+    codes = _tail_codes(table.r, table.config.tail_threshold)
+    for ci, run_index, run_seed, r, code in zip(
+        table.context_index.tolist(), table.run_index.tolist(), table.run_seed.tolist(),
+        r_texts, codes.tolist(),
+    ):
+        yield f"{_CONTEXT_PREFIXES[ci]}{run_index},{run_seed},{r},{_ROW_SUFFIXES[code]}"
+
+
 def sweep_csv_text(table: SweepTable) -> str:
     """Sweep table as canonical CSV (float fields round-trip-safe)."""
-    codes = _tail_codes(table.r, table.config.tail_threshold)
-    lines = [SWEEP_CSV_HEADER]
-    for ci, run_index, run_seed, r, code in zip(
-        table.context_index.tolist(),
-        table.run_index.tolist(),
-        table.run_seed.tolist(),
-        table.r.tolist(),
-        codes.tolist(),
-    ):
-        lines.append(f"{_CONTEXT_PREFIXES[ci]}{run_index},{run_seed},{r!r},{_ROW_SUFFIXES[code]}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([SWEEP_CSV_HEADER, *_record_lines(table, map(repr, table.r.tolist())), ""])
 
 
 def write_sweep_csv(table: SweepTable, path) -> None:
@@ -262,12 +258,15 @@ def _fail(row: int, message: str):
     raise InvalidSweepError(f"sweep CSV row {row}: {message}")
 
 
-def _fail_unreadable(lines: list[str], fields: dict):
-    """Raise naming the first record that does not have 10 fields, holds a
-    character outside ASCII or in ``_STRAY``, or has an r that
-    ``np.loadtxt(..., **fields)`` cannot read; the header is canonical."""
-    for row, line in enumerate(lines[1:]):
-        texts = line.split(",")
+def _fail_unreadable(records: list[str], config: SweepConfig):
+    """Raise naming the first bad row and field of a file that
+    :func:`read_sweep_csv` does not accept: the first record that does not
+    have 10 fields, holds a character outside ASCII or in ``_STRAY``, or has
+    an r that ``float()`` cannot read; else the first record whose defined r
+    lies outside [-1, 1] or that differs from the writer's line for its r
+    text, at its first such field in header order."""
+    rows = [line.split(",") for line in records]
+    for row, texts in enumerate(rows):
         if len(texts) != 10:
             _fail(row, f"expected 10 fields, found {len(texts)}")
         for name, text in zip(_FIELD_NAMES, texts):
@@ -275,29 +274,35 @@ def _fail_unreadable(lines: list[str], fields: dict):
             if stray:
                 _fail(row, f"{name} {text!r} holds {stray[0]!r}, which sweep never writes")
         try:
-            np.loadtxt([line], **fields)
+            float(texts[7])
         except ValueError:
             _fail(row, f"r {texts[7]!r} is not a number")
+    r_texts = [texts[7] for texts in rows]
+    table = SweepTable(config, [float(text) for text in r_texts])
+    lines = _record_lines(table, r_texts)
+    for row, (texts, line, r) in enumerate(zip(rows, lines, table.r.tolist())):
+        for name, found, writes in zip(_FIELD_NAMES, texts, line.split(",")):
+            if name == "r" and abs(r) > 1.0:
+                _fail(row, f"r={r!r} outside [-1, 1]")
+            if found != writes:
+                _fail(row, f"{name} does not match: found {found!r}, sweep writes {writes!r}")
 
 
 def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
     """Read and validate a sweep CSV against the generating config.
 
-    Every field except ``r`` must be spelled as :func:`sweep_csv_text`
-    writes it for this config: the canonical (context, run) order and
-    contexts, run seeds from :func:`derive_run_seed` under
-    ``config.master_seed``, and the finite flag and tail label of the stored
-    r.  ``r`` may be any decimal ``np.loadtxt`` reads, and a defined r must
-    lie in [-1, 1].  The file must be ASCII, with no empty line, carriage
-    return, NUL or 0x1c-0x1f separator (``_STRAY``) anywhere.
+    ``r`` is each record's eighth field as ``float()`` reads it, and a
+    defined r must lie in [-1, 1].  Every record must equal the line
+    :func:`sweep_csv_text` writes for this config with that r text in place
+    of its own spelling: the canonical (context, run) order and contexts,
+    run seeds from :func:`derive_run_seed` under ``config.master_seed``, and
+    the finite flag and tail label of the stored r.  The file must be ASCII,
+    with no empty line, carriage return, NUL or 0x1c-0x1f separator
+    (``_STRAY``) anywhere.
 
-    One ``np.loadtxt`` pass reads the fields and one (rows, 10) mask in
-    header order marks each field that differs from the canonical grid; the
-    file is valid iff the mask is empty.  Raises :class:`InvalidSweepError`
-    on a bad header or record count, else naming a wrong row and field
-    (``sweep CSV row 5: s1 does not match: found '0', sweep writes '-1'``):
-    the first row that holds a stray character or that ``loadtxt`` cannot
-    read, else the mask's first.
+    Raises :class:`InvalidSweepError` on a bad header or record count, else
+    naming a wrong row and field (``sweep CSV row 5: s1 does not match:
+    found '0', sweep writes '-1'``), as :func:`_fail_unreadable` picks them.
     """
     try:
         with open(path, "r", newline="") as fh:
@@ -305,46 +310,22 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
     except UnicodeDecodeError as exc:
         raise InvalidSweepError(f"cannot decode sweep CSV {path}: {exc}") from None
     clean = text.isascii() and "\n\n" not in text and not any(c in text for c in _STRAY)
-    lines = text.split("\n")
-    del text  # the lines are the one copy kept
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != SWEEP_CSV_HEADER:
+    records = text.split("\n")
+    del text  # the records are the one copy kept
+    if records and records[-1] == "":
+        records.pop()
+    if not records or records.pop(0) != SWEEP_CSV_HEADER:
         raise InvalidSweepError("bad or missing sweep CSV header")
     runs = config.runs_per_context
-    if len(lines) - 1 != 81 * runs:
-        raise InvalidSweepError(
-            f"expected {81 * runs} records (81 x {runs}), found {len(lines) - 1}"
-        )
-    # each bytes field is one byte wider than its longest canonical spelling,
-    # so that a longer field cannot be cut down to a match
-    run_width = len(str(runs - 1)) + 1
-    dtype = [("context", "S3", 5), ("run_index", f"S{run_width}"), ("run_seed", "S21"),
-             ("r", float), ("labels", "S14", 2)]
-    fields = dict(dtype=dtype, delimiter=",", comments=None)
+    if len(records) != 81 * runs:
+        raise InvalidSweepError(f"expected {81 * runs} records (81 x {runs}), found {len(records)}")
     try:
-        data = np.loadtxt(lines, skiprows=1, **fields) if clean else None
-    except ValueError:
-        data = None
-    if data is None:
-        _fail_unreadable(lines, fields)
-    table = SweepTable(config, data["r"])  # the grid the file must spell
-    r, seeds = table.r, table.run_seed
-    codes = _tail_codes(r, config.tail_threshold)
-    wrong = np.empty((len(r), 10), dtype=bool)
-    wrong[:, :5] = (data["context"].reshape(81, runs, 5) != _CONTEXT_FIELDS[:, None]).reshape(-1, 5)
-    run_spellings = np.arange(runs).astype(f"S{run_width}")
-    wrong[:, 5] = (data["run_index"].reshape(81, runs) != run_spellings).ravel()
-    wrong[:, 6] = data["run_seed"] != seeds.astype("S21")
-    wrong[:, 7] = np.abs(r) > 1.0
-    wrong[:, 8:] = data["labels"] != _LABEL_FIELDS[codes]
-    if wrong.any():
-        row, k = divmod(int(wrong.argmax()), 10)
-        if k == 7:
-            _fail(row, f"r={float(r[row])!r} outside [-1, 1]")
-        ci, run = divmod(row, runs)
-        writes = f"{_CONTEXT_PREFIXES[ci]}{run},{seeds[row]},,{_ROW_SUFFIXES[codes[row]]}"
-        found = lines[row + 1].split(",")[k]
-        _fail(row, f"{_FIELD_NAMES[k]} does not match: found {found!r}, "
-                   f"sweep writes {writes.split(',')[k]!r}")
+        # the third field from the end is r in any record the writer's line can equal
+        r_texts = [line.rsplit(",", 3)[1] for line in records]
+        table = SweepTable(config, np.fromiter(map(float, r_texts), float, len(records)))
+    except (IndexError, ValueError):
+        table = None
+    if (not clean or table is None or (np.abs(table.r) > 1.0).any()
+            or not all(map(str.__eq__, records, _record_lines(table, r_texts)))):
+        _fail_unreadable(records, config)
     return table

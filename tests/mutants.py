@@ -93,7 +93,16 @@ MUTANTS = (
          "        xm /= np.fmax.reduce(xs)\n        ym /= np.fmax.reduce(ys)\n"),
     )),
     Mutant("short-csv-float", "the sweep CSV writes every r round-trip safe", (
-        (SWEEP, "{run_seed},{r!r},", "{run_seed},{r:.15g},"),
+        (SWEEP, "_record_lines(table, map(repr, table.r.tolist()))",
+         "_record_lines(table, map('{:.15g}'.format, table.r.tolist()))"),
+    )),
+    Mutant("record-not-compared",
+           "a record whose non-r fields differ from the writer's line is rejected", (
+        (SWEEP, "\n            or not all(map(str.__eq__, records, "
+                "_record_lines(table, r_texts)))):", "):"),
+    )),
+    Mutant("r-range-unchecked", "a defined r outside [-1, 1] is rejected", (
+        (SWEEP, " or (np.abs(table.r) > 1.0).any()", ""),
     )),
     Mutant("closed-lower-tail", "r = -threshold is neutral, not complementary", (
         (SWEEP, "np.where(r < -threshold,", "np.where(r <= -threshold,"),

@@ -550,6 +550,17 @@ class TestErrorCategories:
         assert capsys.readouterr().err == f"dyadsim: error: validation: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["sweep"], ["analyze", "--input", "s.csv"], ["simulate", "--context", "0,0;0,0"],
+    ], ids=lambda command: command[0])
+    def test_noise_whose_range_overflows_is_usage_error(self, tmp_path, capsys, no_work, command):
+        out = tmp_path / "out"
+        assert main([*command, "--noise", "1e308", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "dyadsim: error: validation: noise must be <= 8.988465674311579e+307, got 1e+308\n"
+        )
+        assert not out.exists()
+
     @pytest.fixture
     def no_work(self, monkeypatch):
         def no_work(*args, **kwargs):

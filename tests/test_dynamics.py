@@ -1,4 +1,5 @@
 import re
+import sys
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -197,6 +198,26 @@ class TestFloatRule:
         stored = getattr(ModelParams(**{name: 0}), name)
         assert type(stored) is float and stored == 0.0
         assert ModelParams(**{name: np.int64(0)}) == ModelParams(**{name: 0.0})
+
+    # numpy's uniform(-h, h) raises OverflowError once h - -h is inf, and the
+    # kernel's own map would return inf rows, so ModelParams refuses such an h
+    @pytest.mark.parametrize("entry", ["ModelParams.noise_half_width", "cli.noise"])
+    def test_noise_range_must_be_finite(self, entry):
+        name, call = FLOAT_ENTRY_POINTS[entry]
+        widest = sys.float_info.max / 2
+        assert call(widest) == widest
+        for value in (np.nextafter(widest, np.inf), 1e308):
+            message = f"{name} must be <= {widest!r}, got {float(value)!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(value)
+
+    def test_widest_noise_kernel_matches_scalar(self):
+        params = ModelParams(noise_half_width=sys.float_info.max / 2, turns=3)
+        context = ContextMatrix(0, 0, 0, 0)
+        B1, B2 = simulate_rows(np.array([params.coefficients(context)]), params, [5])
+        trajectory = simulate(context, params, 5)
+        assert B1[0].tobytes() == trajectory.b1.tobytes()
+        assert B2[0].tobytes() == trajectory.b2.tobytes()
 
     def test_int_beyond_the_float_range_is_not_finite(self):
         with pytest.raises(ValueError, match="^influence must be finite, got 1000"):

@@ -511,16 +511,12 @@ class TestSweepCsv:
         table = run_sweep(DIVERGING)  # nan rows as well as finite ones
         path = tmp_path / "sweep.csv"
         write_sweep_csv(table, path)
-        calls = []
-        loadtxt = np.loadtxt
 
-        def counted_loadtxt(*args, **kwargs):
-            calls.append(args)
-            return loadtxt(*args, **kwargs)
+        def row_loop(*args):
+            raise AssertionError("a canonical file entered the per-row failure loop")
 
-        monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+        monkeypatch.setattr(sweep, "_fail_unreadable", row_loop)
         loaded = read_sweep_csv(path, DIVERGING)
-        assert len(calls) == 1
         for column in CSV_COLUMNS:
             assert getattr(loaded, column).tobytes() == getattr(table, column).tobytes()
         assert loaded.r.flags.c_contiguous
@@ -578,7 +574,7 @@ class TestSweepProperties:
 
 def _read_sweep_csv_reference(path, config):
     """Reference sweep CSV reader: one loop over the rows, with the canonical
-    first-seven-fields shortcut; frozen to check the column pass against."""
+    first-seven-fields shortcut; frozen to check read_sweep_csv against."""
     with open(path, "r", newline="") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
@@ -644,7 +640,7 @@ _INT_SPELLINGS = (
 )
 _R_SPELLINGS = (
     lambda v: "nan(1)", lambda v: "infinity", lambda v: " " + v, lambda v: v + "0",
-    lambda v: "-0.0",
+    lambda v: "-0.0", lambda v: "0.2_5", lambda v: " 0.5",
 )
 
 
@@ -744,8 +740,8 @@ def _check_against_reference(path, config):
 
 
 class TestReaderMatchesReference:
-    # edits that a column check one byte too narrow, or a text check that
-    # lets through what np.loadtxt and float() read differently, would accept;
+    # edits that a field check one character short, or a check that lets
+    # through what float() strips or reads in a non-canonical field, would accept;
     # each is made on the first row whose fields pass ``where``, and both
     # readers reject it, read_sweep_csv naming that row and field
     @pytest.mark.parametrize("field, edit, where", [
@@ -774,6 +770,20 @@ class TestReaderMatchesReference:
         name = sweep.SWEEP_CSV_HEADER.split(",")[field]
         with pytest.raises(InvalidSweepError, match=rf"^sweep CSV row {row - 1}: {name} "):
             read_sweep_csv(path, DIVERGING)
+
+    # r spellings float() reads that sweep never writes: both readers accept
+    # them, with labels that agree, as the same table
+    @pytest.mark.parametrize("spelling, value", [("0.2_5", 0.25), (" 0.5", 0.5)],
+                             ids=["underscore", "leading-space"])
+    def test_same_table_for_a_float_spelling(self, tmp_path, spelling, value):
+        lines = sweep_csv_text(run_sweep(SMALL)).split("\n")
+        parts = lines[3].split(",")
+        parts[7:10] = [spelling, "true", classify_tail(value, SMALL.tail_threshold)]
+        lines[3] = ",".join(parts)
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(lines))
+        _check_against_reference(path, SMALL)
+        assert read_sweep_csv(path, SMALL).r[2] == value
 
     @settings(deadline=None, max_examples=200, derandomize=True)
     @given(corrupted_csvs())
