@@ -212,14 +212,15 @@ def _checked_float(name: str, value) -> float:
         raise ValueError(f"{name} must be finite, got {value!r}") from None
 
 
-def _checked_seed(seed) -> int:
-    """``seed`` as an int, or ``ValueError`` naming it if it fails
-    :func:`_integer` or lies outside [0, 2**64)."""
+def _checked_seed(seed, name: str = "seed") -> int:
+    """``seed`` as an int, or ``ValueError`` naming ``name`` and the value if
+    it fails :func:`_integer` or lies outside [0, 2**64): the one rule for
+    the 64-bit words a seed is made from."""
     value = _integer(seed)
     if value is None:
-        raise ValueError(f"seed {seed!r} is not an integer")
+        raise ValueError(f"{name} {seed!r} is not an integer")
     if not 0 <= value < 1 << 64:
-        raise ValueError(f"seed {value} outside [0, 2**64)")
+        raise ValueError(f"{name} {value} outside [0, 2**64)")
     return value
 
 
@@ -380,9 +381,11 @@ def simulate_rows(
     bitwise the :func:`simulate` output for ``seeds[i]`` under coefficients
     ``coefficients[i]`` (from :meth:`ModelParams.coefficients`), whatever the
     other rows; diverging runs are carried through as inf/nan, not raised.
-    ``seeds`` is a 1-D uint64 array, taken as is since every uint64 is a
-    valid seed, or any other sequence of integers in [0, 2**64), checked one
-    by one; a bool or any other seed raises ``ValueError`` naming it.
+    ``coefficients`` must have shape (len(seeds), 4), else ``ValueError``
+    names both shapes.  ``seeds`` is a 1-D uint64 array, taken as is since
+    every uint64 is a valid seed, or any other sequence of integers in
+    [0, 2**64), checked one by one; a bool or any other seed raises
+    ``ValueError`` naming it.
 
     Rows are drawn through a scratch of about ``_WINDOW_CELLS`` cells, or
     of one row when a row is larger (see :func:`_draw_rows`).  The
@@ -393,9 +396,12 @@ def simulate_rows(
     if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1):
         seeds = [_checked_seed(seed) for seed in seeds]
     m, width = len(seeds), params.turns + 1
+    A = np.asarray(coefficients, dtype=float)
+    if A.shape != (m, 4) and (m or A.size):  # no rows may come as an empty list
+        raise ValueError(f"coefficients must have shape ({m}, 4) for {m} seeds, found {A.shape}")
     B = _draw_rows(params, seeds)  # B1, B2; draws first, then states
     # A[j, i] holds a_ij per row
-    A = np.asarray(coefficients, dtype=float).reshape(m, 2, 2).transpose(2, 1, 0).copy()
+    A = A.reshape(m, 2, 2).transpose(2, 1, 0).copy()
     columns = B.transpose(2, 0, 1)  # time-major view: columns[t] is (2, m)
     depth = min(max(_WINDOW_CELLS // (2 * max(m, 1)), _MIN_WINDOW_TURNS), width)
     window = np.empty((depth, 2, m))

@@ -230,11 +230,12 @@ def _intercept_led(X):
 def fit_least_squares(X, y, columns=None) -> FitResult:
     """Least-squares fit of ``y`` on an intercept plus the columns of ``X``.
 
-    ``X`` must be 2-D (n, k) and ``y`` 1-D of length n, both finite;
-    otherwise ``ValueError`` names the fault.  An ``X`` that is the trailing
-    k columns of a Fortran-ordered (n, k + 1) array whose column 0 is all
-    1.0, as :func:`build_design` returns it, is fitted in that array; any
-    other ``X`` is first copied into a new one.
+    ``X`` must be 2-D (n, k) and ``y`` 1-D of length n, both finite, and
+    ``columns`` k distinct names other than ``"intercept"`` (default x0,
+    x1, ...); otherwise ``ValueError`` names the fault.  An ``X`` that is
+    the trailing k columns of a Fortran-ordered (n, k + 1) array whose
+    column 0 is all 1.0, as :func:`build_design` returns it, is fitted in
+    that array; any other ``X`` is first copied into a new one.
 
     The rank-revealing pass is an unpivoted Householder QR of the design
     (intercept first): column j is redundant, and reported as dropped, when
@@ -267,8 +268,12 @@ def fit_least_squares(X, y, columns=None) -> FitResult:
     columns = tuple(f"x{j}" for j in range(k)) if columns is None else tuple(columns)
     if len(columns) != k:
         raise ValueError("column name count does not match X")
-
     names = ("intercept",) + columns
+    for j, name in enumerate(columns, 1):
+        if name in names[:j]:  # a coefficient is reported under each name
+            raise ValueError(f"column name {name!r} names "
+                             f"{'the intercept' if name == 'intercept' else 'two columns'}")
+
     # Fortran order, the layout of the A[:, retained] copy: the bits of
     # lstsq's residual depend on it.  build_design's X is already the
     # trailing columns of such an array, which is fitted as it is.
@@ -296,7 +301,7 @@ def fit_least_squares(X, y, columns=None) -> FitResult:
 
     coefficients = {names[j]: float(b) for j, b in zip(retained, beta)}
     dropped = tuple(names[j] for j in range(A.shape[1]) if j not in retained)
-    k_eff = len(retained) - 1 if 0 in retained else len(retained)
+    k_eff = len(retained) - 1  # the intercept, column 0, is never redundant
     r2 = 1.0 - rss / tss
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - k_eff - 1)
     if rss > 0.0:

@@ -90,7 +90,8 @@ class SweepConfig:
 class SweepTable:
     """All sweep runs in canonical (context, run) order: the config and one r per run.
 
-    ``r`` is nan where the correlation is undefined, and the finite flag and
+    ``r`` is nan where the correlation is undefined, else in [-1, 1]
+    (``ValueError`` names the first index outside), and the finite flag and
     tail follow from it.  The grid columns follow from the config:
     ``context_index`` indexes :func:`enumerate_contexts`, and ``run_seed`` is
     :func:`derive_run_seed` of each (context, run).
@@ -107,6 +108,10 @@ class SweepTable:
         r = np.ascontiguousarray(self.r, dtype=float)
         if r.ndim != 1 or len(r) != 81 * runs:
             raise ValueError(f"r must hold 81 x {runs} = {81 * runs} values, found shape {r.shape}")
+        outside = np.flatnonzero(np.abs(r) > 1.0)
+        if outside.size:
+            i = outside[0]
+            raise ValueError(f"r[{i}] = {r[i].item()!r} outside [-1, 1]")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "context_index", np.repeat(np.arange(81), runs))
         object.__setattr__(self, "run_index", np.tile(np.arange(runs), 81))
@@ -137,18 +142,21 @@ def derive_run_seed(master_seed: int, context_index: int, run_index: int) -> int
     """Per-run 64-bit seed from (master_seed, context_index, run_index).
 
     Chains the splitmix64 finalizer over the three inputs; platform
-    independent and collision-free over any realistic sweep grid.
+    independent and collision-free over any realistic sweep grid.  Each
+    input must be an integer in [0, 2**64), as a seed must
+    (``ValueError`` names the argument), so no two inputs give one chain.
     """
-    z = _mix64(int(master_seed) & _MASK64)
-    z = _mix64(z ^ int(context_index))
-    z = _mix64(z ^ int(run_index))
+    z = _mix64(_checked_seed(master_seed, "master_seed"))
+    z = _mix64(z ^ _checked_seed(context_index, "context_index"))
+    z = _mix64(z ^ _checked_seed(run_index, "run_index"))
     return z
 
 
 def _run_seeds(master_seed: int, context_indices, runs: int) -> np.ndarray:
     """:func:`derive_run_seed` over runs 0..runs-1 of each context, as one
-    flat uint64 array in canonical (context, run) order."""
-    z = _mix64(int(master_seed) & _MASK64)
+    flat uint64 array in canonical (context, run) order, for a checked
+    ``master_seed``."""
+    z = _mix64(master_seed)
     z = _mix64(z ^ np.asarray(context_indices, dtype=np.uint64))
     return _mix64(z[:, None] ^ np.arange(runs, dtype=np.uint64)).ravel()
 
@@ -171,9 +179,14 @@ def context_batches(config: SweepConfig, contexts):
     call per group.  A group holds at most ``_CELL_BUDGET // 2`` cells, or
     one context when a context is larger; a row does not depend on the
     other rows, so neither does any batch.  A group is freed before the next
-    one is simulated once the caller drops its batches.
+    one is simulated once the caller drops its batches.  Every context is
+    checked before the first group is simulated: ``ValueError`` names the
+    first that is not a :class:`ContextMatrix`, with its position.
     """
     contexts, runs, params = tuple(contexts), config.runs_per_context, config.params
+    for position, context in enumerate(contexts):
+        if not isinstance(context, ContextMatrix):
+            raise ValueError(f"contexts[{position}] is {context!r}, not a ContextMatrix")
     # half the budget: a group stays alive while its panels' CCF and lag temporaries are allocated
     group = max(1, _CELL_BUDGET // 2 // (runs * (params.turns + 1)))
     for g0 in range(0, len(contexts), group):
@@ -278,12 +291,15 @@ def _fail_unreadable(records: list[str], config: SweepConfig):
         except ValueError:
             _fail(row, f"r {texts[7]!r} is not a number")
     r_texts = [texts[7] for texts in rows]
-    table = SweepTable(config, [float(text) for text in r_texts])
-    lines = _record_lines(table, r_texts)
-    for row, (texts, line, r) in enumerate(zip(rows, lines, table.r.tolist())):
+    r = np.array([float(text) for text in r_texts])
+    outside = np.abs(r) > 1.0
+    # a record whose r is outside fails at its r field at the latest, so
+    # the labels its writer's line gets from the nan in its place are never read
+    lines = _record_lines(SweepTable(config, np.where(outside, np.nan, r)), r_texts)
+    for row, (texts, line) in enumerate(zip(rows, lines)):
         for name, found, writes in zip(_FIELD_NAMES, texts, line.split(",")):
-            if name == "r" and abs(r) > 1.0:
-                _fail(row, f"r={r!r} outside [-1, 1]")
+            if name == "r" and outside[row]:
+                _fail(row, f"r={r[row].item()!r} outside [-1, 1]")
             if found != writes:
                 _fail(row, f"{name} does not match: found {found!r}, sweep writes {writes!r}")
 
@@ -325,7 +341,7 @@ def read_sweep_csv(path, config: SweepConfig) -> SweepTable:
         table = SweepTable(config, np.fromiter(map(float, r_texts), float, len(records)))
     except (IndexError, ValueError):
         table = None
-    if (not clean or table is None or (np.abs(table.r) > 1.0).any()
+    if (not clean or table is None
             or not all(map(str.__eq__, records, _record_lines(table, r_texts)))):
         _fail_unreadable(records, config)
     return table

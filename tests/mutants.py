@@ -7,15 +7,15 @@ Run from anywhere, with the test dependencies installed:
 
 ``MUTANTS`` lists each mutant as exact-text edits and the contract it
 breaks; an unknown NAME exits with code 2 and lists the known names.  Each
-run copies ``src/``, ``tests/``, ``perfbench/`` and ``pyproject.toml`` to a
-temporary directory, so that the tests which start subprocesses load the
-copy too, and runs the Tier-1 command there with plain asserts and a JUnit
-report.  The script runs an unmutated copy once.  Then, for each selected
-mutant, it applies the edits to a fresh copy (an old text not found exactly
-once stops the script) and runs Tier-1 twice: in full, and "digest-blind",
-without ``tests/test_golden.py`` and ``tests/test_determinism.py``.  It
-prints the tests that pass unmutated and fail under the mutant, then a
-summary table.  A mutant that no digest-blind test catches is marked
+run copies ``src/``, ``tests/``, ``perfbench/``, ``pyproject.toml`` and
+``README.md`` to a temporary directory, so that the tests which start
+subprocesses load the copy too, and runs the Tier-1 command there with
+plain asserts and a JUnit report.  The script runs an unmutated copy
+once.  Then, for each selected mutant, it applies the edits to a fresh copy
+(an old text not found exactly once stops the script) and runs Tier-1
+twice: in full, and "digest-blind", without ``tests/test_golden.py`` and
+``tests/test_determinism.py``.  It prints the tests that pass unmutated and
+fail under the mutant, then a summary table.  A mutant that no digest-blind test catches is marked
 ``SURVIVES``.
 
 pytest does not collect this file.  It writes only under its temporary
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
 DIGEST_FILES = ("tests/test_golden.py", "tests/test_determinism.py")
 DYNAMICS, METRICS = "src/dyadsim/dynamics.py", "src/dyadsim/metrics.py"
 SWEEP, STATS = "src/dyadsim/sweep.py", "src/dyadsim/stats.py"
@@ -80,7 +80,7 @@ MUTANTS = (
         scalar_noise("noise[1::2] = noise[:-1:2]"),
     )),
     Mutant("one-seed-per-context", "each run of a context has its own seed", (
-        (SWEEP, "z = _mix64(z ^ int(run_index))", "z = _mix64(z)"),
+        (SWEEP, 'z = _mix64(z ^ _checked_seed(run_index, "run_index"))', "z = _mix64(z)"),
         (SWEEP, "np.arange(runs, dtype=np.uint64)", "np.zeros(runs, dtype=np.uint64)"),
     )),
     Mutant("reassociated-recurrence",
@@ -96,13 +96,24 @@ MUTANTS = (
         (SWEEP, "_record_lines(table, map(repr, table.r.tolist()))",
          "_record_lines(table, map('{:.15g}'.format, table.r.tolist()))"),
     )),
+    Mutant("seed-index-wraps", "derive_run_seed takes only indices in [0, 2**64)", (
+        (SWEEP, '_checked_seed(context_index, "context_index")', "int(context_index) & _MASK64"),
+        (SWEEP, '_checked_seed(run_index, "run_index")', "int(run_index) & _MASK64"),
+    )),
+    Mutant("context-checked-late", "context_batches names a bad context before simulating", (
+        (SWEEP, "        if not isinstance(context, ContextMatrix):\n", "        if False:\n"),
+    )),
+    Mutant("coefficient-shape-unchecked",
+           "simulate_rows takes one row of four coefficients per seed", (
+        (DYNAMICS, "if A.shape != (m, 4) and (m or A.size):", "if False:"),
+    )),
     Mutant("record-not-compared",
            "a record whose non-r fields differ from the writer's line is rejected", (
         (SWEEP, "\n            or not all(map(str.__eq__, records, "
                 "_record_lines(table, r_texts)))):", "):"),
     )),
-    Mutant("r-range-unchecked", "a defined r outside [-1, 1] is rejected", (
-        (SWEEP, " or (np.abs(table.r) > 1.0).any()", ""),
+    Mutant("r-range-unchecked", "a SweepTable's defined r lies in [-1, 1]", (
+        (SWEEP, "        if outside.size:\n", "        if False:\n"),
     )),
     Mutant("closed-lower-tail", "r = -threshold is neutral, not complementary", (
         (SWEEP, "np.where(r < -threshold,", "np.where(r <= -threshold,"),
@@ -141,6 +152,9 @@ MUTANTS = (
     )),
     Mutant("no-finite-check", "fit_least_squares rejects a non-finite X or y", (
         (STATS, "if not np.isfinite(values).all():", "if False:"),
+    )),
+    Mutant("repeated-column-name", "each fitted coefficient has a name of its own", (
+        (STATS, "if name in names[:j]:", "if False:"),
     )),
 )
 

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -415,6 +417,19 @@ class TestErrorCategories:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--threshold", "0.9", "--influence", "0.1"],
+         "tail statistics: a tail is empty; sweep too small"),
+        (["--threshold", "0.99"], "tail-comparison chi-square: zero expected cell count"),
+    ], ids=["empty-tail", "zero-expected-cell"])
+    def test_degenerate_sweep_is_analysis_error(self, tmp_path, capsys, flags, message):
+        args, csv, out = [*flags, "--runs", "2", "--turns", "50"], tmp_path / "s.csv", tmp_path / "r"
+        assert main(["sweep", *args, "--out", str(csv)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", *args, "--input", str(csv), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"dyadsim: error: analysis: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, kind", [
         (["analyze", "--input"], "sweep CSV"),
         (["figures", "--input"], "sweep CSV"),
@@ -800,6 +815,29 @@ class TestFlagHandling:
         pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
         with pyproject.open("rb") as fh:
             assert tomllib.load(fh)["project"]["version"] == dyadsim.__version__
+
+
+class TestReadme:
+    def test_settings_table_lists_each_commands_flags_and_defaults(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("| command | settings |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        documented = {}
+        for row in table.splitlines():
+            commands, flags = row.strip("|").split("|")
+            for command in re.findall(r"`(\w+)`", commands):
+                documented[command] = re.findall(r"`(--[a-z-]+)`(?: \(([^)]*)\))?", flags)
+        assert sorted(documented) == sorted(subparsers.choices)
+        for command, parser in subparsers.choices.items():
+            defaults = {  # each setting's default, as its --help text shows it
+                action.option_strings[0]: re.fullmatch(r".* \(default (.+)\)", action.help)[1]
+                for action in parser._actions
+                if action.dest not in ("help", "config", "out", "input", "context")
+            }
+            assert sorted(flag for flag, _ in documented[command]) == sorted(defaults), command
+            for flag, shown in documented[command]:
+                assert shown in ("", defaults[flag]), (command, flag)
 
 
 class TestSettings:

@@ -400,6 +400,17 @@ class TestSimulateBatch:
         B1, B2 = simulate_batch(ContextMatrix(1, 1, 1, 1), params, [3])
         assert not np.isfinite(B1[0]).all()
 
+    @pytest.mark.parametrize("coefficients, shape", [
+        ([(0.1, 0.2, 0.3, 0.4)] * 2, "(2, 4)"), ([0.1, 0.2, 0.3, 0.4], "(4,)"),
+        ([(0.1, 0.2, 0.3)], "(1, 3)"), ([], "(0,)"),
+    ], ids=["two-rows", "flat", "three-entries", "empty"])
+    def test_kernel_needs_one_row_of_four_coefficients_per_seed(self, coefficients, shape):
+        # unchecked, two rows for one seed raised numpy's "cannot reshape array
+        # of size 8 into shape (1,2,2)" after drawing the row
+        with pytest.raises(ValueError) as caught:
+            simulate_rows(coefficients, ModelParams(turns=5), [1])
+        assert str(caught.value) == f"coefficients must have shape (1, 4) for 1 seeds, found {shape}"
+
 
 class TestSimulateBatchProperties:
     @settings(deadline=None, max_examples=80)

@@ -323,6 +323,19 @@ class TestFitLeastSquares:
             fit_least_squares(np.zeros(20), np.zeros(20))
         assert str(caught.value) == "X must be 2-D (n, k), got shape (20,)"
 
+    @pytest.mark.parametrize("columns, message", [
+        (("intercept", "b"), "column name 'intercept' names the intercept"),
+        (("a", "a"), "column name 'a' names two columns"),
+        (("a",), "column name count does not match X"),
+    ], ids=["intercept", "repeated", "count"])
+    def test_column_names_must_name_one_column_each(self, columns, message):
+        # unchecked, ("intercept", "b") reported column 0's slope as the
+        # intercept, and ("a", "a") reported one coefficient
+        X = np.random.default_rng(34).normal(size=(20, 2))
+        with pytest.raises(ValueError) as caught:
+            fit_least_squares(X, 3.0 + X @ [1.0, 2.0], columns)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["X", "y"])
     def test_non_finite_entry_is_named(self, name, value):

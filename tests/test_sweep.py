@@ -96,12 +96,36 @@ class TestDeriveRunSeed:
         assert len(seeds) == 8100
 
     def test_64_bit_range(self):
-        s = derive_run_seed(-1, 80, 99)
+        s = derive_run_seed(2**64 - 1, 80, 99)
         assert 0 <= s < 2**64
 
-    @pytest.mark.parametrize("master_seed", [-1, 0, 42, 2**64 + 5])
+    # unchecked, -1 gave the chain of 2**64 - 1, 2**64 + 5 that of 5, 0.9
+    # that of 0 and True that of 1
+    @pytest.mark.parametrize("args, message", [
+        ((-1, 0, 0), "master_seed -1 outside [0, 2**64)"),
+        ((2**64 + 5, 0, 0), "master_seed 18446744073709551621 outside [0, 2**64)"),
+        ((42, 0.9, 0), "context_index 0.9 is not an integer"),
+        ((42, True, 0), "context_index True is not an integer"),
+        ((42, 0, -1), "run_index -1 outside [0, 2**64)"),
+        ((42, 0, 2**64), "run_index 18446744073709551616 outside [0, 2**64)"),
+    ], ids=["master_seed=-1", "master_seed=2**64+5", "context_index=0.9",
+            "context_index=True", "run_index=-1", "run_index=2**64"])
+    def test_input_outside_the_seed_rule_is_named(self, args, message):
+        with pytest.raises(ValueError) as caught:
+            derive_run_seed(*args)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("master_seed", [-1, 0, 42, 2**64 + 5, 2**64 - 1])
     @pytest.mark.parametrize("runs", [1, 400])
     def test_array_chain_equals_scalar(self, master_seed, runs):
+        if not 0 <= master_seed < 2**64:
+            # the array chain is reached only through a SweepConfig; both
+            # refuse a seed outside the rule, so neither gives an aliased chain
+            with pytest.raises(ValueError, match=rf"^seed {master_seed} outside"):
+                SweepConfig(master_seed=master_seed, runs_per_context=runs)
+            with pytest.raises(ValueError, match=rf"^master_seed {master_seed} outside"):
+                derive_run_seed(master_seed, 0, 0)
+            return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             seeds = sweep._run_seeds(master_seed, range(81), runs)
@@ -342,6 +366,15 @@ class TestContextGroups:
             assert B1.tobytes() == want[2].tobytes() and B2.tobytes() == want[3].tobytes()
 
 
+    def test_bad_context_is_named_before_any_group_is_simulated(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sweep, "simulate_rows", lambda *args: calls.append(args))
+        with pytest.raises(ValueError) as caught:
+            next(sweep.context_batches(self.CONFIG, [*self.CONTEXTS, (1, 0, 0, 1)]))
+        assert str(caught.value) == "contexts[5] is (1, 0, 0, 1), not a ContextMatrix"
+        assert calls == []
+
+
 class TestTailCounts:
     def _table(self, r_values):
         """A one-run-per-context table: ``r_values``, then 0.0 up to 81 runs."""
@@ -369,6 +402,18 @@ class TestTailCounts:
              "long": np.zeros(81 * runs + 1), "2d": np.zeros((81, runs))}[shape]
         with pytest.raises(ValueError, match=rf"81 x {runs} = {81 * runs} values, found shape"):
             SweepTable(config, r)
+
+    @pytest.mark.parametrize("value", [1.5, np.inf, -np.inf, -1.0000000000000002])
+    def test_r_outside_the_unit_interval_rejected(self, value):
+        # accepted, r = 2.0 was written as a record the reader rejects, and an
+        # infinite r counted as finite and synchronous
+        config, r = SweepConfig(master_seed=1, runs_per_context=1), np.zeros(81)
+        r[4] = math.copysign(1.0, value)
+        SweepTable(config, r)
+        r[4] = value
+        with pytest.raises(ValueError) as caught:
+            SweepTable(config, r)
+        assert str(caught.value) == f"r[4] = {value!r} outside [-1, 1]"
 
     def test_replaced_r_keeps_the_grid(self):
         table = SweepTable(SweepConfig(master_seed=2, runs_per_context=2), np.zeros(162))
