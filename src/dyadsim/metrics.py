@@ -118,11 +118,22 @@ def pearson_r(x, y) -> float:
 
 
 class _LagAxis:
-    """The ``lags`` property of a result over lags -max_lag..+max_lag."""
+    """The ``lags`` property, and the check of its length, of a result over
+    lags -max_lag..+max_lag."""
 
     @property
     def lags(self) -> np.ndarray:
         return np.arange(-self.max_lag, self.max_lag + 1)
+
+    def _check_lag_axis(self, name: str) -> None:
+        """Store ``max_lag`` as a count (:func:`_checked_int`), or raise
+        ``ValueError`` unless the last axis of field ``name`` holds one entry
+        per lag, naming both lengths."""
+        object.__setattr__(self, "max_lag", _checked_int("max_lag", self.max_lag))
+        shape, lags = np.shape(getattr(self, name)), 2 * self.max_lag + 1
+        if not shape or shape[-1] != lags:
+            raise ValueError(f"{name} must have 2 * max_lag + 1 = {lags} entries on its last "
+                             f"axis, found shape {shape}")
 
 
 @dataclass(frozen=True)
@@ -133,11 +144,16 @@ class CcfResult(_LagAxis):
     x[0:n-k] with y[k:n], i.e. Person 2's series lags Person 1's (Person 1
     leads).  ``values[max_lag]`` (k = 0) equals the plain Pearson r of the
     aligned series.  Undefined lags are nan.  A stacked result holds one CCF
-    per row, and ``value`` reads a single series' CCF only.
+    per row, and ``value`` reads a single series' CCF only.  ``max_lag`` must
+    be an integer >= 1 and the last axis of ``values`` must hold
+    2 * max_lag + 1 entries, else ``ValueError``.
     """
 
     max_lag: int
     values: np.ndarray
+
+    def __post_init__(self):
+        self._check_lag_axis("values")
 
     def value(self, k: int) -> float:
         if not -self.max_lag <= k <= self.max_lag:
@@ -248,11 +264,15 @@ class LagSpec:
 
 @dataclass(frozen=True)
 class LagDistribution(_LagAxis):
-    """Counts of signed nearest-on-state lags in [-max_lag, +max_lag]."""
+    """Counts of signed nearest-on-state lags in [-max_lag, +max_lag]: an
+    integer ``max_lag`` >= 1 and 2 * max_lag + 1 ``counts``, else ``ValueError``."""
 
     max_lag: int
     counts: np.ndarray
     total_events: int
+
+    def __post_init__(self):
+        self._check_lag_axis("counts")
 
     @property
     def rel_freq(self) -> np.ndarray:

@@ -45,9 +45,13 @@ _ROW_SUFFIXES = tuple(
 _MASK64 = (1 << 64) - 1
 
 # most cells (rows x (turns + 1)) per simulate_rows and per pearson_rows
-# call of run_sweep: bounds its buffers (16 B a cell) and temporaries
+# call of run_sweep: bounds its buffers (16 B a cell) and temporaries.  A
+# run_sweep block takes at least _MIN_BLOCK_ROWS rows (one run per context),
+# since a kernel call pays a fixed dispatch cost per turn whatever its rows:
+# a block holds at most max(2^18 cells, 81 rows)
 _CELL_BUDGET = 1 << 18
 _PEARSON_CELLS = 1 << 15
+_MIN_BLOCK_ROWS = 81
 
 _CONTEXTS = tuple(ContextMatrix(*combo) for combo in itertools.product((-1, 0, 1), repeat=4))
 
@@ -69,7 +73,7 @@ class InvalidSweepError(ValueError):
 @dataclass(frozen=True)
 class SweepConfig:
     """Sweep settings: integer master seed in [0, 2**64), integer batch size >= 1,
-    dynamics, tail threshold."""
+    dynamics (a :class:`ModelParams`), tail threshold."""
 
     master_seed: int
     runs_per_context: int = 100
@@ -77,6 +81,8 @@ class SweepConfig:
     tail_threshold: float = 0.25
 
     def __post_init__(self):
+        if not isinstance(self.params, ModelParams):
+            raise ValueError(f"params must be a ModelParams, got {type(self.params).__name__}")
         object.__setattr__(self, "master_seed", _checked_seed(self.master_seed))
         runs = _checked_int("runs_per_context", self.runs_per_context)
         object.__setattr__(self, "runs_per_context", runs)
@@ -104,6 +110,8 @@ class SweepTable:
     run_seed: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.config, SweepConfig):
+            raise ValueError(f"config must be a SweepConfig, got {type(self.config).__name__}")
         runs = self.config.runs_per_context
         r = np.ascontiguousarray(self.r, dtype=float)
         if r.ndim != 1 or len(r) != 81 * runs:
@@ -204,18 +212,19 @@ def context_batches(config: SweepConfig, contexts):
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepTable:
     """Run the full 81-context sweep as blocks of :func:`simulate_rows` rows.
 
-    A block holds at most ``_CELL_BUDGET`` cells (rows x (turns + 1)) and may
-    span several contexts or part of one.  There is no finite pre-filter:
-    :func:`pearson_rows` takes contiguous row slices of each block and gives
-    a diverged row nan.  A row's result does not depend on the other rows,
-    so the output does not depend on where blocks fall.  ``workers`` must be
-    an integer >= 1 and changes nothing.
+    A block holds at most max(``_CELL_BUDGET`` cells, ``_MIN_BLOCK_ROWS``
+    rows), that is max(2^18 cells, 81 rows) with rows x (turns + 1) cells,
+    and may span several contexts or part of one.  There is no finite
+    pre-filter: :func:`pearson_rows` takes contiguous row slices of each
+    block and gives a diverged row nan.  A row's result does not depend on
+    the other rows, so the output does not depend on where blocks fall.
+    ``workers`` must be an integer >= 1 and changes nothing.
     """
     _checked_int("workers", workers)
     runs, params = config.runs_per_context, config.params
     seeds = _run_seeds(config.master_seed, range(81), runs)
     coefficients = np.repeat([params.coefficients(ctx) for ctx in _CONTEXTS], runs, axis=0)
-    block = max(1, _CELL_BUDGET // (params.turns + 1))
+    block = max(_MIN_BLOCK_ROWS, _CELL_BUDGET // (params.turns + 1))
     chunk = max(1, _PEARSON_CELLS // (params.turns + 1))
     r = np.empty(len(seeds))
     for lo in range(0, len(seeds), block):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -446,6 +447,27 @@ class TestAggregateCcf:
         with pytest.raises(ValueError):
             aggregate_ccf([res, CcfResult(max_lag=2, values=np.zeros(5))])
 
+    @pytest.mark.parametrize("max_lag,shape", [(2, (3,)), (1, (5,)), (2, (4, 3)), (1, ())],
+                             ids=["short", "long", "stack", "scalar"])
+    def test_values_off_the_lag_axis_rejected(self, max_lag, shape):
+        # accepted, the CSV writer wrote only as many lags as the shorter axis
+        # allowed, and mixed widths reached aggregate_ccf as numpy's vstack error
+        n = 2 * max_lag + 1
+        message = rf"^values must have 2 \* max_lag \+ 1 = {n} entries on its last axis, " \
+                  rf"found shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            CcfResult(max_lag=max_lag, values=np.full(shape, 0.1))
+        assert CcfResult(max_lag=max_lag, values=np.zeros((4, n))).values.shape == (4, n)
+
+    @pytest.mark.parametrize("max_lag,message", [
+        (0, "max_lag must be >= 1"), (1.0, "max_lag must be an integer, got 1.0"),
+        (True, "max_lag must be an integer, got True"),
+    ], ids=["zero", "float", "bool"])
+    def test_max_lag_must_be_a_count(self, max_lag, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CcfResult(max_lag=max_lag, values=np.zeros(3))
+        assert type(CcfResult(max_lag=np.int64(1), values=np.zeros(3)).max_lag) is int
+
 
 @st.composite
 def stacked_series(draw):
@@ -491,6 +513,19 @@ class TestStackedCcfProperties:
 
 
 class TestTurnLags:
+    @pytest.mark.parametrize("max_lag,counts,message", [
+        (1, np.arange(1, 6), "counts must have 2 * max_lag + 1 = 3 entries on its last axis, "
+                             "found shape (5,)"),
+        (2, np.ones(3, dtype=int), "counts must have 2 * max_lag + 1 = 5 entries on its last "
+                                   "axis, found shape (3,)"),
+        (0, np.array([5]), "max_lag must be >= 1"),
+        ("1", np.ones(3, dtype=int), "max_lag must be an integer, got '1'"),
+    ], ids=["long", "short", "zero-lag", "str-lag"])
+    def test_distribution_off_the_lag_axis_rejected(self, max_lag, counts, message):
+        # accepted, lag_csv_text wrote 3 of the 5 counts of the first case
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LagDistribution(max_lag=max_lag, counts=counts, total_events=int(counts.sum()))
+
     def test_identical_series_all_zero_lags(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=100)

@@ -389,7 +389,7 @@ def _ccf_aggregates(draw):
 
 @st.composite
 def _lag_distributions(draw):
-    max_lag, dtype = draw(st.integers(0, 8)), draw(_int_dtypes)
+    max_lag, dtype = draw(st.integers(1, 8)), draw(_int_dtypes)
     counts = _count_array(draw, 2 * max_lag + 1, dtype)
     return LagDistribution(max_lag=max_lag, counts=counts,
                            total_events=draw(st.sampled_from([0, int(counts.sum()), 7])))
@@ -439,7 +439,7 @@ class TestWritersMatchTheirReferences:
     @given(_lag_distributions())
     @example(LagDistribution(max_lag=1, counts=np.array([1, 0, 2], dtype=np.uint16),
                              total_events=3))
-    @example(LagDistribution(max_lag=0, counts=np.array([5]), total_events=0))
+    @example(LagDistribution(max_lag=1, counts=np.array([5, 0, 0]), total_events=0))
     def test_lags(self, dist):
         assert_same_text(lag_csv_text(dist), _lag_csv_reference(dist))
 

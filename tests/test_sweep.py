@@ -150,6 +150,15 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=message):
             SweepConfig(master_seed=1, runs_per_context=runs)
 
+    @pytest.mark.parametrize("params,found", [({"turns": 5}, "dict"), (None, "NoneType"),
+                                              (ContextMatrix(1, 0, 0, 1), "ContextMatrix")],
+                             ids=["dict", "None", "ContextMatrix"])
+    def test_params_of_another_type_rejected(self, params, found):
+        # accepted, run_sweep failed with AttributeError: 'dict' object has no
+        # attribute 'coefficients'
+        with pytest.raises(ValueError, match=f"^params must be a ModelParams, got {found}$"):
+            SweepConfig(master_seed=1, params=params)
+
     def test_numpy_integer_fields_stored_as_int(self):
         config = SweepConfig(master_seed=np.uint64(1), runs_per_context=np.int64(2),
                              params=ModelParams(turns=np.int64(40)))
@@ -273,15 +282,22 @@ class TestRowBlocks:
     CONFIG = DIVERGING
     ROWS, CELLS_PER_ROW = 81 * 3, 1201
 
-    def _run(self, monkeypatch, budget):
+    @staticmethod
+    def _kernel_calls(monkeypatch) -> list:
+        """The row count of each simulate_rows call run_sweep makes from now on."""
         calls = []
 
         def counted(coefficients, params, seeds):
             calls.append(len(seeds))
             return simulate_rows(coefficients, params, seeds)
 
-        monkeypatch.setattr(sweep, "_CELL_BUDGET", budget)
         monkeypatch.setattr(sweep, "simulate_rows", counted)
+        return calls
+
+    def _run(self, monkeypatch, budget):
+        calls = self._kernel_calls(monkeypatch)
+        monkeypatch.setattr(sweep, "_CELL_BUDGET", budget)
+        monkeypatch.setattr(sweep, "_MIN_BLOCK_ROWS", 1)  # else every block takes 81 rows
         table = run_sweep(self.CONFIG)
         assert sum(calls) == self.ROWS
         assert len(calls) <= math.ceil(self.ROWS * self.CELLS_PER_ROW / budget)
@@ -300,18 +316,26 @@ class TestRowBlocks:
     def test_wide_power_of_two_stride_blocks_match_scalar(self, monkeypatch):
         # 63 turns: 4,096-row blocks whose row stride is 64 doubles
         config = SweepConfig(master_seed=42, runs_per_context=400, params=ModelParams(turns=63))
-        calls = []
-
-        def counted(coefficients, params, seeds):
-            calls.append(len(seeds))
-            return simulate_rows(coefficients, params, seeds)
-
-        monkeypatch.setattr(sweep, "simulate_rows", counted)
+        calls = self._kernel_calls(monkeypatch)
         table = run_sweep(config)
         assert calls[0] == 4096 and sum(calls) == 81 * 400
         contexts = enumerate_contexts()
         for i in range(0, len(table), 400):
             for row in (i, i + 399):
+                ci, seed = int(table.context_index[row]), int(table.run_seed[row])
+                assert table.r[row].hex() == _scalar_r(contexts[ci], config.params, seed).hex()
+
+    def test_long_runs_take_at_least_81_rows_per_block(self, monkeypatch):
+        # 4,000 turns: 65 rows fit the cell budget, so the row floor sets the
+        # blocks, and at 2 runs a context they split context 40
+        config = SweepConfig(master_seed=9, runs_per_context=2, params=ModelParams(turns=4000))
+        calls = self._kernel_calls(monkeypatch)
+        table = run_sweep(config)
+        assert sweep._CELL_BUDGET // 4001 < 81
+        assert calls == [81] * math.ceil(len(table) / 81)
+        contexts = enumerate_contexts()
+        for lo in range(0, len(table), 81):
+            for row in (lo, lo + 80):
                 ci, seed = int(table.context_index[row]), int(table.run_seed[row])
                 assert table.r[row].hex() == _scalar_r(contexts[ci], config.params, seed).hex()
 
@@ -402,6 +426,14 @@ class TestTailCounts:
              "long": np.zeros(81 * runs + 1), "2d": np.zeros((81, runs))}[shape]
         with pytest.raises(ValueError, match=rf"81 x {runs} = {81 * runs} values, found shape"):
             SweepTable(config, r)
+
+    @pytest.mark.parametrize("config,found", [({"runs_per_context": 1}, "dict"),
+                                              (None, "NoneType"), (ModelParams(), "ModelParams")],
+                             ids=["dict", "None", "ModelParams"])
+    def test_config_of_another_type_rejected(self, config, found):
+        # accepted, a dict failed with AttributeError on runs_per_context
+        with pytest.raises(ValueError, match=f"^config must be a SweepConfig, got {found}$"):
+            SweepTable(config, np.zeros(81))
 
     @pytest.mark.parametrize("value", [1.5, np.inf, -np.inf, -1.0000000000000002])
     def test_r_outside_the_unit_interval_rejected(self, value):
