@@ -10,16 +10,32 @@ distributions.
 
 Each module's ``__all__`` is its public API, and the package re-exports
 those of ``dynamics``, ``metrics``, ``sweep``, ``stats`` and ``report``.
+A name is imported on first use (PEP 562), so that a command loads only
+the modules it runs.
 """
 
-__version__ = "0.1.0"  # set before the submodules, which read it
+__version__ = "0.1.0"
 
-from dyadsim import dynamics, metrics, report, stats, sweep
-from dyadsim.dynamics import *  # noqa: F401,F403
-from dyadsim.metrics import *  # noqa: F401,F403
-from dyadsim.sweep import *  # noqa: F401,F403
-from dyadsim.stats import *  # noqa: F401,F403
-from dyadsim.report import *  # noqa: F401,F403
 
-__all__ = [*dynamics.__all__, *metrics.__all__, *sweep.__all__, *stats.__all__,
-           *report.__all__, "__version__"]
+def _submodule(name):
+    # builtins.__import__, unlike importlib.import_module, is timed by -X importtime
+    __import__(f"{__name__}.{name}")  # binds the submodule in this module's globals
+    return globals()[name]
+
+
+def __getattr__(name):
+    """A submodule, or the public name of the first of the re-exported modules
+    whose ``__all__`` lists it, imported on first use and then cached."""
+    names = ("dynamics", "metrics", "sweep", "stats", "report")  # the __all__ order
+    if name in names or name == "cli":
+        return _submodule(name)
+    modules = map(_submodule, names)
+    if name == "__all__":
+        value = [*(listed for module in modules for listed in module.__all__), "__version__"]
+    else:
+        module = next((module for module in modules if name in module.__all__), None)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(module, name)
+    globals()[name] = value
+    return value

@@ -12,10 +12,10 @@ import os
 import sys
 from pathlib import Path
 
-from dyadsim import __version__, dynamics, report as report_mod, sweep as sweep_mod
+from dyadsim import __version__, dynamics, sweep as sweep_mod
 from dyadsim.dynamics import ContextMatrix, ModelParams, _checked_int
-from dyadsim.metrics import _MAX_BINS, LagSpec, _check_ccf_length
-from dyadsim.sweep import InvalidSweepError, SweepConfig
+from dyadsim.metrics import _MAX_BINS, HISTOGRAM_BINS, LagSpec, _check_ccf_length
+from dyadsim.sweep import AnalysisError, InvalidSweepError, SweepConfig
 
 __all__ = ["parse_context", "build_parser", "main"]
 
@@ -40,7 +40,7 @@ _KEYS = {
     "noise": (float, ModelParams.noise_half_width, "noise half-width"),
     "threshold": (float, SweepConfig.tail_threshold, "tail threshold on r"),
     "max_lag": (int, LagSpec.max_lag, "largest lag"),
-    "bins": (int, report_mod.HISTOGRAM_BINS, "histogram bins"),
+    "bins": (int, HISTOGRAM_BINS, "histogram bins"),
     "workers": (int, 1, "accepted, no effect"),
 }
 # key -> the SweepConfig or ModelParams field it sets; a range error names the
@@ -238,6 +238,8 @@ def _cmd_sweep(args, settings, config) -> int:
 
 
 def _cmd_analyze(args, settings, config) -> int:
+    from dyadsim import report as report_mod
+
     table = sweep_mod.read_sweep_csv(args.input, config)
     result = report_mod.analyze(table)
     for path in report_mod.write_report(result, _out_dir(args)):
@@ -246,6 +248,8 @@ def _cmd_analyze(args, settings, config) -> int:
 
 
 def _cmd_simulate(args, settings, config) -> int:
+    from dyadsim import report as report_mod
+
     B1, B2 = dynamics.simulate_batch(args.context, config.params, [config.master_seed])
     trajectory = dynamics.Trajectory(args.context, config.master_seed, B1[0], B2[0])
     out = _out_file(args, "trajectory.csv")
@@ -256,6 +260,8 @@ def _cmd_simulate(args, settings, config) -> int:
 
 def _context_payloads(args, config, max_lag: int, *panels) -> dict:
     """The panels cut from each context's batch; each group is simulated once."""
+    from dyadsim import report as report_mod
+
     payloads = {}
     contexts = args.context or report_mod.DEFAULT_FIGURE_CONTEXTS
     for batch in sweep_mod.context_batches(config, contexts):
@@ -266,6 +272,8 @@ def _context_payloads(args, config, max_lag: int, *panels) -> dict:
 
 
 def _write_payloads(args, payloads) -> int:
+    from dyadsim import report as report_mod
+
     for path in report_mod.write_payloads(payloads, _out_dir(args)):
         print(f"wrote {path}")
     return EXIT_OK
@@ -278,6 +286,8 @@ def _panel_command(args, settings, config, panel: str) -> int:
 
 
 def _cmd_figures(args, settings, config) -> int:
+    from dyadsim import report as report_mod
+
     if args.input is not None:
         table = sweep_mod.read_sweep_csv(args.input, config)
     else:
@@ -305,7 +315,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args, settings, config)  # argparse enforces the choices
     except InvalidSweepError as exc:
         return _error("input", str(exc), EXIT_INPUT)
-    except (report_mod.AnalysisError, dynamics.NonFiniteStateError) as exc:
+    except (AnalysisError, dynamics.NonFiniteStateError) as exc:
         return _error("analysis", str(exc), EXIT_ANALYSIS)
     except ValueError as exc:
         return _error("validation", str(exc), EXIT_USAGE)

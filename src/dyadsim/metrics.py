@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dyadsim.dynamics import _checked_float, _checked_int
+from dyadsim.dynamics import _checked_float, _checked_int, _integer
 
 __all__ = [
     "UndefinedCorrelationError",
@@ -206,12 +206,18 @@ def cross_correlation(x, y, max_lag: int) -> CcfResult:
 
 @dataclass(frozen=True)
 class CcfAggregate(_LagAxis):
-    """Per-lag mean/SD over a batch of CCFs, with defined-value counts."""
+    """Per-lag mean/SD over a batch of CCFs, with defined-value counts: an
+    integer ``max_lag`` >= 1 and 2 * max_lag + 1 entries in each of ``mean``,
+    ``sd`` and ``n_defined``, else ``ValueError``."""
 
     max_lag: int
     mean: np.ndarray
     sd: np.ndarray
     n_defined: np.ndarray
+
+    def __post_init__(self):
+        for name in ("mean", "sd", "n_defined"):
+            self._check_lag_axis(name)
 
 
 def aggregate_ccf(results: list[CcfResult]) -> CcfAggregate:
@@ -265,7 +271,8 @@ class LagSpec:
 @dataclass(frozen=True)
 class LagDistribution(_LagAxis):
     """Counts of signed nearest-on-state lags in [-max_lag, +max_lag]: an
-    integer ``max_lag`` >= 1 and 2 * max_lag + 1 ``counts``, else ``ValueError``."""
+    integer ``max_lag`` >= 1, 2 * max_lag + 1 ``counts`` and a ``total_events``
+    that is the integer sum of the counts, else ``ValueError``."""
 
     max_lag: int
     counts: np.ndarray
@@ -273,6 +280,11 @@ class LagDistribution(_LagAxis):
 
     def __post_init__(self):
         self._check_lag_axis("counts")
+        total, expected = _integer(self.total_events), int(np.sum(self.counts))
+        if total != expected:
+            raise ValueError(f"total_events must be the integer sum of counts, {expected}, "
+                             f"got {self.total_events!r}")
+        object.__setattr__(self, "total_events", total)
 
     @property
     def rel_freq(self) -> np.ndarray:
@@ -340,6 +352,9 @@ def turn_lags(x, y, spec: LagSpec = LagSpec()) -> LagDistribution:
     lag = lag[np.abs(lag) <= reach]
     counts = np.bincount(lag + max_lag, minlength=2 * max_lag + 1)
     return LagDistribution(max_lag=max_lag, counts=counts, total_events=len(lag))
+
+
+HISTOGRAM_BINS = 40  # the r histogram's default bin count over [-1, 1]
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ DEFAULT_FIGURE_CONTEXTS = (
 )
 
 PANEL_NAMES = ("r_histogram", "ccf_panel", "lag_panel", "trajectory_panel")
-HISTOGRAM_BINS = 40  # the r histogram's default bin count over [-1, 1]
 
 UNIFORM_NEGATIVE_PROB = 65.0 / 81.0  # contexts with at least one -1 entry
 
@@ -57,8 +56,7 @@ UNIFORM_NEGATIVE_PROB = 65.0 / 81.0  # contexts with at least one -1 entry
 _FIT_KEYS = ("k_effective", "r2", "adj_r2", "aic", "bic", "rss", "n")
 
 
-class AnalysisError(ValueError):
-    """A statistic could not be computed from otherwise valid input."""
+AnalysisError = sweep_mod.AnalysisError  # exported here; see sweep.AnalysisError
 
 
 @dataclass(frozen=True)
@@ -232,7 +230,7 @@ def figure_data(
     *,
     table: sweep_mod.SweepTable | None = None,
     max_lag: int = metrics.LagSpec.max_lag,
-    bins: int = HISTOGRAM_BINS,
+    bins: int = metrics.HISTOGRAM_BINS,
     batch=None,
 ) -> dict:
     """CSV payload for one figure panel, keyed by output filename.

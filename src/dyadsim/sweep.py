@@ -70,6 +70,13 @@ class InvalidSweepError(ValueError):
     """A sweep CSV failed structural or consistency validation."""
 
 
+class AnalysisError(ValueError):
+    """A statistic could not be computed from otherwise valid input.
+
+    ``report`` raises it and exports it; it is defined here so that ``cli``
+    can map it to its exit code without importing ``report``."""
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Sweep settings: integer master seed in [0, 2**64), integer batch size >= 1,

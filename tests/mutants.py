@@ -38,7 +38,7 @@ COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
 DIGEST_FILES = ("tests/test_golden.py", "tests/test_determinism.py")
 DYNAMICS, METRICS = "src/dyadsim/dynamics.py", "src/dyadsim/metrics.py"
 SWEEP, STATS = "src/dyadsim/sweep.py", "src/dyadsim/stats.py"
-REPORT = "src/dyadsim/report.py"
+REPORT, CLI = "src/dyadsim/report.py", "src/dyadsim/cli.py"
 
 
 class Mutant(NamedTuple):
@@ -91,6 +91,13 @@ MUTANTS = (
     Mutant("global-pearson-scale", "pearson_rows scales each row by its own largest deviation", (
         (METRICS, "        xm /= xs[:, None]\n        ym /= ys[:, None]\n",
          "        xm /= np.fmax.reduce(xs)\n        ym /= np.fmax.reduce(ys)\n"),
+    )),
+    Mutant("ccf-aggregate-unchecked", "a CcfAggregate holds one mean, sd and count per lag", (
+        (METRICS, '        for name in ("mean", "sd", "n_defined"):\n'
+                  '            self._check_lag_axis(name)\n', "        pass\n"),
+    )),
+    Mutant("lag-total-unchecked", "a LagDistribution's total_events is its counts' sum", (
+        (METRICS, "        if total != expected:\n", "        if False:\n"),
     )),
     Mutant("short-csv-float", "the sweep CSV writes every r round-trip safe", (
         (SWEEP, "_record_lines(table, map(repr, table.r.tolist()))",
@@ -155,6 +162,10 @@ MUTANTS = (
     )),
     Mutant("repeated-column-name", "each fitted coefficient has a name of its own", (
         (STATS, "if name in names[:j]:", "if False:"),
+    )),
+    Mutant("eager-report-import", "import dyadsim.cli and sweep load neither report nor stats", (
+        (CLI, "from dyadsim import __version__, dynamics, sweep as sweep_mod",
+         "from dyadsim import __version__, dynamics, report, sweep as sweep_mod"),
     )),
 )
 

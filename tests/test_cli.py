@@ -817,6 +817,69 @@ class TestFlagHandling:
             assert tomllib.load(fh)["project"]["version"] == dyadsim.__version__
 
 
+class TestColdStart:
+    """Each command in a fresh interpreter: what it loads, and its exit codes."""
+
+    SWEEP_MODULES = ["dyadsim", "dyadsim.cli", "dyadsim.dynamics", "dyadsim.metrics",
+                     "dyadsim.sweep"]
+
+    def test_import_and_sweep_load_only_the_sweep_modules(self, tmp_path):
+        code = (
+            "import sys\n"
+            "def loaded():\n"
+            "    return (sorted(m for m in sys.modules if m.split('.')[0] == 'dyadsim'),"
+            " 'json' in sys.modules)\n"
+            "import dyadsim.cli\n"
+            "print(loaded())\n"
+            "print(dyadsim.cli.main('sweep --runs 1 --turns 10 --out s.csv'.split()))\n"
+            "print(loaded())\n"
+        )
+        result = run_python(["-c", code], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        want = repr((self.SWEEP_MODULES, False))
+        assert result.stdout.splitlines() == [want, "wrote s.csv (81 records)", "0", want]
+
+    def test_analyze_error_exit_code_without_report_imported_first(self, tmp_path):
+        # main maps AnalysisError to exit 4 before any command has imported report
+        flags = ["--runs", "1", "--turns", "60", "--threshold", "0.99"]
+        swept = run_cli(["sweep", *flags, "--out", "s.csv"], cwd=tmp_path)
+        assert swept.returncode == 0, swept.stderr
+        result = run_cli(["analyze", *flags, "--input", "s.csv", "--out", "r"], cwd=tmp_path)
+        assert (result.returncode, result.stdout) == (4, "")
+        assert result.stderr == ("dyadsim: error: analysis: tail-comparison chi-square: "
+                                 "zero expected cell count\n")
+        assert not (tmp_path / "r").exists()
+
+    def test_help_exits_0(self, tmp_path):
+        # --version: TestFlagHandling::test_version_flag
+        result = run_cli(["--help"], cwd=tmp_path)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith("usage: dyadsim ")
+
+    def test_fresh_chain_writes_the_in_process_bytes(self, tmp_path):
+        # analyze and figures import report on first use; their bytes do not move
+        def chain(run, out):
+            csv = str(out / "s.csv")
+            for argv in (["sweep", *SMALL, "--out", csv],
+                         ["analyze", *SMALL, "--input", csv, "--out", str(out / "report")],
+                         ["figures", *SMALL, "--input", csv, "--out", str(out / "figs")]):
+                run(argv)
+            return {path.relative_to(out): path.read_bytes()
+                    for path in sorted(out.rglob("*")) if path.is_file()}
+
+        def fresh(argv):
+            result = run_cli(argv, cwd=tmp_path)
+            assert result.returncode == 0, result.stderr
+
+        def in_process(argv):
+            assert main(argv) == 0
+
+        files = chain(fresh, tmp_path / "fresh")
+        # the CSV, 3 report files, the histogram and 3 panels a context
+        assert len(files) == 1 + 3 + 1 + 3 * len(report_mod.DEFAULT_FIGURE_CONTEXTS)
+        assert files == chain(in_process, tmp_path / "in_process")
+
+
 class TestReadme:
     def test_settings_table_lists_each_commands_flags_and_defaults(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -9,6 +9,7 @@ from scipy import stats as scipy_stats
 
 from dyadsim.dynamics import ContextMatrix, ModelParams, simulate_batch, simulate_rows
 from dyadsim.metrics import (
+    CcfAggregate,
     CcfResult,
     LagDistribution,
     LagSpec,
@@ -459,6 +460,17 @@ class TestAggregateCcf:
             CcfResult(max_lag=max_lag, values=np.full(shape, 0.1))
         assert CcfResult(max_lag=max_lag, values=np.zeros((4, n))).values.shape == (4, n)
 
+    @pytest.mark.parametrize("field", ["mean", "sd", "n_defined"])
+    def test_aggregate_off_the_lag_axis_rejected(self, field):
+        # accepted, ccf_csv_text wrote only as many lags as the shortest field held
+        fields = {"mean": np.zeros(5), "sd": np.zeros(5), "n_defined": np.zeros(5, dtype=int)}
+        fields[field] = fields[field][:3]
+        with pytest.raises(ValueError, match=rf"^{field} must have 2 \* max_lag \+ 1 = 5 "
+                                             r"entries on its last axis, found shape \(3,\)$"):
+            CcfAggregate(max_lag=2, **fields)
+        with pytest.raises(ValueError, match="^max_lag must be >= 1$"):
+            CcfAggregate(max_lag=0, mean=np.zeros(1), sd=np.zeros(1), n_defined=np.zeros(1))
+
     @pytest.mark.parametrize("max_lag,message", [
         (0, "max_lag must be >= 1"), (1.0, "max_lag must be an integer, got 1.0"),
         (True, "max_lag must be an integer, got True"),
@@ -525,6 +537,17 @@ class TestTurnLags:
         # accepted, lag_csv_text wrote 3 of the 5 counts of the first case
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             LagDistribution(max_lag=max_lag, counts=counts, total_events=int(counts.sum()))
+
+    @pytest.mark.parametrize("total", [-5, 3, 5, 4.0, True, "4"],
+                             ids=["negative", "below", "above", "float", "bool", "str"])
+    def test_total_other_than_the_counts_sum_rejected(self, total):
+        # accepted, lag_csv_text wrote a rel_freq of -0.2 for -5, and frequencies
+        # summing past 1 for a total below the counts' sum
+        message = f"total_events must be the integer sum of counts, 4, got {total!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LagDistribution(max_lag=1, counts=np.array([1, 2, 1]), total_events=total)
+        dist = LagDistribution(max_lag=1, counts=np.array([1, 2, 1]), total_events=np.int64(4))
+        assert type(dist.total_events) is int and dist.total_events == 4
 
     def test_identical_series_all_zero_lags(self):
         rng = np.random.default_rng(11)

@@ -381,7 +381,7 @@ def _count_array(draw, n, dtype):
 
 @st.composite
 def _ccf_aggregates(draw):
-    max_lag, dtype = draw(st.integers(0, 8)), draw(_int_dtypes)
+    max_lag, dtype = draw(st.integers(1, 8)), draw(_int_dtypes)
     n = 2 * max_lag + 1
     return CcfAggregate(max_lag=max_lag, mean=_float_array(draw, n), sd=_float_array(draw, n),
                         n_defined=_count_array(draw, n, dtype))
@@ -391,8 +391,7 @@ def _ccf_aggregates(draw):
 def _lag_distributions(draw):
     max_lag, dtype = draw(st.integers(1, 8)), draw(_int_dtypes)
     counts = _count_array(draw, 2 * max_lag + 1, dtype)
-    return LagDistribution(max_lag=max_lag, counts=counts,
-                           total_events=draw(st.sampled_from([0, int(counts.sum()), 7])))
+    return LagDistribution(max_lag=max_lag, counts=counts, total_events=int(counts.sum()))
 
 
 @st.composite
@@ -435,13 +434,24 @@ class TestWritersMatchTheirReferences:
     def test_ccf(self, agg):
         assert_same_text(ccf_csv_text(agg), _ccf_csv_reference(agg))
 
+    def test_ccf_aggregate_short_of_its_lags_rejected(self):
+        # accepted, ccf_csv_text wrote lags -2..0 only
+        with pytest.raises(ValueError, match=r"^mean must have 2 \* max_lag \+ 1 = 5 entries"):
+            ccf_csv_text(CcfAggregate(2, np.zeros(3), np.zeros(3), np.zeros(3, int)))
+
     @settings(max_examples=200, deadline=None)
     @given(_lag_distributions())
     @example(LagDistribution(max_lag=1, counts=np.array([1, 0, 2], dtype=np.uint16),
                              total_events=3))
-    @example(LagDistribution(max_lag=1, counts=np.array([5, 0, 0]), total_events=0))
+    @example(LagDistribution(max_lag=1, counts=np.zeros(3, dtype=np.int32), total_events=0))
     def test_lags(self, dist):
         assert_same_text(lag_csv_text(dist), _lag_csv_reference(dist))
+
+    def test_lag_total_other_than_the_counts_sum_rejected(self):
+        # accepted, lag_csv_text wrote every rel_freq as 0.0 beside a count of 5
+        with pytest.raises(ValueError, match=r"^total_events must be the integer sum of counts, "
+                                             r"5, got 0$"):
+            LagDistribution(max_lag=1, counts=np.array([5, 0, 0]), total_events=0)
 
     @settings(max_examples=200, deadline=None)
     @given(_histograms())
