@@ -345,10 +345,18 @@ def turn_lags(x, y, spec: LagSpec = LagSpec()) -> LagDistribution:
     # end sentinels farther than reach from every event give each event an
     # on-state of y on both sides
     on_y = np.concatenate(([-reach - 1], np.flatnonzero(on[1]), [on[1].size]))
+    # each array below is as long as the events: free or reuse them in turn,
+    # since a figure group of long series stays allocated meanwhile
+    del on
     pos = np.searchsorted(on_y, on_x)
-    ahead, behind = on_y[pos] - on_x, on_x - on_y[pos - 1]
+    ahead = on_y[pos]
+    ahead -= on_x
+    pos -= 1
+    behind = on_y[pos]  # minus the distance to the on-state behind
+    behind -= on_x
+    del pos, on_x
     # ties go to the on-state ahead (positive lag)
-    lag = np.where(ahead <= behind, ahead, -behind)
+    lag = np.where(ahead <= -behind, ahead, behind)
     lag = lag[np.abs(lag) <= reach]
     counts = np.bincount(lag + max_lag, minlength=2 * max_lag + 1)
     return LagDistribution(max_lag=max_lag, counts=counts, total_events=len(lag))

@@ -263,12 +263,14 @@ def figure_data(
                 f"trajectory panel, context {code}: {exc}"
             ) from None
         return {f"fig2_traj_{code}.csv": trajectory_csv_text(trajectory)}
+    # the finite runs: the batch's own arrays when every run is, not a copy
+    X1, X2 = (B1, B2) if finite.all() else (B1[finite], B2[finite])
     if which == "ccf_panel":
-        if np.count_nonzero(finite) < 2:
+        if len(X1) < 2:
             raise AnalysisError(f"ccf panel, context {code}: fewer than 2 finite runs")
-        result = metrics.cross_correlation(B1[finite], B2[finite], max_lag)
+        result = metrics.cross_correlation(X1, X2, max_lag)
         return {f"fig6_ccf_{code}.csv": ccf_csv_text(metrics.aggregate_ccf([result]))}
-    dist = metrics.turn_lags(B1[finite], B2[finite], metrics.LagSpec(max_lag=max_lag))
+    dist = metrics.turn_lags(X1, X2, metrics.LagSpec(max_lag=max_lag))
     return {f"fig7_lags_{code}.csv": lag_csv_text(dist)}
 
 

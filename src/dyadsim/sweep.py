@@ -44,11 +44,11 @@ _ROW_SUFFIXES = tuple(
 
 _MASK64 = (1 << 64) - 1
 
-# most cells (rows x (turns + 1)) per simulate_rows and per pearson_rows
-# call of run_sweep: bounds its buffers (16 B a cell) and temporaries.  A
-# run_sweep block takes at least _MIN_BLOCK_ROWS rows (one run per context),
-# since a kernel call pays a fixed dispatch cost per turn whatever its rows:
-# a block holds at most max(2^18 cells, 81 rows)
+# most cells (rows x (turns + 1)) per simulate_rows call: bounds the buffers
+# (16 B a cell) and temporaries of a run_sweep block, and, at half of it, of
+# a context_batches group.  Either takes at least _MIN_BLOCK_ROWS rows (one
+# run per context), since a kernel call pays a fixed dispatch cost per turn
+# whatever its rows: _rows_per_call states the rule for both
 _CELL_BUDGET = 1 << 18
 _PEARSON_CELLS = 1 << 15
 _MIN_BLOCK_ROWS = 81
@@ -184,6 +184,12 @@ def _tail_codes(r: np.ndarray, threshold: float) -> np.ndarray:
     return codes
 
 
+def _rows_per_call(cells: int, turns: int) -> int:
+    """Rows of ``turns + 1`` cells per :func:`simulate_rows` call: as many as
+    ``cells`` holds, and at least ``_MIN_BLOCK_ROWS``."""
+    return max(_MIN_BLOCK_ROWS, cells // (turns + 1))
+
+
 def context_batches(config: SweepConfig, contexts):
     """Seeded runs of each context of an iterable, in order, on the sweep's seed grid.
 
@@ -191,19 +197,21 @@ def context_batches(config: SweepConfig, contexts):
     itself, the per-run seeds, the (runs, turns + 1) series of both agents,
     and the mask of runs whose series stay finite throughout.  The contexts
     are simulated as groups of whole contexts, one :func:`simulate_rows`
-    call per group.  A group holds at most ``_CELL_BUDGET // 2`` cells, or
-    one context when a context is larger; a row does not depend on the
-    other rows, so neither does any batch.  A group is freed before the next
-    one is simulated once the caller drops its batches.  Every context is
-    checked before the first group is simulated: ``ValueError`` names the
-    first that is not a :class:`ContextMatrix`, with its position.
+    call per group.  A group takes the whole contexts that fit in
+    max(2^17 cells, 81 rows), the :func:`_rows_per_call` of half the
+    ``_CELL_BUDGET``, and at least one context; a row does not depend on
+    the other rows, so neither does any batch.  A group is freed
+    before the next one is simulated once the caller drops its batches.
+    Every context is checked before the first group is simulated:
+    ``ValueError`` names the first that is not a :class:`ContextMatrix`,
+    with its position.
     """
     contexts, runs, params = tuple(contexts), config.runs_per_context, config.params
     for position, context in enumerate(contexts):
         if not isinstance(context, ContextMatrix):
             raise ValueError(f"contexts[{position}] is {context!r}, not a ContextMatrix")
     # half the budget: a group stays alive while its panels' CCF and lag temporaries are allocated
-    group = max(1, _CELL_BUDGET // 2 // (runs * (params.turns + 1)))
+    group = max(1, _rows_per_call(_CELL_BUDGET // 2, params.turns) // runs)
     for g0 in range(0, len(contexts), group):
         members = contexts[g0:g0 + group]
         seeds = _run_seeds(config.master_seed, [_CONTEXTS.index(c) for c in members], runs)
@@ -231,7 +239,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepTable:
     runs, params = config.runs_per_context, config.params
     seeds = _run_seeds(config.master_seed, range(81), runs)
     coefficients = np.repeat([params.coefficients(ctx) for ctx in _CONTEXTS], runs, axis=0)
-    block = max(_MIN_BLOCK_ROWS, _CELL_BUDGET // (params.turns + 1))
+    block = _rows_per_call(_CELL_BUDGET, params.turns)
     chunk = max(1, _PEARSON_CELLS // (params.turns + 1))
     r = np.empty(len(seeds))
     for lo in range(0, len(seeds), block):

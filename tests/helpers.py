@@ -1,15 +1,25 @@
 """Reference helpers that only the tests use.
 
 ``classify_tail`` is the per-value reference for ``sweep._tail_codes``,
-``trajectory_from_csv`` parses what ``report.trajectory_csv_text`` writes, and
-``assert_same_text`` compares whole output texts.
+``trajectory_from_csv`` parses what ``report.trajectory_csv_text`` writes,
+``assert_same_text`` compares whole output texts, and ``DIVERGING`` is a
+sweep config under which the strongly coupled contexts diverge.
 """
 
 from math import isnan
 
 import numpy as np
 
-from dyadsim.sweep import COMPLEMENTARY, NEUTRAL, SYNCHRONOUS, TAIL_LABELS, UNDEFINED
+from dyadsim.dynamics import ModelParams
+from dyadsim.sweep import (
+    COMPLEMENTARY, NEUTRAL, SYNCHRONOUS, TAIL_LABELS, UNDEFINED, SweepConfig,
+)
+
+# unit gain over 1,200 turns: the strongly coupled contexts diverge, so
+# blocks mix finite and non-finite rows
+DIVERGING = SweepConfig(
+    master_seed=5, runs_per_context=3, params=ModelParams(influence=1.0, turns=1200)
+)
 
 
 def classify_tail(r: float, threshold: float) -> str:

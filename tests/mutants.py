@@ -110,6 +110,16 @@ MUTANTS = (
     Mutant("context-checked-late", "context_batches names a bad context before simulating", (
         (SWEEP, "        if not isinstance(context, ContextMatrix):\n", "        if False:\n"),
     )),
+    Mutant("figure-group-unfloored",
+           "a figure group takes at least 81 rows, as a sweep block does", (
+        (SWEEP, "_rows_per_call(_CELL_BUDGET // 2, params.turns) // runs",
+         "_CELL_BUDGET // 2 // (params.turns + 1) // runs"),
+    )),
+    Mutant("figure-group-rows-as-contexts",
+           "a figure group takes the whole contexts its rows hold", (
+        (SWEEP, "_rows_per_call(_CELL_BUDGET // 2, params.turns) // runs)",
+         "_rows_per_call(_CELL_BUDGET // 2, params.turns))"),
+    )),
     Mutant("coefficient-shape-unchecked",
            "simulate_rows takes one row of four coefficients per seed", (
         (DYNAMICS, "if A.shape != (m, 4) and (m or A.size):", "if False:"),

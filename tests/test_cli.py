@@ -272,18 +272,23 @@ class TestPanelCommands:
         assert calls == [[sweep_mod.derive_run_seed(42, i, run) for i in indices for run in (0, 1)]]
         assert len(list((tmp_path / "figs").iterdir())) == 1 + 3 * 2
 
-    @pytest.mark.parametrize("runs, turns", [(100, 500), (10, 5000)],
+    # half the cell budget holds 261 rows of 501 cells, two contexts of 100
+    # runs; at 5,001 cells it holds 26 rows, so the 81-row floor takes all six
+    # contexts of 10 runs
+    @pytest.mark.parametrize("runs, turns, rows", [(100, 500, [200] * 3), (10, 5000, [60])],
                              ids=["paper-default", "long-series"])
-    def test_figures_simulates_the_default_contexts_in_three_calls(
-        self, tmp_path, monkeypatch, runs, turns
+    @pytest.mark.parametrize("command", ["figures", "xcorr", "lags"])
+    def test_default_context_kernel_calls(
+        self, tmp_path, monkeypatch, command, runs, turns, rows
     ):
-        # a context is about 50,000 cells at both shapes, so two fit half the budget
-        flags = ["--runs", str(runs), "--turns", str(turns)]
-        csv = tmp_path / "s.csv"
-        assert main(["sweep", *flags, "--out", str(csv)]) == 0
+        args = [command, "--runs", str(runs), "--turns", str(turns)]
+        if command == "figures":  # read the sweep, so that only the figure batches simulate
+            csv = tmp_path / "s.csv"
+            assert main(["sweep", *args[1:], "--out", str(csv)]) == 0
+            args += ["--input", str(csv)]
         calls = self._count_kernel_calls(monkeypatch)
-        assert main(["figures", *flags, "--input", str(csv), "--out", str(tmp_path / "f")]) == 0
-        assert [len(seeds) for seeds in calls] == [2 * runs] * 3
+        assert main([*args, "--out", str(tmp_path / "f")]) == 0
+        assert [len(seeds) for seeds in calls] == rows
 
     @pytest.mark.parametrize("command", ["figures", "xcorr", "lags"])
     def test_payloads_do_not_depend_on_the_grouping(self, tmp_path, monkeypatch, command):
@@ -293,6 +298,7 @@ class TestPanelCommands:
             assert main(["sweep", *args[1:5], "--out", str(tmp_path / "s.csv")]) == 0
             args += ["--input", str(tmp_path / "s.csv")]
         payloads = []
+        monkeypatch.setattr(sweep_mod, "_MIN_BLOCK_ROWS", 1)  # else a group takes 81 rows
         for budget in (sweep_mod._CELL_BUDGET, 1):  # all contexts in one group; one per group
             monkeypatch.setattr(sweep_mod, "_CELL_BUDGET", budget)
             calls = self._count_kernel_calls(monkeypatch)
@@ -353,6 +359,7 @@ class TestOneGroupAlive:
             return B1, B2
 
         monkeypatch.setattr(sweep_mod, "_CELL_BUDGET", 2 * 2 * 3 * 121)
+        monkeypatch.setattr(sweep_mod, "_MIN_BLOCK_ROWS", 1)  # else a group takes 81 rows
         monkeypatch.setattr(sweep_mod, "simulate_rows", spied)
         return refs
 

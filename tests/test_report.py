@@ -40,7 +40,7 @@ from dyadsim.sweep import (
     write_sweep_csv,
 )
 
-from helpers import assert_same_text, trajectory_from_csv
+from helpers import DIVERGING, assert_same_text, trajectory_from_csv
 
 PANEL_CONFIG = SweepConfig(master_seed=42, runs_per_context=40, params=ModelParams(turns=200))
 
@@ -280,6 +280,43 @@ class TestFigureData:
             payload.update(figure_data("lag_panel", batch=batch))
         assert payload == _cut("lag_panel", config, contexts)
         assert list(payload) == ["fig7_lags_0000.csv", "fig7_lags_+100+1.csv"]
+
+    @staticmethod
+    def _spy(monkeypatch, name) -> list:
+        """The (x, y) arrays of each call of ``metrics.<name>`` from now on."""
+        seen, original = [], getattr(metrics, name)
+
+        def spied(x, y, *args):
+            seen.append((x, y))
+            return original(x, y, *args)
+
+        monkeypatch.setattr(metrics, name, spied)
+        return seen
+
+    @pytest.mark.parametrize("panel, name", [("ccf_panel", "cross_correlation"),
+                                             ("lag_panel", "turn_lags")])
+    def test_all_finite_batch_is_passed_without_a_copy(self, monkeypatch, panel, name):
+        seen = self._spy(monkeypatch, name)
+        batch = next(context_batches(PANEL_CONFIG, [ContextMatrix(1, 0, 1, 0)]))
+        *_, B1, B2, finite = batch
+        assert finite.all()
+        figure_data(panel, batch=batch)
+        (x, y), = seen
+        assert np.shares_memory(x, B1) and np.shares_memory(y, B2)
+
+    @pytest.mark.parametrize("panel, name", [("ccf_panel", "cross_correlation"),
+                                             ("lag_panel", "turn_lags")])
+    def test_diverged_run_is_dropped(self, monkeypatch, panel, name):
+        # run 1 of (1, 1, 1, 1) first overflows on turn 1,108, its last
+        config = replace(DIVERGING, params=replace(DIVERGING.params, turns=1108))
+        context, seeds, B1, B2, finite = next(context_batches(config, [ContextMatrix(1, 1, 1, 1)]))
+        assert finite.tolist() == [True, False, True]
+        seen = self._spy(monkeypatch, name)
+        payload = figure_data(panel, batch=(context, seeds, B1, B2, finite))
+        (x, y), = seen
+        assert x.tobytes() == B1[finite].tobytes() and y.tobytes() == B2[finite].tobytes()
+        alone = (context, seeds, B1[finite].copy(), B2[finite].copy(), finite[finite])
+        assert payload == figure_data(panel, batch=alone)
 
     def test_deterministic_payloads(self):
         a = figure_data(

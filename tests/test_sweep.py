@@ -31,17 +31,11 @@ from dyadsim.sweep import (
     write_sweep_csv,
 )
 
-from helpers import assert_same_text, classify_tail
+from helpers import DIVERGING, assert_same_text, classify_tail
 
 SMALL = SweepConfig(master_seed=7, runs_per_context=2, params=ModelParams(turns=60))
 
 CSV_COLUMNS = ("context_index", "run_index", "run_seed", "r")
-
-# unit gain over 1,200 turns: the strongly coupled contexts diverge, so
-# blocks mix finite and non-finite rows
-DIVERGING = SweepConfig(
-    master_seed=5, runs_per_context=3, params=ModelParams(influence=1.0, turns=1200)
-)
 
 
 def _scalar_r(context, params, seed) -> float:
@@ -52,6 +46,18 @@ def _scalar_r(context, params, seed) -> float:
         return pearson_r(trajectory.b1, trajectory.b2)
     except (NonFiniteStateError, UndefinedCorrelationError):
         return math.nan
+
+
+def _kernel_calls(monkeypatch) -> list:
+    """The row count of each simulate_rows call sweep makes from now on."""
+    calls = []
+
+    def counted(coefficients, params, seeds):
+        calls.append(len(seeds))
+        return simulate_rows(coefficients, params, seeds)
+
+    monkeypatch.setattr(sweep, "simulate_rows", counted)
+    return calls
 
 
 class TestEnumerateContexts:
@@ -282,20 +288,8 @@ class TestRowBlocks:
     CONFIG = DIVERGING
     ROWS, CELLS_PER_ROW = 81 * 3, 1201
 
-    @staticmethod
-    def _kernel_calls(monkeypatch) -> list:
-        """The row count of each simulate_rows call run_sweep makes from now on."""
-        calls = []
-
-        def counted(coefficients, params, seeds):
-            calls.append(len(seeds))
-            return simulate_rows(coefficients, params, seeds)
-
-        monkeypatch.setattr(sweep, "simulate_rows", counted)
-        return calls
-
     def _run(self, monkeypatch, budget):
-        calls = self._kernel_calls(monkeypatch)
+        calls = _kernel_calls(monkeypatch)
         monkeypatch.setattr(sweep, "_CELL_BUDGET", budget)
         monkeypatch.setattr(sweep, "_MIN_BLOCK_ROWS", 1)  # else every block takes 81 rows
         table = run_sweep(self.CONFIG)
@@ -316,7 +310,7 @@ class TestRowBlocks:
     def test_wide_power_of_two_stride_blocks_match_scalar(self, monkeypatch):
         # 63 turns: 4,096-row blocks whose row stride is 64 doubles
         config = SweepConfig(master_seed=42, runs_per_context=400, params=ModelParams(turns=63))
-        calls = self._kernel_calls(monkeypatch)
+        calls = _kernel_calls(monkeypatch)
         table = run_sweep(config)
         assert calls[0] == 4096 and sum(calls) == 81 * 400
         contexts = enumerate_contexts()
@@ -329,7 +323,7 @@ class TestRowBlocks:
         # 4,000 turns: 65 rows fit the cell budget, so the row floor sets the
         # blocks, and at 2 runs a context they split context 40
         config = SweepConfig(master_seed=9, runs_per_context=2, params=ModelParams(turns=4000))
-        calls = self._kernel_calls(monkeypatch)
+        calls = _kernel_calls(monkeypatch)
         table = run_sweep(config)
         assert sweep._CELL_BUDGET // 4001 < 81
         assert calls == [81] * math.ceil(len(table) / 81)
@@ -348,15 +342,23 @@ class TestContextGroups:
     CONTEXTS = [enumerate_contexts()[i] for i in (80, 40, 0, 80, 67)]  # 80 is (1, 1, 1, 1)
 
     def _batches(self, monkeypatch, budget):
-        calls = []
-
-        def counted(coefficients, params, seeds):
-            calls.append(len(seeds))
-            return simulate_rows(coefficients, params, seeds)
-
+        calls = _kernel_calls(monkeypatch)
         monkeypatch.setattr(sweep, "_CELL_BUDGET", budget)
-        monkeypatch.setattr(sweep, "simulate_rows", counted)
+        monkeypatch.setattr(sweep, "_MIN_BLOCK_ROWS", 1)  # else a group takes 81 rows
         return list(sweep.context_batches(self.CONFIG, self.CONTEXTS)), calls
+
+    @staticmethod
+    def _check_per_context(config, batches):
+        """Each batch equals its context's own simulate_rows call."""
+        runs, params = config.runs_per_context, config.params
+        for context, seeds, B1, B2, finite in batches:
+            index = enumerate_contexts().index(context)
+            assert seeds == [derive_run_seed(config.master_seed, index, run) for run in range(runs)]
+            want = simulate_rows([params.coefficients(context)] * runs, params, seeds)
+            assert B1.tobytes() == want[0].tobytes() and B2.tobytes() == want[1].tobytes()
+            assert B1.flags.c_contiguous and B2.flags.c_contiguous
+            want_finite = (np.isfinite(want[0]) & np.isfinite(want[1])).all(1)
+            assert finite.tobytes() == want_finite.tobytes()
 
     @pytest.mark.parametrize("per_group", [1, 2, 5])
     def test_batches_do_not_depend_on_the_group(self, monkeypatch, per_group):
@@ -366,13 +368,21 @@ class TestContextGroups:
         assert calls == [runs * min(per_group, 5 - g0) for g0 in range(0, 5, per_group)]
         assert [batch[0] for batch in batches] == self.CONTEXTS  # 80 twice, in order
         assert not batches[0][4].all() and batches[1][4].all()  # (1, 1, 1, 1) diverges
-        for context, seeds, B1, B2, finite in batches:
-            index = enumerate_contexts().index(context)
-            assert seeds == [derive_run_seed(5, index, run) for run in range(runs)]
-            want = simulate_rows([params.coefficients(context)] * runs, params, seeds)
-            assert B1.tobytes() == want[0].tobytes() and B2.tobytes() == want[1].tobytes()
-            assert B1.flags.c_contiguous and B2.flags.c_contiguous
-            assert finite.tolist() == (np.isfinite(want[0]) & np.isfinite(want[1])).all(1).tolist()
+        self._check_per_context(self.CONFIG, batches)
+
+    def test_long_runs_take_at_least_81_rows_per_group(self, monkeypatch):
+        # 4,000 turns: half the cell budget holds 32 rows, so the row floor
+        # sets the group, and six contexts of 10 runs take one call
+        params = replace(self.CONFIG.params, turns=4000)
+        config = replace(self.CONFIG, runs_per_context=10, params=params)
+        contexts = [enumerate_contexts()[i] for i in (80, 40, 0, 67, 13, 26)]
+        calls = _kernel_calls(monkeypatch)
+        batches = list(sweep.context_batches(config, contexts))
+        assert sweep._CELL_BUDGET // 2 // 4001 < 81
+        assert calls == [60]
+        assert [batch[0] for batch in batches] == contexts
+        assert not batches[0][4].any() and batches[1][4].all()  # (1, 1, 1, 1) diverges
+        self._check_per_context(config, batches)
 
     def test_a_context_over_the_budget_is_its_own_group(self, monkeypatch):
         batches, calls = self._batches(monkeypatch, 1)
