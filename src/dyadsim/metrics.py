@@ -7,6 +7,7 @@ reentrant; series are 1-D float arrays (or anything ``np.asarray`` accepts).
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,14 +39,18 @@ def _scaled_down(rows) -> np.ndarray:
     return np.ldexp(rows, -np.frexp(rows.shape[1])[1])
 
 
-def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _pearson_rows(x: np.ndarray, y: np.ndarray, scratch=None) -> np.ndarray:
+    # C-contiguous deviations and one buffer for |deviation| and the three row
+    # sums: the pairwise sum over a contiguous row gives the same bits every
+    # time, in a new array or in the first x.size doubles of each scratch buffer
+    if scratch is None:
+        xm, ym, products = (np.empty(x.shape) for _ in range(3))
+    else:
+        xm, ym, products = (buf[: x.size].reshape(x.shape) for buf in scratch)
     # huge, non-finite or constant rows overflow, meet inf - inf or 0 / 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        xm = x - x.mean(axis=1, keepdims=True)
-        ym = y - y.mean(axis=1, keepdims=True)
-        # one C-contiguous buffer for |deviation| and the three row sums: the
-        # pairwise sum over a contiguous row gives the same bits every time
-        products = np.empty(xm.shape)
+        np.subtract(x, x.mean(axis=1, keepdims=True), out=xm)
+        np.subtract(y, y.mean(axis=1, keepdims=True), out=ym)
         xs = np.abs(xm, out=products).max(axis=1)
         ys = np.abs(ym, out=products).max(axis=1)
         xm /= xs[:, None]
@@ -58,7 +63,7 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r
 
 
-def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def pearson_rows(x: np.ndarray, y: np.ndarray, scratch=None) -> np.ndarray:
     """Row-wise sample Pearson r for paired (m, n) arrays.
 
     Returns an (m,) array with nan marking undefined rows (zero variance or
@@ -73,14 +78,18 @@ def pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     rows times 2**-e, where n < 2**e; r does not depend on that scale.  Row
     results do not depend on which other rows are present, which keeps
     batched and one-at-a-time evaluation bitwise identical.
+
+    ``scratch``, if given, is three flat C-contiguous float arrays of at
+    least m * n doubles each, which hold the deviations and products in
+    place of new arrays; the result does not depend on it.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    r = _pearson_rows(x, y)
+    r = _pearson_rows(x, y, scratch)
     redo = np.flatnonzero(np.isnan(r))
     if redo.size:
         redo = redo[np.isfinite(x[redo]).all(axis=1) & np.isfinite(y[redo]).all(axis=1)]
-        r[redo] = _pearson_rows(_scaled_down(x[redo]), _scaled_down(y[redo]))
+        r[redo] = _pearson_rows(_scaled_down(x[redo]), _scaled_down(y[redo]), scratch)
     return r
 
 
@@ -175,17 +184,26 @@ def cross_correlation(x, y, max_lag: int) -> CcfResult:
     segments, normalized by the means and variances of those segments
     alone.  A zero-variance overlap yields nan at that lag only.
 
+    Lags 0..+max_lag run in the calling thread and lags -max_lag..-1 on one
+    helper thread, each in its own scratch (:func:`pearson_rows`), which
+    the caller allocates so that the helper allocates no large array.  A
+    lag's value is one ``pearson_rows`` call on its segments either way, so
+    the result does not depend on the threads' timing.  The helper is
+    always joined before return, and an error it raises is raised here.
+
     Parameters
     ----------
     x, y : array-like
         Equal-length series with ``len > 2 * max_lag + 2``, or (m, n)
         stacks of such series; ``values`` is then (m, 2 * max_lag + 1), and
-        row i is bitwise the CCF of ``x[i]`` and ``y[i]``.
+        row i is bitwise the CCF of ``x[i]`` and ``y[i]``, in any memory
+        layout of the stacks.
     max_lag : int
         Largest lag magnitude, >= 1.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    # C order: each row segment's mean is then the pairwise sum a lone row gets
+    x = np.asarray(x, dtype=float, order="C")
+    y = np.asarray(y, dtype=float, order="C")
     max_lag = _checked_int("max_lag", max_lag)
     if x.ndim not in (1, 2):
         raise ValueError("cross_correlation needs 1-D series or (m, n) stacks")
@@ -195,12 +213,32 @@ def cross_correlation(x, y, max_lag: int) -> CcfResult:
     _check_ccf_length(n, max_lag)
     rows_x, rows_y = np.atleast_2d(x), np.atleast_2d(y)
     values = np.empty((len(rows_x), 2 * max_lag + 1))
-    for k in range(-max_lag, max_lag + 1):
-        if k >= 0:
-            seg_x, seg_y = rows_x[:, : n - k], rows_y[:, k:]
-        else:
-            seg_x, seg_y = rows_x[:, -k:], rows_y[:, : n + k]
-        values[:, k + max_lag] = pearson_rows(seg_x, seg_y)
+    scratch = np.empty((2, 3, rows_x.size))  # one set for each thread
+
+    def fill(lags, buffers):
+        for k in lags:
+            if k >= 0:
+                seg_x, seg_y = rows_x[:, : n - k], rows_y[:, k:]
+            else:
+                seg_x, seg_y = rows_x[:, -k:], rows_y[:, : n + k]
+            values[:, k + max_lag] = pearson_rows(seg_x, seg_y, buffers)
+
+    errors = []
+
+    def negative_lags():
+        try:
+            fill(range(-max_lag, 0), scratch[1])
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    helper = threading.Thread(target=negative_lags)
+    helper.start()
+    try:
+        fill(range(max_lag + 1), scratch[0])
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
     return CcfResult(max_lag=max_lag, values=values[0] if x.ndim == 1 else values)
 
 
@@ -325,8 +363,9 @@ def turn_lags(x, y, spec: LagSpec = LagSpec()) -> LagDistribution:
     distributions (counts and events summed), and each row's mean is its
     own series' mean.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    # C order: each row's mean is then the pairwise sum a lone row gets
+    x = np.asarray(x, dtype=float, order="C")
+    y = np.asarray(y, dtype=float, order="C")
     if x.ndim not in (1, 2):
         raise ValueError("turn_lags needs 1-D series or (m, n) stacks")
     if x.shape != y.shape:

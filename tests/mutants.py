@@ -92,6 +92,14 @@ MUTANTS = (
         (METRICS, "        xm /= xs[:, None]\n        ym /= ys[:, None]\n",
          "        xm /= np.fmax.reduce(xs)\n        ym /= np.fmax.reduce(ys)\n"),
     )),
+    Mutant("ccf-helper-idle", "the helper thread fills the CCF's negative lags", (
+        (METRICS, "            fill(range(-max_lag, 0), scratch[1])\n", "            pass\n"),
+    )),
+    Mutant("ccf-helper-positive-slices",
+           "a negative lag k pairs x[-k:] with y[:n + k], not the segments of lag -k", (
+        (METRICS, "seg_x, seg_y = rows_x[:, -k:], rows_y[:, : n + k]",
+         "seg_x, seg_y = rows_x[:, : n + k], rows_y[:, -k:]"),
+    )),
     Mutant("ccf-aggregate-unchecked", "a CcfAggregate holds one mean, sd and count per lag", (
         (METRICS, '        for name in ("mean", "sd", "n_defined"):\n'
                   '            self._check_lag_axis(name)\n', "        pass\n"),

@@ -835,7 +835,7 @@ class TestColdStart:
             "import sys\n"
             "def loaded():\n"
             "    return (sorted(m for m in sys.modules if m.split('.')[0] == 'dyadsim'),"
-            " 'json' in sys.modules)\n"
+            " 'json' in sys.modules, 'concurrent.futures' in sys.modules)\n"
             "import dyadsim.cli\n"
             "print(loaded())\n"
             "print(dyadsim.cli.main('sweep --runs 1 --turns 10 --out s.csv'.split()))\n"
@@ -843,7 +843,7 @@ class TestColdStart:
         )
         result = run_python(["-c", code], cwd=tmp_path)
         assert result.returncode == 0, result.stderr
-        want = repr((self.SWEEP_MODULES, False))
+        want = repr((self.SWEEP_MODULES, False, False))
         assert result.stdout.splitlines() == [want, "wrote s.csv (81 records)", "0", want]
 
     def test_analyze_error_exit_code_without_report_imported_first(self, tmp_path):

@@ -1,4 +1,5 @@
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
+import dyadsim.metrics as metrics_mod
 from dyadsim.dynamics import ContextMatrix, ModelParams, simulate_batch, simulate_rows
 from dyadsim.metrics import (
     CcfAggregate,
@@ -482,12 +484,12 @@ class TestAggregateCcf:
 
 
 @st.composite
-def stacked_series(draw):
-    """(m, n) series pairs, some rows constant or with a constant segment, so
-    that whole rows or single lags come out nan."""
+def stacked_series(draw, rows=st.integers(min_value=0, max_value=6)):
+    """(m, n) series pairs, m drawn from ``rows``, some rows constant or with
+    a constant segment, so that whole rows or single lags come out nan."""
     max_lag = draw(st.integers(min_value=1, max_value=6))
     n = draw(st.integers(min_value=2 * max_lag + 3, max_value=60))
-    m = draw(st.integers(min_value=0, max_value=6))
+    m = draw(rows)
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     x = rng.normal(size=(m, n)) * draw(st.sampled_from([1.0, 1e-3, 1e6]))
     y = rng.normal(size=(m, n))
@@ -522,6 +524,94 @@ class TestStackedCcfProperties:
         else:
             with pytest.raises(ValueError, match="at least 2 results"):
                 aggregate_ccf([stacked])
+
+    @staticmethod
+    def column_sliced(rows):
+        """``rows`` as every other column of a wider array: no row is contiguous."""
+        wide = np.zeros((len(rows), 2 * rows.shape[1]))
+        wide[:, ::2] = rows
+        return wide[:, ::2]
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(stacked_series(rows=st.integers(min_value=2, max_value=7)),
+           st.sampled_from(["fortran", "column-sliced"]))
+    def test_any_memory_layout_equals_per_row_bitwise(self, case, layout):
+        # a Fortran stack's row sums run down its columns, not pairwise
+        x, y, max_lag = case
+        arrange = np.asfortranarray if layout == "fortran" else self.column_sliced
+        stacked = cross_correlation(arrange(x), arrange(y), max_lag)
+        for i in range(len(x)):
+            assert stacked.values[i].tobytes() == \
+                cross_correlation(x[i], y[i], max_lag).values.tobytes()
+
+
+def serial_ccf(x, y, max_lag):
+    """The CCF as one ``pearson_rows`` call per lag, in the calling thread."""
+    n = x.shape[1]
+    return np.stack([pearson_rows(x[:, : n - k], y[:, k:]) if k >= 0
+                     else pearson_rows(x[:, -k:], y[:, : n + k])
+                     for k in range(-max_lag, max_lag + 1)], axis=1)
+
+
+class TestCcfThreads:
+    """cross_correlation fills the negative lags on one helper thread; the
+    values are the serial per-lag ones and no thread outlives the call."""
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(stacked_series(rows=st.sampled_from([0, 1, 2, 3, 7])))
+    def test_equals_serial_pearson_rows_per_lag(self, case):
+        x, y, max_lag = case
+        before = threading.active_count()
+        values = cross_correlation(x, y, max_lag).values
+        assert threading.active_count() == before
+        assert values.tobytes() == serial_ccf(x, y, max_lag).tobytes()
+
+    def test_overflow_redo_rows_equal_serial(self):
+        # a finite pair whose row sums overflow, among ordinary rows: each lag
+        # takes pearson_rows' redo on the rows times 2**-11
+        B1, B2 = simulate_batch(ContextMatrix(1, 1, 1, 1),
+                                ModelParams(influence=1.0, turns=1107), [42])
+        rng = np.random.default_rng(31)
+        x = np.vstack([rng.normal(size=(2, 1108)), B1, rng.normal(size=(1, 1108))])
+        y = np.vstack([rng.normal(size=(2, 1108)), B2, rng.normal(size=(1, 1108))])
+        values = cross_correlation(x, y, 20).values
+        assert np.isfinite(values).all()
+        assert values.tobytes() == serial_ccf(x, y, 20).tobytes()
+
+    def test_negative_lags_run_on_one_helper_thread(self, monkeypatch):
+        # the integer part of a segment's first sample is the segment's start
+        x = np.arange(40.0)[None, :]
+        y = x + np.arange(40) % 3 / 4
+        threads, real = {}, pearson_rows
+
+        def recording(seg_x, seg_y, scratch=None):
+            threads[int(seg_y[0, 0]) - int(seg_x[0, 0])] = threading.get_ident()
+            return real(seg_x, seg_y, scratch)
+
+        monkeypatch.setattr(metrics_mod, "pearson_rows", recording)
+        values = cross_correlation(x, y, 4).values
+        assert values.tobytes() == serial_ccf(x, y, 4).tobytes()
+        assert sorted(threads) == list(range(-4, 5))
+        helper = {threads[k] for k in range(-4, 0)}
+        assert len(helper) == 1 and threading.get_ident() not in helper
+        assert {threads[k] for k in range(5)} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("failing", ["negative", "positive"])
+    def test_an_error_on_either_thread_is_raised_and_joined(self, monkeypatch, failing):
+        x = np.arange(40.0)  # a negative lag's x segment starts past sample 0
+        y = np.random.default_rng(7).normal(size=40)
+        real = pearson_rows
+
+        def raising(seg_x, seg_y, scratch=None):
+            if (seg_x[0, 0] > 0) == (failing == "negative"):
+                raise RuntimeError(f"{failing} lag")
+            return real(seg_x, seg_y, scratch)
+
+        monkeypatch.setattr(metrics_mod, "pearson_rows", raising)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^{failing} lag$"):
+            cross_correlation(x, y, 3)
+        assert threading.active_count() == before
 
 
 class TestTurnLags:
@@ -652,6 +742,17 @@ class TestStackedTurnLags:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="lengths differ"):
             turn_lags(np.zeros((2, 5)), np.zeros((2, 6)))
+
+    def test_fortran_stack_counts_equal_sum_of_rows(self):
+        # row 1 sums to 0 in exact arithmetic: its pairwise sum is -1.1e-17,
+        # a column-order sum +1.7e-17, and its 0.0 samples lie in between
+        x = np.round(np.random.default_rng(132).normal(size=(2, 40)), 1)
+        spec = LagSpec(max_lag=3)
+        rows = [turn_lags(row, row, spec) for row in x]
+        for stack in (np.asfortranarray(x), x):
+            dist = turn_lags(stack, stack, spec)
+            assert np.array_equal(dist.counts, sum(row.counts for row in rows))
+            assert dist.total_events == sum(row.total_events for row in rows) == 44
 
     @pytest.mark.parametrize("m, n", [(1, 7), (4, 30), (3, 2)])
     def test_lags_at_and_beyond_the_series_length(self, m, n):
